@@ -25,7 +25,7 @@ from .groups import (GroupHom, PermGroup, Subgroup, as_group,
                      trivial_group, trivial_hom)
 from .intlattice import IntegerLattice
 from .padic import PadicInt
-from .perms import Perm, cycle_string, p_inv, p_mul
+from .perms import Perm, cycle_string
 
 
 class BisetClass:
@@ -41,7 +41,7 @@ class BisetClass:
         self.target = target
         self.K = K
         self.phi = phi
-        self._hash = hash((source, target, K, phi.images))
+        self._hash = hash((source, target, K, phi.image_indices))
 
     @property
     def size(self) -> int:
@@ -49,7 +49,7 @@ class BisetClass:
 
     @property
     def sort_key(self):
-        return (-self.K.order, self.K.elements, self.phi.images)
+        return (-self.K.order, self.K.indices, self.phi.image_indices)
 
     def label(self) -> str:
         gens = self.K.generators()
@@ -67,7 +67,8 @@ class BisetClass:
         if not isinstance(other, BisetClass):
             return NotImplemented
         return (self.source == other.source and self.target == other.target
-                and self.K == other.K and self.phi.images == other.phi.images)
+                and self.K == other.K
+                and self.phi.image_indices == other.phi.image_indices)
 
     def __hash__(self):
         return self._hash
@@ -81,22 +82,22 @@ def _canonical_pair(source: PermGroup, target: PermGroup, K: Subgroup,
                     images: tuple[Perm, ...]) -> BisetClass:
     """Canonicalize a (subgroup, homomorphism) pair: move K to its conjugacy
     class representative, then minimize the image tuple over pre-conjugation
-    by the normalizer and post-conjugation by the target."""
+    by the normalizer and post-conjugation by the target. Runs on element
+    indices, whose order is the order of the image tuples."""
     K0, g0 = class_rep_and_conjugator(source, K)
-    g0i = p_inv(g0)
-    imap = dict(zip(K.elements, images))
-    base = {x: imap[p_mul(p_mul(g0i, x), g0)] for x in K0.elements}
-    best = None
-    for n in normalizer(source, K0).elements:
-        ni = p_inv(n)
-        twisted = [base[p_mul(p_mul(ni, x), n)] for x in K0.elements]
-        for h in target.elements:
-            hi = p_inv(h)
-            cand = tuple(p_mul(p_mul(h, t), hi) for t in twisted)
-            if best is None or cand < best:
-                best = cand
-    phi = GroupHom(K0, target, dict(zip(K0.elements, best)))
-    return BisetClass(source, target, K0, phi)
+    conj, inv = source.conj, source.inv
+    imap = dict(zip(K.indices, map(target.index, images)))
+    # base(x) = phi(g0^-1 x g0) on K0 = g0 K g0^-1
+    pre = conj[inv[source.index(g0)]]
+    base = {x: imap[pre[x]] for x in K0.indices}.__getitem__
+    # distinct n-twists x -> base(n^-1 x n) for n in N(K0), then the least
+    # post-conjugate by the target
+    twisted = {tuple(map(base, map(conj[inv[n]].__getitem__, K0.indices)))
+               for n in normalizer(source, K0).indices}
+    best = min(tuple(map(row.__getitem__, tw))
+               for row in target.conj for tw in twisted)
+    return BisetClass(source, target, K0,
+                      GroupHom.from_indices(K0, target, best))
 
 
 def canonical_class(source: PermGroup, target: PermGroup, K: Subgroup,
@@ -344,38 +345,30 @@ class ConcreteBiset:
         if len(self.left) != G.order or len(self.right) != H.order:
             raise BisetError("action table shape does not match group orders")
         ident = tuple(range(n))
-        if self.left[G.index(G.identity)] != ident:
+        if self.left[0] != ident:
             raise BisetError("left identity does not act trivially")
-        if self.right[H.index(H.identity)] != ident:
+        if self.right[0] != ident:
             raise BisetError("right identity does not act trivially")
         for gi in G.generator_indices():
-            g = G.elements[gi]
-            grow = self.left[gi]
-            for ai, a in enumerate(G.elements):
-                prod = G.index(p_mul(g, a))
-                arow = self.left[ai]
-                if any(self.left[prod][x] != grow[arow[x]] for x in range(n)):
+            act = self.left[gi].__getitem__
+            for ai, prod in enumerate(G.mul[gi]):
+                if self.left[prod] != tuple(map(act, self.left[ai])):
                     raise BisetError("left table is not an action")
+        hmul = H.mul
         for hi in H.generator_indices():
-            h = H.elements[hi]
-            hrow = self.right[hi]
-            for ai, a in enumerate(H.elements):
-                prod = H.index(p_mul(a, h))
-                arow = self.right[ai]
-                if any(self.right[prod][x] != hrow[arow[x]] for x in range(n)):
+            act = self.right[hi].__getitem__
+            for ai in range(H.order):
+                if self.right[hmul[ai][hi]] != tuple(map(act, self.right[ai])):
                     raise BisetError("right table is not an action")
         for gi in G.generator_indices():
             grow = self.left[gi]
             for hi in H.generator_indices():
                 hrow = self.right[hi]
-                if any(grow[hrow[x]] != hrow[grow[x]] for x in range(n)):
+                if (tuple(map(grow.__getitem__, hrow))
+                        != tuple(map(hrow.__getitem__, grow))):
                     raise BisetError("left and right actions do not commute")
-        e_h = H.index(H.identity)
-        for hi in range(H.order):
-            if hi == e_h:
-                continue
-            row = self.right[hi]
-            if any(row[x] == x for x in range(n)):
+        for hi in range(1, H.order):
+            if any(map(int.__eq__, self.right[hi], ident)):
                 raise BisetError("right action is not free")
 
 
@@ -383,7 +376,7 @@ def _full_tables(group: PermGroup, gen_rows: dict[int, list[int]], size: int,
                  side: str):
     """Expand generator action rows to all elements using BFS factorizations."""
     rows: list = [None] * group.order
-    rows[group.index(group.identity)] = list(range(size))
+    rows[0] = list(range(size))
     for gi, row in gen_rows.items():
         rows[gi] = row
     for elem_i, gen_i, prefix_i in group.bfs_words(side):
@@ -400,22 +393,23 @@ def _full_tables(group: PermGroup, gen_rows: dict[int, list[int]], size: int,
 def realize(b: BisetClass) -> ConcreteBiset:
     """The transitive biset (G x H) / (g k, h) ~ (g, phi(k) h) with left and
     right multiplication actions. Points are equivalence classes; the class
-    of (g, h) is represented by its minimal member."""
+    of (g, h) is represented by its minimal member, as a pair of indices."""
     G, H, K, phi = b.source, b.target, b.K, b.phi
-    twists = [(k, p_inv(phi(k))) for k in K.elements]
+    gmul, hmul, ginv = G.mul, H.mul, G.inv
+    # The members of the class of (g, h) are (g k, phi(k)^-1 h) for k in K.
+    # Their first entries g k are distinct, so the minimal member is the one
+    # whose first entry is the least element m of the coset gK, at k = g^-1 m.
+    coset_min = [min(map(row.__getitem__, K.indices)) for row in gmul]
+    phi_inv = dict(zip(K.indices, map(H.inv.__getitem__, phi.image_indices)))
 
-    def rep(g: Perm, h: Perm) -> tuple[Perm, Perm]:
-        best = None
-        for k, fki in twists:
-            cand = (p_mul(g, k), p_mul(fki, h))
-            if best is None or cand < best:
-                best = cand
-        return best
+    def rep(g: int, h: int) -> tuple[int, int]:
+        m = coset_min[g]
+        return m, hmul[phi_inv[gmul[ginv[g]][m]]][h]
 
-    index: dict[tuple[Perm, Perm], int] = {}
-    points: list[tuple[Perm, Perm]] = []
+    index: dict[tuple[int, int], int] = {}
+    points: list[tuple[int, int]] = []
 
-    def point_id(g: Perm, h: Perm) -> int:
+    def point_id(g: int, h: int) -> int:
         r = rep(g, h)
         ix = index.get(r)
         if ix is None:
@@ -424,28 +418,24 @@ def realize(b: BisetClass) -> ConcreteBiset:
             points.append(r)
         return ix
 
-    point_id(G.identity, H.identity)
+    point_id(0, 0)
     cursor = 0
-    gen_g = [G.elements[i] for i in G.generator_indices()]
-    gen_h = [H.elements[i] for i in H.generator_indices()]
+    gen_g = G.generator_indices()
+    gen_h = H.generator_indices()
     while cursor < len(points):
         g, h = points[cursor]
         cursor += 1
         for g0 in gen_g:
-            point_id(p_mul(g0, g), h)
+            point_id(gmul[g0][g], h)
         for h0 in gen_h:
-            point_id(g, p_mul(h, h0))
+            point_id(g, hmul[h][h0])
     size = len(points)
     if size != b.size:
         raise AssertionError("realized biset has the wrong cardinality")
-    left_gen = {}
-    for gi in G.generator_indices():
-        g0 = G.elements[gi]
-        left_gen[gi] = [index[rep(p_mul(g0, g), h)] for g, h in points]
-    right_gen = {}
-    for hi in H.generator_indices():
-        h0 = H.elements[hi]
-        right_gen[hi] = [index[rep(g, p_mul(h, h0))] for g, h in points]
+    left_gen = {g0: [index[rep(gmul[g0][g], h)] for g, h in points]
+                for g0 in gen_g}
+    right_gen = {h0: [index[rep(g, hmul[h][h0])] for g, h in points]
+                 for h0 in gen_h}
     left = _full_tables(G, left_gen, size, "left")
     right = _full_tables(H, right_gen, size, "right")
     return ConcreteBiset(G, H, size, left, right)
@@ -490,13 +480,12 @@ def decompose(X: ConcreteBiset, *, check: bool = True) -> BurnsideElement:
             to_h[y] = h
         members = []
         images = []
-        for gi, g in enumerate(G.elements):
-            y = X.left[gi][x0]
-            h = to_h.get(y)
+        for gi in range(G.order):
+            h = to_h.get(X.left[gi][x0])
             if h is not None:
-                members.append(g)
+                members.append(gi)
                 images.append(h)
-        K = Subgroup(G, members)
+        K = Subgroup.from_indices(G, members)
         b = _canonical_pair(G, H, K, tuple(images))
         terms[b] = terms.get(b, 0) + 1
     total = sum(b.size * c for b, c in terms.items())
@@ -511,7 +500,7 @@ def _coequalizer(X: ConcreteBiset, Y: ConcreteBiset) -> ConcreteBiset:
     G, Kg = X.source, Y.target
     pair_orbit: dict[tuple[int, int], int] = {}
     n_orbits = 0
-    hs = [(H.inverse_index(i), i) for i in range(H.order)]
+    hs = [(H.inv[i], i) for i in range(H.order)]
     for i in range(X.size):
         xrow_cache = [X.right[hi_inv][i] for hi_inv, _ in hs]
         for j in range(Y.size):
@@ -602,7 +591,7 @@ def _restrict_basis(b: BisetClass, left_hom: GroupHom | None,
     G, H = b.source, b.target
     if left_hom is not None:
         src = as_group(left_hom.domain)
-        left = [X.left[G.index(left_hom(s))] for s in src.elements]
+        left = [X.left[i] for i in left_hom.image_indices]
     else:
         src = G
         left = X.left
@@ -611,7 +600,7 @@ def _restrict_basis(b: BisetClass, left_hom: GroupHom | None,
             raise BisetError("right restriction along a non-injective map "
                              "would break freeness")
         tgt = as_group(right_hom.domain)
-        right = [X.right[H.index(right_hom(t))] for t in tgt.elements]
+        right = [X.right[i] for i in right_hom.image_indices]
     else:
         tgt = H
         right = X.right
@@ -655,8 +644,8 @@ def _opposite_basis(b: BisetClass) -> tuple[tuple[BisetClass, int], ...]:
             f"{b.label()} is not bifree; opposite needs an injective phi")
     X = realize(b)
     G, H = b.source, b.target
-    left = [X.right[H.inverse_index(hi)] for hi in range(H.order)]
-    right = [X.left[G.inverse_index(gi)] for gi in range(G.order)]
+    left = [X.right[i] for i in H.inv]
+    right = [X.left[i] for i in G.inv]
     Z = ConcreteBiset(H, G, X.size, left, right)
     return tuple(decompose(Z, check=False).terms())
 
@@ -720,18 +709,18 @@ def burnside_ring_element(G: PermGroup, terms) -> BurnsideElement:
 
 
 @functools.lru_cache(maxsize=None)
-def _cosets(G: PermGroup, K: Subgroup) -> tuple[tuple[Perm, ...], dict]:
-    """Left cosets gK: representatives (minimal member) and element -> coset
-    index lookup."""
-    lookup: dict[Perm, int] = {}
+def _cosets(G: PermGroup, K: Subgroup) -> tuple[tuple[int, ...], list[int]]:
+    """Left cosets gK: representatives (minimal member) and the coset number
+    of each element, all as element indices."""
+    lookup = [-1] * G.order
     reps = []
-    for g in G.elements:
-        if g in lookup:
+    for g, row in enumerate(G.mul):
+        if lookup[g] >= 0:
             continue
         cid = len(reps)
         reps.append(g)
-        for k in K.elements:
-            lookup[p_mul(g, k)] = cid
+        for x in map(row.__getitem__, K.indices):
+            lookup[x] = cid
     return tuple(reps), lookup
 
 
@@ -739,11 +728,12 @@ def _cosets(G: PermGroup, K: Subgroup) -> tuple[tuple[Perm, ...], dict]:
 def _fixed_points(G: PermGroup, L: Subgroup, K: Subgroup) -> int:
     """Number of L-fixed cosets in G/K, i.e. cosets gK with g^-1 L g <= K."""
     reps, _ = _cosets(G, K)
-    gens = L.generators()
+    gens = L.generator_indices()
+    conj, inv, mask = G.conj, G.inv, K.mask
     count = 0
     for g in reps:
-        gi = p_inv(g)
-        if all(p_mul(p_mul(gi, s), g) in K for s in gens):
+        row = conj[inv[g]]
+        if all(mask >> row[s] & 1 for s in gens):
             count += 1
     return count
 
@@ -772,7 +762,8 @@ def _ring_product_classes(G: PermGroup, K: Subgroup, L: Subgroup) \
     """Orbit decomposition of the G-set G/K x G/L with diagonal action."""
     repsK, lookK = _cosets(G, K)
     repsL, lookL = _cosets(G, L)
-    gens = [G.elements[i] for i in G.generator_indices()]
+    mul = G.mul
+    gens = [mul[i] for i in G.generator_indices()]
     orbit: dict[tuple[int, int], int] = {}
     terms: dict[BisetClass, int] = {}
     n_orbits = 0
@@ -786,18 +777,19 @@ def _ring_product_classes(G: PermGroup, K: Subgroup, L: Subgroup) \
             while stack:
                 a, bq = stack.pop()
                 ra, rb = repsK[a], repsL[bq]
-                for g in gens:
-                    nxt = (lookK[p_mul(g, ra)], lookL[p_mul(g, rb)])
+                for row in gens:
+                    nxt = (lookK[row[ra]], lookL[row[rb]])
                     if nxt not in orbit:
                         orbit[nxt] = n_orbits
                         members.append(nxt)
                         stack.append(nxt)
             n_orbits += 1
             ra, rb = repsK[i], repsL[j]
-            stab = [g for g in G.elements
-                    if lookK[p_mul(g, ra)] == i and lookL[p_mul(g, rb)] == j]
+            stab = [g for g, row in enumerate(mul)
+                    if lookK[row[ra]] == i and lookL[row[rb]] == j]
             assert len(members) * len(stab) == G.order
-            b2 = burnside_ring_class(G, Subgroup(G, stab, _checked=True))
+            b2 = burnside_ring_class(
+                G, Subgroup.from_indices(G, stab, _checked=True))
             terms[b2] = terms.get(b2, 0) + 1
     return tuple(sorted(terms.items(), key=lambda kv: kv[0].sort_key))
 

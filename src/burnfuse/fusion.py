@@ -18,7 +18,6 @@ from .errors import (ConvergenceError, FormulaMismatchError, FusionError,
 from .groups import (GroupHom, PermGroup, Subgroup, as_group, inclusion_hom,
                      subgroups_up_to_conjugacy, sylow)
 from .padic import PadicInt, is_prime
-from .perms import p_conj, p_inv, p_mul
 
 ITERATION_GUARD = 64
 
@@ -47,21 +46,17 @@ class FusionSystem:
     def label(self) -> str:
         return f"F_{self.prime}({self.ambient.label})"
 
-    def subgroup_classes(self) -> tuple[Subgroup, ...]:
-        return subgroups_up_to_conjugacy(self.sylow_group)
-
     def _conjugation_images(self, P: Subgroup, allowed) -> list[tuple]:
-        out = []
-        seen = set()
-        for g in self.ambient.elements:
-            gi = p_inv(g)
-            images = tuple(p_mul(p_mul(g, x), gi) for x in P.elements)
-            if images in seen:
-                continue
-            if all(y in allowed for y in images):
-                seen.add(images)
-                out.append(images)
-        return out
+        """The distinct image tuples of x -> g x g^-1 on P's elements, over
+        g in the ambient group, that lie in the element set `allowed`,
+        sorted."""
+        G = self.ambient
+        dom = [G.index(x) for x in P.elements]
+        inside = {G.index(y) for y in allowed}
+        found = {img for img in (tuple(map(row.__getitem__, dom))
+                                 for row in G.conj)
+                 if inside.issuperset(img)}
+        return [tuple(map(G.elements.__getitem__, img)) for img in sorted(found)]
 
     def morphisms(self, P: Subgroup, Q: Subgroup) -> tuple[GroupHom, ...]:
         """All maps P -> Q of the form x -> g x g^-1 with g P g^-1 <= Q,
@@ -74,7 +69,7 @@ class FusionSystem:
             raise FusionError("arguments must be subgroups of the Sylow group")
         Qg = as_group(Q)
         homs = tuple(GroupHom(P, Qg, dict(zip(P.elements, images)))
-                     for images in sorted(self._conjugation_images(P, Q._set)))
+                     for images in self._conjugation_images(P, Q.elements))
         self._morphisms[key] = homs
         return homs
 
@@ -83,9 +78,9 @@ class FusionSystem:
         cached = self._to_sylow.get(P)
         if cached is not None:
             return cached
-        allowed = frozenset(self.sylow_group.elements)
         homs = tuple(GroupHom(P, self.sylow_group, dict(zip(P.elements, images)))
-                     for images in sorted(self._conjugation_images(P, allowed)))
+                     for images in self._conjugation_images(
+                         P, self.sylow_group.elements))
         self._to_sylow[P] = homs
         return homs
 

@@ -5,6 +5,17 @@ enumeration.
 Everything is deterministic: elements are ordered lexicographically by image
 tuple, subgroup class representatives minimize their sorted element tuple,
 and all enumeration sweeps follow those orders.
+
+Arithmetic runs on element indices. A group's elements are sorted by image
+tuple, so index order equals tuple order and a lexicographic minimum over
+index tuples picks the same representative as one over permutation tuples;
+the identity, the smallest permutation, has index 0. Each group builds, on
+first use and only within the enumeration cap, a multiplication table, an
+inverse table and a conjugation table on indices. Subgroups carry their
+sorted index tuple and an int bitmask; the bitmask serves membership,
+subset tests, hashing and deduplication, never ordering. Permutation tuples
+remain at the edges: parsing, labels, JSON and the public `elements` and
+`images` fields.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ import re
 from .errors import (CapExceededError, GroupParseError, HomomorphismError,
                      SubgroupError)
 from .perms import (Perm, cycle_string, identity_perm, is_permutation,
-                    p_conj, p_inv, p_mul, p_order, p_pow, parse_cycles)
+                    p_mul, parse_cycles)
 
 CLOSURE_CAP = 100_000
 ENUM_CAP = 200
@@ -43,6 +54,41 @@ def mulclose(gens, degree: int, cap: int) -> set[Perm]:
     return els
 
 
+def _mask(indices) -> int:
+    """The bitmask with the given bit positions set."""
+    return sum(map((1).__lshift__, indices))
+
+
+def _join(mul, elems, mask: int, gens, g: int) -> tuple[list[int], int]:
+    """Dimino's step on a Cayley table: the subgroup generated by the
+    subgroup `elems` (bitmask `mask`) and the element g, as (elements,
+    bitmask). `gens` together with g must generate that subgroup; the result
+    is a union of left cosets r*elems closed under left multiplication by
+    the generators."""
+    if mask >> g & 1:
+        return list(elems), mask
+    gens = (*gens, g)
+    out = list(elems)
+    reps = [0]
+    for r in reps:
+        for s in gens:
+            y = mul[s][r]
+            if not mask >> y & 1:
+                coset = tuple(map(mul[y].__getitem__, elems))
+                out.extend(coset)
+                mask |= _mask(coset)
+                reps.append(y)
+    return out, mask
+
+
+def _element_order(mul, i: int) -> int:
+    x, n = i, 1
+    while x:
+        x = mul[x][i]
+        n += 1
+    return n
+
+
 class PermGroup:
     """A finite group of permutations with fully enumerated elements.
 
@@ -51,7 +97,7 @@ class PermGroup:
     """
 
     __slots__ = ("degree", "generators", "elements", "label",
-                 "_index", "_inv_idx", "_gen_idx", "_hash",
+                 "_index", "_gen_idx", "_hash", "_mul", "_inv", "_conj",
                  "_left_words", "_right_words")
 
     def __init__(self, degree: int, generators, label: str = "?", *,
@@ -70,9 +116,9 @@ class PermGroup:
                 mulclose(gens, degree, cap if cap is not None else CLOSURE_CAP)))
         self.label = label
         self._index = {p: i for i, p in enumerate(self.elements)}
-        self._inv_idx = tuple(self._index[p_inv(p)] for p in self.elements)
         self._gen_idx = tuple(self._index[g] for g in dict.fromkeys(gens))
         self._hash = hash((degree, self.elements))
+        self._mul = self._inv = self._conj = None
         self._left_words = None
         self._right_words = None
 
@@ -90,8 +136,39 @@ class PermGroup:
     def __contains__(self, p) -> bool:
         return p in self._index
 
-    def inverse_index(self, i: int) -> int:
-        return self._inv_idx[i]
+    def _check_cap(self) -> None:
+        if self.order > ENUM_CAP:
+            raise CapExceededError(
+                f"|G| = {self.order} exceeds the enumeration cap {ENUM_CAP}")
+
+    @property
+    def mul(self) -> tuple[tuple[int, ...], ...]:
+        """The Cayley table on indices: mul[a][b] is the index of
+        elements[a] * elements[b], applying elements[b] first."""
+        if self._mul is None:
+            self._check_cap()
+            index, els = self._index, self.elements
+            self._mul = tuple(
+                tuple([index[tuple(map(a.__getitem__, b))] for b in els])
+                for a in els)
+        return self._mul
+
+    @property
+    def inv(self) -> tuple[int, ...]:
+        """inv[a] is the index of the inverse of elements[a]."""
+        if self._inv is None:
+            self._inv = tuple(row.index(0) for row in self.mul)
+        return self._inv
+
+    @property
+    def conj(self) -> tuple[tuple[int, ...], ...]:
+        """The conjugation table: conj[h][t] is the index of h t h^-1."""
+        if self._conj is None:
+            mul, inv = self.mul, self.inv
+            cols = tuple(zip(*mul))  # cols[b][a] is the index of a * b
+            self._conj = tuple(tuple(map(cols[inv[h]].__getitem__, mul[h]))
+                               for h in range(len(mul)))
+        return self._conj
 
     def generator_indices(self) -> tuple[int, ...]:
         return self._gen_idx
@@ -104,18 +181,15 @@ class PermGroup:
         cached = getattr(self, attr)
         if cached is not None:
             return cached
-        e_idx = self._index[self.identity]
-        reached = {e_idx}
-        frontier = [e_idx]
+        mul = self.mul
+        reached = {0}
+        frontier = [0]
         out = []
         while frontier:
             new = []
             for pi in frontier:
-                prefix = self.elements[pi]
                 for gi in self._gen_idx:
-                    g = self.elements[gi]
-                    prod = p_mul(g, prefix) if side == "left" else p_mul(prefix, g)
-                    qi = self._index[prod]
+                    qi = mul[gi][pi] if side == "left" else mul[pi][gi]
                     if qi not in reached:
                         reached.add(qi)
                         out.append((qi, gi, pi))
@@ -129,7 +203,7 @@ class PermGroup:
         return Subgroup(self, elements, _checked=_checked)
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, self.elements, _checked=True)
+        return Subgroup.from_indices(self, range(self.order), _checked=True)
 
     def __eq__(self, other):
         if self is other:
@@ -146,65 +220,89 @@ class PermGroup:
 
 
 class Subgroup:
-    """A subgroup of a PermGroup, stored as its sorted element tuple.
+    """A subgroup of a PermGroup, stored as its sorted element tuple, the
+    matching sorted tuple of parent indices, and their bitmask.
 
-    The sorted element tuple doubles as the canonical key used everywhere to
-    pick deterministic conjugacy-class representatives.
+    The sorted element tuple, equivalently the index tuple, is the key used
+    everywhere to pick deterministic conjugacy-class representatives.
+    Unless built with _checked=True, the identity, inverses and closure
+    under products are verified on the parent's tables.
     """
 
-    __slots__ = ("parent", "elements", "_set", "_hash")
+    __slots__ = ("parent", "elements", "indices", "mask", "_gens", "_hash")
 
     def __init__(self, parent: PermGroup, elements, *, _checked: bool = False):
+        index = parent._index
+        idx = set()
+        for x in elements:
+            i = index.get(tuple(x))
+            if i is None:
+                raise SubgroupError(f"{tuple(x)} is not in the parent group")
+            idx.add(i)
+        self._setup(parent, idx, _checked)
+
+    @classmethod
+    def from_indices(cls, parent: PermGroup, indices, *,
+                     _checked: bool = False) -> "Subgroup":
+        self = cls.__new__(cls)
+        self._setup(parent, set(indices), _checked)
+        return self
+
+    def _setup(self, parent: PermGroup, idx: set[int], checked: bool) -> None:
         self.parent = parent
-        els = tuple(sorted(set(tuple(x) for x in elements)))
-        self.elements = els
-        self._set = frozenset(els)
-        self._hash = hash((parent, els))
-        if not _checked:
-            if parent.identity not in self._set:
+        self.indices = tuple(sorted(idx))
+        if not checked:
+            if 0 not in idx:
                 raise SubgroupError("missing identity element")
-            for x in els:
-                if x not in parent:
-                    raise SubgroupError(f"{x} is not in the parent group")
-                if p_inv(x) not in self._set:
-                    raise SubgroupError(f"inverse of {x} missing")
-            for x in els:
-                for y in els:
-                    if p_mul(x, y) not in self._set:
-                        raise SubgroupError("element set not closed under products")
+            inv = parent.inv
+            for i in self.indices:
+                if inv[i] not in idx:
+                    raise SubgroupError(
+                        f"inverse of {parent.elements[i]} missing")
+            mul = parent.mul
+            for a in self.indices:
+                if not idx.issuperset(map(mul[a].__getitem__, self.indices)):
+                    raise SubgroupError("element set not closed under products")
+        self.elements = tuple(map(parent.elements.__getitem__, self.indices))
+        self.mask = _mask(self.indices)
+        self._gens = None
+        self._hash = hash((parent, self.mask))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def canonical_key(self) -> tuple[Perm, ...]:
-        return self.elements
+        return len(self.indices)
 
     def __contains__(self, p) -> bool:
-        return p in self._set
+        i = self.parent._index.get(p)
+        return i is not None and bool(self.mask >> i & 1)
 
-    def contains_subgroup(self, other: "Subgroup") -> bool:
-        return other._set <= self._set
+    def generator_indices(self) -> tuple[int, ...]:
+        """A greedy irredundant generating set as parent indices: each
+        element, in order, that the previous ones do not generate."""
+        if self._gens is None:
+            mul = self.parent.mul
+            gens: list[int] = []
+            closure, cmask = [0], 1
+            for x in self.indices:
+                if len(closure) == len(self.indices):
+                    break
+                if not cmask >> x & 1:
+                    closure, cmask = _join(mul, closure, cmask, gens, x)
+                    gens.append(x)
+            self._gens = tuple(gens)
+        return self._gens
 
     def generators(self) -> tuple[Perm, ...]:
         """A greedy irredundant generating set, deterministic."""
-        gens: list[Perm] = []
-        closure = {self.parent.identity}
-        for x in self.elements:
-            if x not in closure:
-                gens.append(x)
-                closure = mulclose(gens, self.parent.degree, len(self.elements))
-                if len(closure) == len(self.elements):
-                    break
-        return tuple(gens)
+        return tuple(map(self.parent.elements.__getitem__,
+                         self.generator_indices()))
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.parent == other.parent and self.elements == other.elements
+        return self.parent == other.parent and self.mask == other.mask
 
     def __hash__(self):
         return self._hash
@@ -227,14 +325,14 @@ def as_group(sub: Subgroup) -> PermGroup:
 
 class GroupHom:
     """A group homomorphism from a Subgroup into a PermGroup, stored as the
-    image tuple aligned with the sorted domain elements. Multiplicativity is
-    checked exhaustively at construction."""
+    image tuple aligned with the sorted domain elements, and as the matching
+    codomain indices. Multiplicativity is checked exhaustively at
+    construction, on the Cayley tables."""
 
-    __slots__ = ("domain", "codomain", "images", "_map", "_hash")
+    __slots__ = ("domain", "codomain", "images", "image_indices", "_map",
+                 "_hash")
 
     def __init__(self, domain: Subgroup, codomain: PermGroup, mapping):
-        self.domain = domain
-        self.codomain = codomain
         if isinstance(mapping, dict):
             try:
                 images = tuple(mapping[x] for x in domain.elements)
@@ -247,28 +345,50 @@ class GroupHom:
         for y in images:
             if y not in codomain:
                 raise HomomorphismError(f"image {y} is not in the codomain")
-        self.images = images
-        self._map = dict(zip(domain.elements, images))
-        for a in domain.elements:
-            fa = self._map[a]
-            for b in domain.elements:
-                if self._map[p_mul(a, b)] != p_mul(fa, self._map[b]):
-                    raise HomomorphismError(
-                        f"not multiplicative at {a}, {b}")
-        self._hash = hash((domain, codomain, images))
+        self._setup(domain, codomain, tuple(map(codomain._index.__getitem__,
+                                                images)))
+
+    @classmethod
+    def from_indices(cls, domain: Subgroup, codomain: PermGroup,
+                     image_indices) -> "GroupHom":
+        """The map sending domain.indices[i] to codomain element
+        image_indices[i]; multiplicativity is checked as in the constructor."""
+        self = cls.__new__(cls)
+        self._setup(domain, codomain, tuple(image_indices))
+        return self
+
+    def _setup(self, domain: Subgroup, codomain: PermGroup,
+               img: tuple[int, ...]) -> None:
+        self.domain = domain
+        self.codomain = codomain
+        self.image_indices = img
+        self.images = tuple(map(codomain.elements.__getitem__, img))
+        dom = domain.indices
+        f = dict(zip(dom, img)).__getitem__
+        dmul, cmul = domain.parent.mul, codomain.mul
+        for a, fa in zip(dom, img):
+            lhs = list(map(f, map(dmul[a].__getitem__, dom)))
+            rhs = list(map(cmul[fa].__getitem__, img))
+            if lhs != rhs:
+                b = dom[next(i for i, (u, v) in enumerate(zip(lhs, rhs))
+                             if u != v)]
+                els = domain.parent.elements
+                raise HomomorphismError(
+                    f"not multiplicative at {els[a]}, {els[b]}")
+        self._map = None
+        self._hash = hash((domain, codomain, img))
 
     def __call__(self, x: Perm) -> Perm:
+        if self._map is None:
+            self._map = dict(zip(self.domain.elements, self.images))
         return self._map[x]
 
     @property
     def is_injective(self) -> bool:
-        return len(set(self.images)) == self.domain.order
-
-    def image_subgroup(self) -> Subgroup:
-        return Subgroup(self.codomain, set(self.images), _checked=True)
+        return len(set(self.image_indices)) == self.domain.order
 
     def generator_pairs(self) -> tuple[tuple[Perm, Perm], ...]:
-        return tuple((g, self._map[g]) for g in self.domain.generators())
+        return tuple((g, self(g)) for g in self.domain.generators())
 
     def __eq__(self, other):
         if self is other:
@@ -276,7 +396,7 @@ class GroupHom:
         if not isinstance(other, GroupHom):
             return NotImplemented
         return (self.domain == other.domain and self.codomain == other.codomain
-                and self.images == other.images)
+                and self.image_indices == other.image_indices)
 
     def __hash__(self):
         return self._hash
@@ -289,12 +409,13 @@ class GroupHom:
 
 def inclusion_hom(sub: Subgroup, codomain: PermGroup | None = None) -> GroupHom:
     codomain = codomain if codomain is not None else sub.parent
+    if codomain == sub.parent:
+        return GroupHom.from_indices(sub, codomain, sub.indices)
     return GroupHom(sub, codomain, dict(zip(sub.elements, sub.elements)))
 
 
 def trivial_hom(sub: Subgroup, codomain: PermGroup) -> GroupHom:
-    e = codomain.identity
-    return GroupHom(sub, codomain, {x: e for x in sub.elements})
+    return GroupHom.from_indices(sub, codomain, (0,) * sub.order)
 
 
 # ---------------------------------------------------------------------------
@@ -418,35 +539,48 @@ def trivial_group() -> PermGroup:
 
 @functools.lru_cache(maxsize=None)
 def all_subgroups(G: PermGroup) -> tuple[Subgroup, ...]:
-    """Every subgroup of G, built bottom-up by one-element extensions."""
-    if G.order > ENUM_CAP:
-        raise CapExceededError(
-            f"|G| = {G.order} exceeds the enumeration cap {ENUM_CAP}")
-    e = G.identity
-    trivial = frozenset([e])
-    seen = {trivial}
-    frontier = [trivial]
+    """Every subgroup of G, sorted by (order, elements). Built bottom-up as
+    joins with cyclic subgroups, which generate every subgroup."""
+    G._check_cap()
+    mul = G.mul
+    cyclic: dict[int, int] = {}  # bitmask of <g> -> its first generator g
+    for g in range(1, G.order):
+        powers = [0]
+        x = g
+        while x:
+            powers.append(x)
+            x = mul[x][g]
+        cyclic.setdefault(_mask(powers), g)
+    found: dict[int, tuple[list[int], tuple[int, ...]]] = {1: ([0], ())}
+    frontier = [1]
     while frontier:
         new = []
-        for hset in frontier:
-            for g in G.elements:
-                if g in hset:
+        for hmask in frontier:
+            elems, gens = found[hmask]
+            outside = ~hmask
+            for cmask, g in cyclic.items():
+                if not cmask & outside:
                     continue
-                closed = frozenset(
-                    mulclose(list(hset) + [g], G.degree, G.order))
-                if closed not in seen:
-                    seen.add(closed)
-                    new.append(closed)
+                joined, jmask = _join(mul, elems, hmask, gens, g)
+                if jmask not in found:
+                    found[jmask] = (joined, (*gens, g))
+                    new.append(jmask)
         frontier = new
-    subs = [Subgroup(G, s, _checked=True) for s in seen]
-    subs.sort(key=lambda s: (s.order, s.elements))
+    subs = [Subgroup.from_indices(G, elems, _checked=True)
+            for elems, _ in found.values()]
+    subs.sort(key=lambda s: (s.order, s.indices))
     return tuple(subs)
 
 
+def _conjugate_indices(G: PermGroup, g: int, H: Subgroup) -> list[int]:
+    """The indices of g H g^-1, unsorted."""
+    return list(map(G.conj[g].__getitem__, H.indices))
+
+
 def conjugate_subgroup(g: Perm, H: Subgroup) -> Subgroup:
-    gi = p_inv(g)
-    return Subgroup(H.parent, (p_mul(p_mul(g, x), gi) for x in H.elements),
-                    _checked=True)
+    G = H.parent
+    return Subgroup.from_indices(G, _conjugate_indices(G, G.index(g), H),
+                                 _checked=True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -455,35 +589,35 @@ def class_rep_and_conjugator(G: PermGroup, H: Subgroup) -> tuple[Subgroup, Perm]
     group element g such that g H g^-1 is that representative."""
     best = None
     best_g = None
-    for g in G.elements:
-        gi = p_inv(g)
-        conj = tuple(sorted(p_mul(p_mul(g, x), gi) for x in H.elements))
+    for g in range(G.order):
+        conj = sorted(_conjugate_indices(G, g, H))
         if best is None or conj < best:
             best, best_g = conj, g
-    return Subgroup(G, best, _checked=True), best_g
+    return Subgroup.from_indices(G, best, _checked=True), G.elements[best_g]
 
 
 @functools.lru_cache(maxsize=None)
 def subgroups_up_to_conjugacy(G: PermGroup) -> tuple[Subgroup, ...]:
     """One canonical representative per conjugacy class of subgroups,
-    sorted by (order, canonical_key)."""
+    sorted by (order, elements)."""
     reps = []
-    claimed: set[Subgroup] = set()
+    claimed: set[int] = set()
     for H in all_subgroups(G):
-        if H in claimed:
+        if H.mask in claimed:
             continue
         reps.append(H)
-        for g in G.elements:
-            claimed.add(conjugate_subgroup(g, H))
+        claimed.update(_mask(_conjugate_indices(G, g, H))
+                       for g in range(G.order))
     return tuple(reps)
 
 
 @functools.lru_cache(maxsize=None)
 def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
-    gens = H.generators()
-    members = [g for g in G.elements
-               if all(p_conj(g, x) in H for x in gens)]
-    return Subgroup(G, members, _checked=True)
+    gens = H.generator_indices()
+    mask = H.mask
+    members = [g for g, row in enumerate(G.conj)
+               if all(mask >> row[x] & 1 for x in gens)]
+    return Subgroup.from_indices(G, members, _checked=True)
 
 
 def _p_part(order: int, p: int) -> int:
@@ -501,13 +635,20 @@ def sylow(G: PermGroup, p: int) -> Subgroup:
     if not is_prime(p):
         raise GroupParseError(f"{p} is not prime")
     target = _p_part(G.order, p)
-    P = G.subgroup([G.identity], _checked=True)
+    mul = G.mul
+    P = Subgroup.from_indices(G, [0], _checked=True)
     while P.order < target:
         N = normalizer(G, P)
-        for g in N.elements:
-            if g not in P and p_pow(g, p) in P:
-                P = Subgroup(G, mulclose(list(P.elements) + [g],
-                                         G.degree, G.order), _checked=True)
+        for g in N.indices:
+            if P.mask >> g & 1:
+                continue
+            gp = g
+            for _ in range(p - 1):
+                gp = mul[gp][g]
+            if P.mask >> gp & 1:
+                elems, _ = _join(mul, P.indices, P.mask,
+                                 P.generator_indices(), g)
+                P = Subgroup.from_indices(G, elems, _checked=True)
                 break
         else:
             raise AssertionError("Sylow growth step failed")
@@ -521,9 +662,9 @@ def conjugating_element(G: PermGroup, A: Subgroup, B: Subgroup) -> Perm | None:
         raise SubgroupError("arguments must be subgroups of G")
     if A.order != B.order:
         return None
-    for g in G.elements:
-        if conjugate_subgroup(g, A) == B:
-            return g
+    for g in range(G.order):
+        if _mask(_conjugate_indices(G, g, A)) == B.mask:
+            return G.elements[g]
     return None
 
 
@@ -533,38 +674,36 @@ def double_cosets(G: PermGroup, A: Subgroup, B: Subgroup) -> tuple[tuple[Perm, i
     pairs; representatives are minimal in element order."""
     if A.parent != G or B.parent != G:
         raise SubgroupError("arguments must be subgroups of G")
-    seen: set[Perm] = set()
+    mul = G.mul
+    seen: set[int] = set()
     out = []
-    for g in G.elements:
+    for g in range(G.order):
         if g in seen:
             continue
-        coset = {p_mul(p_mul(a, g), b) for a in A.elements for b in B.elements}
+        coset: set[int] = set()
+        for a in A.indices:
+            coset.update(map(mul[mul[a][g]].__getitem__, B.indices))
         seen.update(coset)
-        out.append((g, len(coset)))
+        out.append((G.elements[g], len(coset)))
     assert sum(size for _, size in out) == G.order
     return tuple(out)
 
 
-def _order_buckets(H: PermGroup) -> dict[int, list[Perm]]:
-    buckets: dict[int, list[Perm]] = {}
-    for h in H.elements:
-        buckets.setdefault(p_order(h), []).append(h)
-    return buckets
-
-
 def _propagate(domain: Subgroup, gens, images, codomain: PermGroup):
-    """Extend generator images over the whole domain; None on inconsistency."""
-    e_d = domain.parent.identity
-    e_c = codomain.identity
-    phi = {e_d: e_c}
-    frontier = [e_d]
+    """Extend generator images over the whole domain, working on indices:
+    gens are parent indices of domain elements, images codomain indices.
+    Returns the map domain index -> codomain index, or None on
+    inconsistency."""
+    dmul, cmul = domain.parent.mul, codomain.mul
+    phi = {0: 0}
+    frontier = [0]
     while frontier:
         new = []
         for x in frontier:
-            fx = phi[x]
+            drow, crow = dmul[x], cmul[phi[x]]
             for g, h in zip(gens, images):
-                y = p_mul(x, g)
-                fy = p_mul(fx, h)
+                y = drow[g]
+                fy = crow[h]
                 known = phi.get(y)
                 if known is None:
                     phi[y] = fy
@@ -580,19 +719,19 @@ def homomorphisms(K: Subgroup, H: PermGroup) -> tuple[GroupHom, ...]:
     """All group homomorphisms K -> H, enumerated by generator images."""
     if K.order > ENUM_CAP or H.order > ENUM_CAP:
         raise CapExceededError("group order exceeds the enumeration cap")
-    gens = K.generators()
+    gens = K.generator_indices()
     if not gens:
         return (trivial_hom(K, H),)
-    buckets = _order_buckets(H)
+    hmul, kmul = H.mul, K.parent.mul
+    h_orders = [_element_order(hmul, h) for h in range(H.order)]
     candidates = []
     for g in gens:
-        n = p_order(g)
-        pool = [h for d, hs in buckets.items() if n % d == 0 for h in hs]
-        pool.sort()
-        candidates.append(pool)
+        n = _element_order(kmul, g)
+        candidates.append([h for h in range(H.order) if n % h_orders[h] == 0])
     out = []
     for images in itertools.product(*candidates):
         phi = _propagate(K, gens, images, H)
         if phi is not None:
-            out.append(GroupHom(K, H, phi))
+            out.append(GroupHom.from_indices(
+                K, H, map(phi.__getitem__, K.indices)))
     return tuple(out)

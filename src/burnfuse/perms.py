@@ -36,18 +36,6 @@ def p_conj(g: Perm, x: Perm) -> Perm:
     return p_mul(p_mul(g, x), p_inv(g))
 
 
-def p_pow(a: Perm, n: int) -> Perm:
-    result = identity_perm(len(a))
-    base = a if n >= 0 else p_inv(a)
-    n = abs(n)
-    while n:
-        if n & 1:
-            result = p_mul(result, base)
-        base = p_mul(base, base)
-        n >>= 1
-    return result
-
-
 def p_order(a: Perm) -> int:
     e = identity_perm(len(a))
     cur, n = a, 1

@@ -62,12 +62,12 @@ def _term_from_json(term: dict, source: PermGroup,
         images[dom] = img
     # extend generator images over K; reject non-homomorphisms
     from .groups import _propagate
-    ordered_gens = list(images)
-    full = _propagate(K, ordered_gens, [images[g] for g in ordered_gens], target)
+    full = _propagate(K, [source.index(g) for g in images],
+                      [target.index(h) for h in images.values()], target)
     if full is None or len(full) != K.order:
         raise InputError("the phi generator images do not define a homomorphism")
     try:
-        hom = GroupHom(K, target, full)
+        hom = GroupHom.from_indices(K, target, map(full.__getitem__, K.indices))
     except Exception as exc:
         raise InputError(f"invalid phi: {exc}") from exc
     return canonical_class(source, target, K, hom)

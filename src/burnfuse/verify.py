@@ -60,9 +60,9 @@ class VerdictResult:
 
 def _run(number, name, budget, body) -> VerdictResult:
     result = VerdictResult(number, name, budget)
-    start = time.time()
+    start = time.perf_counter()
     body(result)
-    result.elapsed = time.time() - start
+    result.elapsed = time.perf_counter() - start
     if result.elapsed > budget:
         result.fail(f"exceeded time budget: {result.elapsed:.1f}s")
     return result

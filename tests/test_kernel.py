@@ -1,0 +1,166 @@
+"""The integer-indexed group kernel against the permutation-tuple
+implementations it replaced, which live on here as oracles.
+
+The oracles multiply image tuples with perms.p_mul and never touch a Cayley
+table, a conjugation table or a bitmask.
+"""
+
+import itertools
+
+import pytest
+
+from burnfuse import cli
+from burnfuse.burnside import _canonical_pair, basis
+from burnfuse.groups import (all_subgroups, class_rep_and_conjugator,
+                             homomorphisms, mulclose, normalizer, parse_group,
+                             subgroups_up_to_conjugacy)
+from burnfuse.perms import p_inv, p_mul
+
+
+def oracle_all_subgroups(G):
+    """Every subgroup of G as a sorted element tuple, built bottom-up by
+    one-element extensions, sorted by (order, elements)."""
+    e = G.identity
+    trivial = frozenset([e])
+    seen = {trivial}
+    frontier = [trivial]
+    while frontier:
+        new = []
+        for hset in frontier:
+            for g in G.elements:
+                if g in hset:
+                    continue
+                closed = frozenset(
+                    mulclose(list(hset) + [g], G.degree, G.order))
+                if closed not in seen:
+                    seen.add(closed)
+                    new.append(closed)
+        frontier = new
+    return sorted((tuple(sorted(s)) for s in seen),
+                  key=lambda s: (len(s), s))
+
+
+def _conj(g, x):
+    return p_mul(p_mul(g, x), p_inv(g))
+
+
+class TupleCanonicalizer:
+    """Canonical [K, phi] on permutation tuples: K moves to the conjugate
+    with the least sorted element tuple, then the image tuple is minimized
+    over pre-conjugation by the normalizer and post-conjugation by the
+    target. Normalizer elements that give the same twisted map are tried
+    once. Conjugates by target elements are tabulated as tuple -> tuple
+    dicts, and class representatives and normalizers are memoized per
+    subgroup, as the library memoizes them."""
+
+    def __init__(self, source, target):
+        self.source, self.target = source, target
+        self._reps = {}
+        self._normalizers = {}
+        # t -> h t h^-1 for each h of the target, in element order
+        self._target_conjugations = [
+            {t: _conj(h, t) for t in target.elements}.__getitem__
+            for h in target.elements]
+
+    def class_rep(self, elements):
+        """(least conjugate, first g in element order reaching it)."""
+        if elements not in self._reps:
+            best = best_g = None
+            for g in self.source.elements:
+                conj = tuple(sorted(_conj(g, x) for x in elements))
+                if best is None or conj < best:
+                    best, best_g = conj, g
+            self._reps[elements] = (best, best_g)
+        return self._reps[elements]
+
+    def normalizer(self, elements):
+        if elements not in self._normalizers:
+            members = set(elements)
+            self._normalizers[elements] = [
+                g for g in self.source.elements
+                if all(_conj(g, x) in members for x in elements)]
+        return self._normalizers[elements]
+
+    def __call__(self, K_elements, images):
+        """(K0 elements, canonical image tuple) for the pair K -> images."""
+        K0, g0 = self.class_rep(K_elements)
+        g0i = p_inv(g0)
+        imap = dict(zip(K_elements, images))
+        base = {x: imap[p_mul(p_mul(g0i, x), g0)] for x in K0}
+        twists = {tuple(base[p_mul(p_mul(p_inv(n), x), n)] for x in K0)
+                  for n in self.normalizer(K0)}
+        best = None
+        for twisted in twists:
+            for by_h in self._target_conjugations:
+                cand = tuple(by_h(t) for t in twisted)
+                if best is None or cand < best:
+                    best = cand
+        return K0, best
+
+
+ROSTER = ("S3", "C6", "D8", "Q8", "A4", "S4")
+BASIS_PAIRS = list(itertools.product(ROSTER, ROSTER)) + [("A4", "A5"),
+                                                         ("D12", "S4")]
+
+
+@pytest.mark.parametrize("gs,hs", BASIS_PAIRS)
+def test_basis_matches_tuple_canonicalization(gs, hs):
+    G, H = parse_group(gs), parse_group(hs)
+    oracle = TupleCanonicalizer(G, H)
+    expected = set()
+    for K in subgroups_up_to_conjugacy(G):
+        for hom in homomorphisms(K, H):
+            b = _canonical_pair(G, H, K, hom.images)
+            want = oracle(K.elements, hom.images)
+            assert (b.K.elements, b.phi.images) == want
+            expected.add(want)
+    got = [(b.K.elements, b.phi.images) for b in basis(G, H)]
+    assert set(got) == expected and len(got) == len(expected)
+    assert got == sorted(got, key=lambda kp: (-len(kp[0]), kp))
+
+
+def test_canonical_pair_on_conjugated_inputs():
+    # decompose hands over subgroups that are not class representatives
+    G, H = parse_group("S4"), parse_group("S3")
+    oracle = TupleCanonicalizer(G, H)
+    for b in basis(G, H):
+        for g in G.elements[::5]:
+            K = tuple(sorted(_conj(g, x) for x in b.K.elements))
+            gi = p_inv(g)
+            for h in H.elements[::2]:
+                images = tuple(_conj(h, b.phi(p_mul(p_mul(gi, x), g)))
+                               for x in K)
+                sub = G.subgroup(K)
+                got = _canonical_pair(G, H, sub, images)
+                assert got == b
+                assert (got.K.elements, got.phi.images) == oracle(K, images)
+
+
+@pytest.mark.parametrize("spec", ["S4", "A4", "D12", "A5"])
+def test_all_subgroups_match_one_element_extensions(spec):
+    G = parse_group(spec)
+    subs = all_subgroups(G)
+    assert [s.elements for s in subs] == oracle_all_subgroups(G)
+
+
+@pytest.mark.parametrize("spec", ["S4", "D12", "A5"])
+def test_class_reps_and_normalizers_match_tuples(spec):
+    G = parse_group(spec)
+    oracle = TupleCanonicalizer(G, G)
+    for H in all_subgroups(G):
+        rep, g = class_rep_and_conjugator(G, H)
+        assert (rep.elements, g) == oracle.class_rep(H.elements)
+        assert normalizer(G, H).elements == tuple(oracle.normalizer(H.elements))
+
+
+def test_s5_subgroup_lattice():
+    S5 = parse_group("S5")
+    assert len(all_subgroups(S5)) == 156
+    assert len(subgroups_up_to_conjugacy(S5)) == 19
+
+
+def test_tables_are_lazy_and_capped(capsys):
+    S8 = parse_group("S8")
+    assert cli.run(["basis", "S8", "C1"]) == 2
+    assert "enumeration cap" in capsys.readouterr().err
+    assert (S8._mul, S8._inv, S8._conj) == (None, None, None)
