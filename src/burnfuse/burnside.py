@@ -3,10 +3,11 @@
 The module of virtual (G,H)-bisets with free right H-action has a canonical
 basis of transitive classes [K, phi] with K a subgroup of G up to conjugacy
 and phi: K -> H a homomorphism up to pre-conjugation by the normalizer of K
-and post-conjugation by H. Composition of elements over (G,H) and (H,K) is
-computed concretely: realize both bisets, form the quotient of the cartesian
-product identifying (x*h, y) with (x, h*y), and decompose the result into
-transitive classes.
+and post-conjugation by H. Composition of two classes is the Mackey sum over
+double cosets in the middle group; restriction is composition with the
+classes of the restricting maps, and the opposite of a bifree class is the
+class of the inverse map. realize and decompose convert between classes and
+explicit bisets with action tables.
 
 Coefficients are plain integers or PadicInt values; an element is homogeneous
 in scalar kind and carries a single (p, k) when p-adic.
@@ -20,9 +21,9 @@ from . import groups as _groups
 from .errors import (BisetError, CapExceededError, ScalarMismatchError,
                      SubgroupError)
 from .groups import (GroupHom, PermGroup, Subgroup, as_group,
-                     class_rep_and_conjugator, homomorphisms, inclusion_hom,
-                     normalizer, parse_group, subgroups_up_to_conjugacy,
-                     trivial_group, trivial_hom)
+                     class_rep_and_conjugator, double_cosets, homomorphisms,
+                     inclusion_hom, normalizer, subgroups_up_to_conjugacy,
+                     trivial_group)
 from .intlattice import IntegerLattice
 from .padic import PadicInt
 from .perms import Perm, cycle_string
@@ -441,15 +442,14 @@ def realize(b: BisetClass) -> ConcreteBiset:
     return ConcreteBiset(G, H, size, left, right)
 
 
-def decompose(X: ConcreteBiset, *, check: bool = True) -> BurnsideElement:
+def decompose(X: ConcreteBiset) -> BurnsideElement:
     """Write a concrete biset as a sum of transitive classes.
 
     Each (G x H)-orbit is transitive with free right H-action, so picking a
     point x gives K = {g : g.x in x.H} and phi(g) = the unique h with
     g.x = x.h; the orbit is the class [K, phi].
     """
-    if check:
-        X.validate()
+    X.validate()
     G, H, n = X.source, X.target, X.size
     orbit_of = [-1] * n
     orbit_count = 0
@@ -494,42 +494,29 @@ def decompose(X: ConcreteBiset, *, check: bool = True) -> BurnsideElement:
     return BurnsideElement(G, H, terms)
 
 
-def _coequalizer(X: ConcreteBiset, Y: ConcreteBiset) -> ConcreteBiset:
-    """The (G,K)-biset (X x Y) / (x*h, y) ~ (x, h*y)."""
-    H = X.target
-    G, Kg = X.source, Y.target
-    pair_orbit: dict[tuple[int, int], int] = {}
-    n_orbits = 0
-    hs = [(H.inv[i], i) for i in range(H.order)]
-    for i in range(X.size):
-        xrow_cache = [X.right[hi_inv][i] for hi_inv, _ in hs]
-        for j in range(Y.size):
-            if (i, j) in pair_orbit:
-                continue
-            oid = n_orbits
-            n_orbits += 1
-            for pos, (_, hi) in enumerate(hs):
-                pair = (xrow_cache[pos], Y.left[hi][j])
-                pair_orbit[pair] = oid
-    reps: list[tuple[int, int]] = [None] * n_orbits
-    for pair, oid in pair_orbit.items():
-        if reps[oid] is None or pair < reps[oid]:
-            reps[oid] = pair
-    left = []
-    for gi in range(G.order):
-        row = X.left[gi]
-        left.append([pair_orbit[(row[i], j)] for i, j in reps])
-    right = []
-    for ki in range(Kg.order):
-        row = Y.right[ki]
-        right.append([pair_orbit[(i, row[j])] for i, j in reps])
-    return ConcreteBiset(G, Kg, n_orbits, left, right)
-
-
 @functools.lru_cache(maxsize=None)
 def _compose_basis(b1: BisetClass, b2: BisetClass) -> tuple[tuple[BisetClass, int], ...]:
-    Z = _coequalizer(realize(b1), realize(b2))
-    return tuple(decompose(Z, check=False).terms())
+    """The Mackey formula: [K, phi] over (G,H) composed with [L, psi] over
+    (H,M) is the sum, over representatives x of phi(K)\\H/L, of
+    [K_x, psi o c_{x^-1} o phi] with K_x = {k in K : x^-1 phi(k) x in L}."""
+    G, H, M = b1.source, b1.target, b2.target
+    K, phi_idx = b1.K, b1.phi.image_indices
+    L = b2.K
+    psi = dict(zip(L.indices, b2.phi.images))
+    phiK = Subgroup.from_indices(H, phi_idx, _checked=True)
+    terms: dict[BisetClass, int] = {}
+    for x, _ in double_cosets(H, phiK, L):
+        row = H.conj[H.inv[H.index(x)]]  # t -> x^-1 t x
+        members, images = [], []
+        for k, t in zip(K.indices, phi_idx):
+            img = psi.get(row[t])
+            if img is not None:
+                members.append(k)
+                images.append(img)
+        Kx = Subgroup.from_indices(G, members, _checked=True)
+        b = _canonical_pair(G, M, Kx, tuple(images))
+        terms[b] = terms.get(b, 0) + 1
+    return tuple(sorted(terms.items(), key=lambda kv: kv[0].sort_key))
 
 
 def compose(x: BurnsideElement, y: BurnsideElement) -> BurnsideElement:
@@ -584,28 +571,33 @@ def power(x: BurnsideElement, n: int) -> BurnsideElement:
 # ---------------------------------------------------------------------------
 # restriction, opposite, augmentation
 
+def _inverse_class(f: GroupHom, target: PermGroup) -> BisetClass:
+    """The class [f(D), f^-1] over (codomain of f, target) of an injective
+    hom f on D, where target contains the elements of D."""
+    H = f.codomain
+    back = dict(zip(f.image_indices, f.domain.elements))
+    image = Subgroup.from_indices(H, f.image_indices, _checked=True)
+    return _canonical_pair(H, target, image,
+                           tuple(map(back.__getitem__, image.indices)))
+
+
 @functools.lru_cache(maxsize=None)
 def _restrict_basis(b: BisetClass, left_hom: GroupHom | None,
                     right_hom: GroupHom | None) -> tuple[tuple[BisetClass, int], ...]:
-    X = realize(b)
-    G, H = b.source, b.target
+    """Restriction along a: S -> G and c: T -> H is the composition
+    [S, a] o b o [c(T), c^-1]."""
+    if right_hom is not None and not right_hom.is_injective:
+        raise BisetError("right restriction along a non-injective map "
+                         "would break freeness")
+    x = single(b)
     if left_hom is not None:
         src = as_group(left_hom.domain)
-        left = [X.left[i] for i in left_hom.image_indices]
-    else:
-        src = G
-        left = X.left
+        x = compose(single(_canonical_pair(src, b.source, src.full_subgroup(),
+                                           left_hom.images)), x)
     if right_hom is not None:
-        if not right_hom.is_injective:
-            raise BisetError("right restriction along a non-injective map "
-                             "would break freeness")
-        tgt = as_group(right_hom.domain)
-        right = [X.right[i] for i in right_hom.image_indices]
-    else:
-        tgt = H
-        right = X.right
-    Z = ConcreteBiset(src, tgt, X.size, left, right)
-    return tuple(decompose(Z, check=False).terms())
+        x = compose(x, single(_inverse_class(right_hom,
+                                             as_group(right_hom.domain))))
+    return tuple(x.terms())
 
 
 def restrict_along(x: BurnsideElement, left_hom: GroupHom | None = None,
@@ -639,15 +631,11 @@ def restrict(x: BurnsideElement, S: Subgroup, T: Subgroup) -> BurnsideElement:
 
 @functools.lru_cache(maxsize=None)
 def _opposite_basis(b: BisetClass) -> tuple[tuple[BisetClass, int], ...]:
+    """The opposite of [K, phi] over (G,H) is [phi(K), phi^-1] over (H,G)."""
     if not b.phi.is_injective:
         raise BisetError(
             f"{b.label()} is not bifree; opposite needs an injective phi")
-    X = realize(b)
-    G, H = b.source, b.target
-    left = [X.right[i] for i in H.inv]
-    right = [X.left[i] for i in G.inv]
-    Z = ConcreteBiset(H, G, X.size, left, right)
-    return tuple(decompose(Z, check=False).terms())
+    return ((_inverse_class(b.phi, b.source), 1),)
 
 
 def opposite(x: BurnsideElement) -> BurnsideElement:

@@ -1,9 +1,13 @@
-"""Golden outputs of `burnfuse basis`, pinned by SHA-256, and a check that
-stdout does not depend on PYTHONHASHSEED.
+"""Golden outputs of the CLI, pinned by SHA-256, and checks that stdout does
+not depend on PYTHONHASHSEED.
 
-The digests were recorded from the tuple-arithmetic implementation that
-preceded the integer-indexed group kernel, so they also pin that the kernel
-picks the same canonical [K, phi] representatives, labels and order.
+The `basis` digests were recorded from the tuple-arithmetic implementation
+that preceded the integer-indexed group kernel, so they also pin that the
+kernel picks the same canonical [K, phi] representatives, labels and order.
+The digests of commands that compose or restrict were recorded from the
+implementation that composed by realizing both bisets and taking their
+coequalizer, so they pin that the double-coset formulas give the same
+output.
 """
 
 import hashlib
@@ -14,7 +18,10 @@ from pathlib import Path
 
 import pytest
 
+from burnfuse.burnside import BurnsideElement, basis
 from burnfuse.cli import run
+from burnfuse.groups import parse_group
+from burnfuse.serialize import dump_json, element_to_json
 
 GOLDEN_BASIS = {
     ("S4", "S4", "text"):
@@ -49,19 +56,90 @@ def test_basis_output_matches_golden_digest(capsys, G, H, fmt):
     assert digest == GOLDEN_BASIS[(G, H, fmt)]
 
 
-def _cold_basis_stdout(hashseed: str) -> bytes:
+GOLDEN_COMMANDS = {
+    ("invert-unit", "S4", "--p", "2", "--k", "8"):
+        "8306ef73f9c8c9a58b8d737ef0f0135d6e1b83e4cd16b4335e74f05a1c7fc9f1",
+    ("stable-basis", "S4", "S4", "--p", "2", "--k", "6"):
+        "abe6d70beae87d254fe3a57ade57cb2a6d9182dbdd9e896a6b2532370694db9b",
+    ("idempotent", "S4", "--p", "2", "--k", "6"):
+        "74acdc0a45dc9c892ad4b4e56f50f04e8c7039aa4be1292682291105de72e371",
+    ("verify", "functor", "S3", "S4", "S3", "--p", "2"):
+        "a74c4e0219d7cddd0d4023a489043d6bd397458b1c642311eb96c647760c0423",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_COMMANDS))
+def test_command_output_matches_golden_digest(capsys, argv):
+    code = run(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        GOLDEN_COMMANDS[argv]
+
+
+def _golden_elements() -> dict[str, BurnsideElement]:
+    """Fixed elements with many terms: the basis classes in order, with
+    coefficients cycling through small values (a zero drops its class)."""
+    S3, S4 = parse_group("S3"), parse_group("S4")
+    x = BurnsideElement(S4, S3, {b: i % 5 - 2
+                                 for i, b in enumerate(basis(S4, S3))})
+    y = BurnsideElement(S3, S4, {b: i % 3 + 1
+                                 for i, b in enumerate(basis(S3, S4))})
+    return {"x": x, "y": y, "xp": x.lift(2, 5)}
+
+
+GOLDEN_ELEMENT_COMMANDS = {
+    ("compose", "x", "y"):
+        "1ec11557a78e2df0bd7e79db9c76c3bc56540f6e6cd7a14e93a3bf66680e3fc4",
+    ("compose", "y", "x"):
+        "11c1d326bae1082b302276f2c11584e51996868d6f0baa4c4dda74fb4554a6dc",
+    ("compose", "xp", "y"):
+        "7c8d3f3a6b0df468508829ba13be50ce0f00bcfaa3225ea545d83f37140ada44",
+    ("--format", "json", "compose", "x", "y"):
+        "c597470433d8ae60239e5575d4b0a3a64af16b8bb195c29a4b932af757cb3660",
+    ("restrict", "x", "--p", "2"):
+        "b2037b5e24550c930913ccb2750774bc91cc972ecd4c31309a26c47726fded10",
+    ("restrict", "y", "--p", "3"):
+        "e6fc9e07ece9367da1a7930fd9032725a1f71ae1020651c7e1fff83151fae94d",
+    ("--format", "json", "restrict", "x", "--p", "2"):
+        "7e09b7fdcbe1e81418eca113252ab8d528798456cb7d82cffdf16f863113dd12",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_ELEMENT_COMMANDS))
+def test_element_command_output_matches_golden_digest(tmp_path, capsys, argv):
+    paths = {}
+    for name, x in _golden_elements().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(dump_json(element_to_json(x)), encoding="utf-8")
+        paths[name] = str(path)
+    code = run([paths.get(a, a) for a in argv])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        GOLDEN_ELEMENT_COMMANDS[argv]
+
+
+def _cold_stdout(hashseed: str, *argv: str) -> bytes:
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONHASHSEED=hashseed,
                PYTHONPATH=os.pathsep.join(
                    [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
-        [sys.executable, "-m", "burnfuse.cli", "basis", "S4", "S4"],
+        [sys.executable, "-m", "burnfuse.cli", *argv],
         env=env, capture_output=True, check=True, timeout=120)
     return proc.stdout
 
 
 def test_basis_stdout_independent_of_hash_seed():
-    first = _cold_basis_stdout("0")
-    assert first == _cold_basis_stdout("1")
+    first = _cold_stdout("0", "basis", "S4", "S4")
+    assert first == _cold_stdout("1", "basis", "S4", "S4")
     assert hashlib.sha256(first).hexdigest() == \
         GOLDEN_BASIS[("S4", "S4", "text")]
+
+
+def test_invert_unit_stdout_independent_of_hash_seed():
+    argv = ("invert-unit", "S4", "--p", "2", "--k", "8")
+    first = _cold_stdout("0", *argv)
+    assert first == _cold_stdout("1", *argv)
+    assert hashlib.sha256(first).hexdigest() == GOLDEN_COMMANDS[argv]
