@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import functools
 
-from . import groups as _groups
-from .errors import (BisetError, CapExceededError, ScalarMismatchError,
-                     SubgroupError)
+from .errors import BisetError, ScalarMismatchError, SubgroupError
 from .groups import (GroupHom, PermGroup, Subgroup, as_group,
                      class_rep_and_conjugator, double_cosets, homomorphisms,
                      inclusion_hom, normalizer, subgroups_up_to_conjugacy,
@@ -112,8 +110,6 @@ def canonical_class(source: PermGroup, target: PermGroup, K: Subgroup,
 def basis(G: PermGroup, H: PermGroup) -> tuple[BisetClass, ...]:
     """The canonical basis of the Burnside module over (G, H), ordered by
     descending |K| then canonical keys."""
-    if G.order > _groups.ENUM_CAP or H.order > _groups.ENUM_CAP:
-        raise CapExceededError("group order exceeds the enumeration cap")
     seen = set()
     out = []
     for K in subgroups_up_to_conjugacy(G):

@@ -13,7 +13,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import groups as groups_mod
 from .burnside import basis, compose, restrict, single
 from .completion import (complete, complete_functor_check,
                          splitting_idempotent_approx,
@@ -21,8 +20,8 @@ from .completion import (complete, complete_functor_check,
 from .errors import BurnfuseError, InputError
 from .fusion import (characteristic_idempotent, fusion_system, invert_stable,
                      stabilize, stable_basis)
-from .groups import parse_group, sylow
-from .padic import PadicInt, is_prime
+from .groups import ENUM_CAP, check_cap, enumeration_cap, parse_group, sylow
+from .padic import is_prime
 from .serialize import (dump_json, element_to_json, load_element,
                         stable_to_json)
 from .verify import DEFAULT_SEED, run_all
@@ -33,7 +32,7 @@ CONFIG_FILE = "burnfuse.toml"
 @dataclass
 class Config:
     precision: int = 8
-    order_cap: int = 200
+    order_cap: int = ENUM_CAP
     schedule_cap: int = 8
     seed: int = DEFAULT_SEED
     format: str = "text"
@@ -72,8 +71,7 @@ def _element_lines(x, suffix: str = "") -> list[str]:
         return ["0"]
     out = []
     for b, c in x.terms():
-        coeff = str(c) if isinstance(c, PadicInt) else str(c)
-        out.append(f"{coeff:>16}  {b.label()}{suffix}")
+        out.append(f"{str(c):>16}  {b.label()}{suffix}")
     return out
 
 
@@ -95,6 +93,22 @@ def _emit_element(x, cfg: Config, fusion_context=None) -> None:
             print(line)
 
 
+def _groups(*specs: str):
+    """Parse the groups a command is given and check them against the cap."""
+    out = tuple(map(parse_group, specs))
+    for G in out:
+        check_cap(G)
+    return out
+
+
+def _element(path: str):
+    """Load an element file and check its groups against the cap."""
+    x = load_element(path)
+    check_cap(x.source)
+    check_cap(x.target)
+    return x
+
+
 def _require_prime(p: int) -> int:
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
@@ -102,7 +116,7 @@ def _require_prime(p: int) -> int:
 
 
 def cmd_basis(args, cfg: Config) -> int:
-    G, H = parse_group(args.G), parse_group(args.H)
+    G, H = _groups(args.G, args.H)
     classes = basis(G, H)
     if cfg.format == "json":
         payload = {
@@ -122,14 +136,14 @@ def cmd_basis(args, cfg: Config) -> int:
 
 
 def cmd_compose(args, cfg: Config) -> int:
-    x = load_element(args.left)
-    y = load_element(args.right)
+    x = _element(args.left)
+    y = _element(args.right)
     _emit_element(compose(x, y), cfg)
     return 0
 
 
 def cmd_restrict(args, cfg: Config) -> int:
-    x = load_element(args.element)
+    x = _element(args.element)
     p = _require_prime(args.p)
     S, T = sylow(x.source, p), sylow(x.target, p)
     _emit_element(restrict(x, S, T), cfg)
@@ -137,7 +151,7 @@ def cmd_restrict(args, cfg: Config) -> int:
 
 
 def cmd_idempotent(args, cfg: Config) -> int:
-    G = parse_group(args.G)
+    [G] = _groups(args.G)
     p = _require_prime(args.p)
     k = args.k or cfg.precision
     w = characteristic_idempotent(fusion_system(G, p), k)
@@ -146,7 +160,7 @@ def cmd_idempotent(args, cfg: Config) -> int:
 
 
 def cmd_invert_unit(args, cfg: Config) -> int:
-    H = parse_group(args.H)
+    [H] = _groups(args.H)
     p = _require_prime(args.p)
     k = args.k or cfg.precision
     F = fusion_system(H, p)
@@ -159,7 +173,7 @@ def cmd_invert_unit(args, cfg: Config) -> int:
 
 
 def cmd_complete(args, cfg: Config) -> int:
-    x = load_element(args.element)
+    x = _element(args.element)
     p = _require_prime(args.p)
     k = args.k or cfg.precision
     c = complete(x, p, k)
@@ -168,7 +182,7 @@ def cmd_complete(args, cfg: Config) -> int:
 
 
 def cmd_stable_basis(args, cfg: Config) -> int:
-    G, H = parse_group(args.G), parse_group(args.H)
+    G, H = _groups(args.G, args.H)
     p = _require_prime(args.p)
     k = args.k or cfg.precision
     F1, F2 = fusion_system(G, p), fusion_system(H, p)
@@ -187,7 +201,7 @@ def cmd_stable_basis(args, cfg: Config) -> int:
 
 
 def cmd_splitting(args, cfg: Config) -> int:
-    G = parse_group(args.G)
+    [G] = _groups(args.G)
     p = _require_prime(args.p)
     x = splitting_idempotent_approx(G, p, args.n)
     _emit_element(x, cfg)
@@ -206,14 +220,14 @@ def cmd_verify(args, cfg: Config) -> int:
     if args.what in ("sum", "counterexample") and len(args.args) != 1:
         raise InputError(f"verify {args.what} needs exactly one group")
     if args.what == "sum":
-        G = parse_group(args.args[0])
+        [G] = _groups(*args.args)
         report = verify_splitting_sum(G, args.kmax,
                                       schedule_cap=cfg.schedule_cap)
         return _finish_report(report, cfg)
     if args.what == "functor":
         if len(args.args) != 3:
             raise InputError("verify functor needs three groups: G H K")
-        G, H, K = (parse_group(s) for s in args.args)
+        G, H, K = _groups(*args.args)
         p = _require_prime(args.p)
         k = args.k or 4
         import random
@@ -236,7 +250,7 @@ def cmd_verify(args, cfg: Config) -> int:
             print(f"  => {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
     if args.what == "counterexample":
-        H = parse_group(args.args[0])
+        [H] = _groups(*args.args)
         p = _require_prime(args.p)
         k = args.k or cfg.precision
         report = transfer_counterexample_check(H, p, k)
@@ -346,8 +360,8 @@ def run(argv=None) -> int:
             overrides["seed"] = args.seed
         fmt = args.format or "text"
         cfg = Config(format=fmt, **overrides)
-        groups_mod.ENUM_CAP = cfg.order_cap
-        return args.func(args, cfg)
+        with enumeration_cap(cfg.order_cap):
+            return args.func(args, cfg)
     except BurnfuseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

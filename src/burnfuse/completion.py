@@ -22,7 +22,7 @@ from .errors import FusionError, InputError
 from .fusion import (FusionSystem, StableElement, a_fus,
                      characteristic_idempotent, fusion_system, invert_stable,
                      stable_pair_classes, stabilize)
-from .groups import (GroupHom, PermGroup, Subgroup, as_group, sylow,
+from .groups import (GroupHom, PermGroup, as_group, sylow,
                      subgroups_up_to_conjugacy, trivial_group)
 from .intlattice import kernel_basis, smith_invariant_factors
 from .padic import PadicInt, is_prime, xgcd
@@ -204,15 +204,14 @@ def bezout_coefficients(values: list[int]) -> list[int]:
 
 
 def verify_splitting_sum(G: PermGroup, k_max: int,
-                         n_schedule: dict[int, int] | None = None,
                          schedule_cap: int = 8) -> CompletionReport:
     """Check that the per-prime splitting idempotent approximants sum to
     [G,i_G] - [G,0] in the augmentation-adic topology: for each k up to
     k_max, find an iterate index whose defect lies in I^k applied to the
     augmentation kernel of the (G,G) module.
 
-    n_schedule optionally bounds the iterate search per prime (default
-    k + 2 at power k); on failure the bound doubles, up to schedule_cap.
+    The iterate search at power k is bounded by k + 2; on failure the bound
+    doubles, up to schedule_cap.
     Exhaustion is reported, not raised. The search shares one iterate index
     across the primes and records the least one that attains membership.
     """
@@ -239,11 +238,7 @@ def verify_splitting_sum(G: PermGroup, k_max: int,
         return d
 
     for k in range(1, k_max + 1):
-        if n_schedule:
-            top = max(n_schedule.get(p, k + 2) for p in primes) if primes else 0
-        else:
-            top = k + 2
-        top = min(top, schedule_cap)
+        top = min(k + 2, schedule_cap)
         attained = None
         while True:
             for n in range(0, top + 1):
@@ -269,12 +264,12 @@ def verify_splitting_sum(G: PermGroup, k_max: int,
 # quotient rank versus stable rank
 
 @functools.lru_cache(maxsize=None)
-def restriction_kernel_elements(G: PermGroup, p: int,
-                                which_sylow: Subgroup | None = None) \
+def restriction_kernel_elements(G: PermGroup, p: int) \
         -> tuple[BurnsideElement, ...]:
     """An integral basis of the kernel of the restriction map from the
-    Burnside ring of G to the Burnside ring of a Sylow p-subgroup."""
-    S = which_sylow if which_sylow is not None else sylow(G, p)
+    Burnside ring of G to the Burnside ring of its canonical Sylow
+    p-subgroup."""
+    S = sylow(G, p)
     Sg = as_group(S)
     E = trivial_group()
     classes_G = subgroups_up_to_conjugacy(G)

@@ -10,8 +10,9 @@ Arithmetic runs on element indices. A group's elements are sorted by image
 tuple, so index order equals tuple order and a lexicographic minimum over
 index tuples picks the same representative as one over permutation tuples;
 the identity, the smallest permutation, has index 0. Each group builds, on
-first use and only within the enumeration cap, a multiplication table, an
-inverse table and a conjugation table on indices. Subgroups carry their
+first use, a multiplication table, an inverse table and a conjugation table
+on indices; every read of a table checks the group's order against the
+enumeration cap in force (`enumeration_cap`). Subgroups carry their
 sorted index tuple and an int bitmask; the bitmask serves membership,
 subset tests, hashing and deduplication, never ordering. Permutation tuples
 remain at the edges: parsing, labels, JSON and the public `elements` and
@@ -20,6 +21,8 @@ remain at the edges: parsing, labels, JSON and the public `elements` and
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 import re
@@ -31,6 +34,29 @@ from .perms import (Perm, cycle_string, identity_perm, is_permutation,
 
 CLOSURE_CAP = 100_000
 ENUM_CAP = 200
+# The enumeration cap in force; `enumeration_cap` sets it for one block.
+_enum_cap = contextvars.ContextVar("enum_cap", default=ENUM_CAP)
+
+
+@contextlib.contextmanager
+def enumeration_cap(cap: int):
+    """Run the block under enumeration cap `cap`, restoring the previous cap
+    when it exits or raises."""
+    token = _enum_cap.set(cap)
+    try:
+        yield
+    finally:
+        _enum_cap.reset(token)
+
+
+def check_cap(G: "PermGroup") -> None:
+    """Raise CapExceededError if |G| exceeds the enumeration cap in force.
+    Runs on every table read and on every group a command is given, outside
+    every cache, so no cached result answers under a cap that forbids it."""
+    cap = _enum_cap.get()
+    if len(G.elements) > cap:
+        raise CapExceededError(
+            f"|G| = {len(G.elements)} exceeds the enumeration cap {cap}")
 
 
 def mulclose(gens, degree: int, cap: int) -> set[Perm]:
@@ -136,17 +162,12 @@ class PermGroup:
     def __contains__(self, p) -> bool:
         return p in self._index
 
-    def _check_cap(self) -> None:
-        if self.order > ENUM_CAP:
-            raise CapExceededError(
-                f"|G| = {self.order} exceeds the enumeration cap {ENUM_CAP}")
-
     @property
     def mul(self) -> tuple[tuple[int, ...], ...]:
         """The Cayley table on indices: mul[a][b] is the index of
         elements[a] * elements[b], applying elements[b] first."""
+        check_cap(self)
         if self._mul is None:
-            self._check_cap()
             index, els = self._index, self.elements
             self._mul = tuple(
                 tuple([index[tuple(map(a.__getitem__, b))] for b in els])
@@ -156,6 +177,7 @@ class PermGroup:
     @property
     def inv(self) -> tuple[int, ...]:
         """inv[a] is the index of the inverse of elements[a]."""
+        check_cap(self)
         if self._inv is None:
             self._inv = tuple(row.index(0) for row in self.mul)
         return self._inv
@@ -163,6 +185,7 @@ class PermGroup:
     @property
     def conj(self) -> tuple[tuple[int, ...], ...]:
         """The conjugation table: conj[h][t] is the index of h t h^-1."""
+        check_cap(self)
         if self._conj is None:
             mul, inv = self.mul, self.inv
             cols = tuple(zip(*mul))  # cols[b][a] is the index of a * b
@@ -541,7 +564,6 @@ def trivial_group() -> PermGroup:
 def all_subgroups(G: PermGroup) -> tuple[Subgroup, ...]:
     """Every subgroup of G, sorted by (order, elements). Built bottom-up as
     joins with cyclic subgroups, which generate every subgroup."""
-    G._check_cap()
     mul = G.mul
     cyclic: dict[int, int] = {}  # bitmask of <g> -> its first generator g
     for g in range(1, G.order):
@@ -575,12 +597,6 @@ def all_subgroups(G: PermGroup) -> tuple[Subgroup, ...]:
 def _conjugate_indices(G: PermGroup, g: int, H: Subgroup) -> list[int]:
     """The indices of g H g^-1, unsorted."""
     return list(map(G.conj[g].__getitem__, H.indices))
-
-
-def conjugate_subgroup(g: Perm, H: Subgroup) -> Subgroup:
-    G = H.parent
-    return Subgroup.from_indices(G, _conjugate_indices(G, G.index(g), H),
-                                 _checked=True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -656,18 +672,6 @@ def sylow(G: PermGroup, p: int) -> Subgroup:
     return rep
 
 
-def conjugating_element(G: PermGroup, A: Subgroup, B: Subgroup) -> Perm | None:
-    """The first g in element order with g A g^-1 = B, or None."""
-    if A.parent != G or B.parent != G:
-        raise SubgroupError("arguments must be subgroups of G")
-    if A.order != B.order:
-        return None
-    for g in range(G.order):
-        if _mask(_conjugate_indices(G, g, A)) == B.mask:
-            return G.elements[g]
-    return None
-
-
 @functools.lru_cache(maxsize=None)
 def double_cosets(G: PermGroup, A: Subgroup, B: Subgroup) -> tuple[tuple[Perm, int], ...]:
     """The partition of G into A\\G/B double cosets as (representative, size)
@@ -717,12 +721,10 @@ def _propagate(domain: Subgroup, gens, images, codomain: PermGroup):
 @functools.lru_cache(maxsize=None)
 def homomorphisms(K: Subgroup, H: PermGroup) -> tuple[GroupHom, ...]:
     """All group homomorphisms K -> H, enumerated by generator images."""
-    if K.order > ENUM_CAP or H.order > ENUM_CAP:
-        raise CapExceededError("group order exceeds the enumeration cap")
+    hmul, kmul = H.mul, K.parent.mul
     gens = K.generator_indices()
     if not gens:
         return (trivial_hom(K, H),)
-    hmul, kmul = H.mul, K.parent.mul
     h_orders = [_element_order(hmul, h) for h in range(H.order)]
     candidates = []
     for g in gens:

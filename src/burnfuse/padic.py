@@ -124,11 +124,3 @@ class PadicInt:
     @staticmethod
     def from_json(data: dict) -> "PadicInt":
         return PadicInt(int(data["p"]), int(data["k"]), int(data["r"]))
-
-
-def congruent(a: PadicInt, b: PadicInt) -> bool:
-    """Equality at the minimum of the two precisions."""
-    if a.prime != b.prime:
-        raise ScalarMismatchError(f"prime mismatch: {a.prime} vs {b.prime}")
-    k = min(a.precision, b.precision)
-    return a.reduce_to(k).residue == b.reduce_to(k).residue

@@ -31,20 +31,6 @@ def p_inv(a: Perm) -> Perm:
     return tuple(out)
 
 
-def p_conj(g: Perm, x: Perm) -> Perm:
-    """Conjugate x by g, giving g x g^-1."""
-    return p_mul(p_mul(g, x), p_inv(g))
-
-
-def p_order(a: Perm) -> int:
-    e = identity_perm(len(a))
-    cur, n = a, 1
-    while cur != e:
-        cur = p_mul(cur, a)
-        n += 1
-    return n
-
-
 def parse_cycles(text: str, degree: int) -> Perm:
     """Parse disjoint-cycle notation with 1-based points, e.g. "(1 2 3)(4 5)".
 

@@ -9,6 +9,7 @@ homomorphisms, so round-trips are exact and order-independent.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .burnside import BisetClass, BurnsideElement, canonical_class
@@ -66,34 +67,42 @@ def _term_from_json(term: dict, source: PermGroup,
                       [target.index(h) for h in images.values()], target)
     if full is None or len(full) != K.order:
         raise InputError("the phi generator images do not define a homomorphism")
-    try:
-        hom = GroupHom.from_indices(K, target, map(full.__getitem__, K.indices))
-    except Exception as exc:
-        raise InputError(f"invalid phi: {exc}") from exc
+    hom = GroupHom.from_indices(K, target, map(full.__getitem__, K.indices))
     return canonical_class(source, target, K, hom)
 
 
+def _integer(value) -> int:
+    """An integer given in JSON as an int or a decimal string."""
+    if isinstance(value, str) or type(value) is int:
+        return int(value)
+    raise InputError(f"expected an integer or a decimal string, got {value!r}")
+
+
+def _decoder(decode):
+    """The decode boundary: errors that malformed outside JSON raises while
+    it is decoded become InputError."""
+    @functools.wraps(decode)
+    def checked(data):
+        try:
+            return decode(data)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed JSON ({type(exc).__name__}: {exc})") \
+                from exc
+    return checked
+
+
+@_decoder
 def element_from_json(data: dict) -> BurnsideElement:
-    try:
-        source = parse_group(data["source"])
-        target = parse_group(data["target"])
-        scalars = data["scalars"]
-        raw_terms = data["terms"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed element JSON: {exc}") from exc
+    source = parse_group(data["source"])
+    target = parse_group(data["target"])
+    scalars = data["scalars"]
     padic = scalars != "int"
     if padic:
-        try:
-            p, k = int(scalars["p"]), int(scalars["k"])
-        except (KeyError, TypeError) as exc:
-            raise InputError("scalars must be 'int' or {p, k}") from exc
+        p, k = _integer(scalars["p"]), _integer(scalars["k"])
     terms: dict[BisetClass, object] = {}
-    for term in raw_terms:
+    for term in data["terms"]:
         b = _term_from_json(term, source, target)
-        try:
-            c = int(term["coeff"])
-        except (KeyError, ValueError) as exc:
-            raise InputError(f"bad coefficient in {term!r}") from exc
+        c = _integer(term["coeff"])
         coeff = PadicInt(p, k, c) if padic else c
         prev = terms.get(b)
         terms[b] = coeff if prev is None else prev + coeff
@@ -109,14 +118,11 @@ def stable_to_json(x: StableElement) -> dict:
     return data
 
 
+@_decoder
 def stable_from_json(data: dict) -> StableElement:
-    try:
-        lf = data["leftFusion"]
-        rf = data["rightFusion"]
-        F1 = fusion_system(parse_group(lf["group"]), int(lf["p"]))
-        F2 = fusion_system(parse_group(rf["group"]), int(rf["p"]))
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed stable element JSON: {exc}") from exc
+    lf, rf = data["leftFusion"], data["rightFusion"]
+    F1 = fusion_system(parse_group(lf["group"]), _integer(lf["p"]))
+    F2 = fusion_system(parse_group(rf["group"]), _integer(rf["p"]))
     underlying = element_from_json(data)
     if underlying.source != F1.sylow_group or underlying.target != F2.sylow_group:
         raise InputError("the element does not live over the Sylow pair "
@@ -128,7 +134,7 @@ def load_element(path: str) -> BurnsideElement:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
         raise InputError(f"cannot read element from {path}: {exc}") from exc
     return element_from_json(data)
 

@@ -102,6 +102,9 @@ def test_input_errors_exit_two(tmp_path, capsys):
     bad.write_text("{not json", encoding="utf-8")
     code, _, err = invoke(capsys, "compose", str(bad), str(bad))
     assert code == 2
+    bad.write_bytes(b"\xff\xfe{")
+    code, _, err = invoke(capsys, "compose", str(bad), str(bad))
+    assert code == 2
     code, _, err = invoke(capsys, "idempotent", "S3", "--p", "4")
     assert code == 2
     code, _, err = invoke(capsys, "verify", "counterexample", "C4", "--p", "2")
@@ -155,3 +158,40 @@ def test_verify_all_gate(capsys):
     data = json.loads(out)
     assert len(data["criteria"]) == 10
     assert all(c["passed"] for c in data["criteria"])
+
+
+@pytest.mark.parametrize("first,second", [
+    (["basis", "S4", "C2"], ["--order-cap", "10", "basis", "S4", "C2"]),
+    (["--order-cap", "250", "basis", "C3xC67", "C1"], ["basis", "C3xC67", "C1"]),
+    (["verify", "all"], ["--order-cap", "10", "verify", "all"]),
+])
+def test_order_cap_applies_to_one_command(capsys, first, second):
+    # the second command exits 2 run cold; what ran before must not change that
+    assert invoke(capsys, *first)[0] == 0
+    code, _, err = invoke(capsys, *second)
+    assert code == 2
+    assert "enumeration cap" in err
+    # the library is back at the default cap
+    assert len(basis(parse_group("C13"), parse_group("C1"))) == 2
+
+
+GOOD_TERM = {"K": ["(1 2)"], "phi": [["(1 2)", "(1 2)"]], "coeff": "1"}
+
+
+@pytest.mark.parametrize("change", [
+    {"scalars": {"p": "x", "k": 2}},
+    {"terms": [GOOD_TERM | {"phi": [["(1 2)"]]}]},
+    {"terms": [GOOD_TERM | {"K": 7}]},
+    {"terms": 5},
+    {"terms": ["(1 2)"]},
+    {"source": 5},
+    {"terms": [GOOD_TERM | {"coeff": 1.5}]},
+])
+def test_malformed_element_file_exits_two(tmp_path, capsys, change):
+    data = {"source": "S3", "target": "S3", "scalars": "int",
+            "terms": [GOOD_TERM]} | change
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = invoke(capsys, "compose", str(path), str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")

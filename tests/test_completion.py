@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from burnfuse.burnside import (basis, canonical_class, cardinality, compose,
-                               identity_element, opposite, power, restrict,
-                               single)
+from burnfuse.burnside import (basis, burnside_ring_class,
+                               burnside_ring_element, canonical_class,
+                               cardinality, compose, identity_element,
+                               opposite, power, restrict, single)
 from burnfuse.completion import (bezout_coefficients, complete,
                                  complete_functor_check,
                                  completion_defining_identity, completion_unit,
@@ -18,7 +19,9 @@ from burnfuse.fusion import (characteristic_idempotent, fusion_system,
                              is_stable, stable_pair_classes)
 from burnfuse.groups import (GroupHom, as_group, parse_group, sylow,
                              subgroups_up_to_conjugacy, trivial_hom)
+from burnfuse.intlattice import IntegerLattice, kernel_basis
 from burnfuse.padic import PadicInt
+from burnfuse.perms import p_inv, p_mul
 
 S3 = parse_group("S3")
 S4 = parse_group("S4")
@@ -183,20 +186,33 @@ def test_rank_comparison_cases():
     assert rq == rs
 
 
+def restriction_kernel_along(G, S):
+    """restriction_kernel_elements with the Sylow subgroup S of G in place
+    of the canonical one."""
+    basis_S = basis(as_group(S), E)
+    classes = subgroups_up_to_conjugacy(G)
+    columns = []
+    for K in classes:
+        xr = restrict(burnside_ring_element(G, [(K, 1)]), S, E.full_subgroup())
+        columns.append([xr.coefficient(b) for b in basis_S])
+    matrix = [list(row) for row in zip(*columns)]
+    return [burnside_ring_element(G, list(zip(classes, v)))
+            for v in kernel_basis(matrix)]
+
+
 def test_restriction_kernel_independent_of_sylow():
     # the kernel ideal does not depend on which Sylow subgroup restricts
     G, p = S3, 2
     S_canonical = sylow(G, p)
-    others = [H for H in subgroups_up_to_conjugacy(G) if H.order == 2]
-    from burnfuse.groups import conjugate_subgroup
-    conjugates = {conjugate_subgroup(g, S_canonical) for g in G.elements}
+    conjugates = {G.subgroup({p_mul(p_mul(g, x), p_inv(g))
+                              for x in S_canonical.elements})
+                  for g in G.elements}
     assert len(conjugates) == 3
     base = restriction_kernel_elements(G, p)
+    assert restriction_kernel_along(G, S_canonical) == list(base)
     for other in conjugates:
-        alt = restriction_kernel_elements(G, p, other)
-        from burnfuse.intlattice import IntegerLattice
+        alt = restriction_kernel_along(G, other)
         classes = subgroups_up_to_conjugacy(G)
-        from burnfuse.burnside import burnside_ring_class
         def lattice(elems):
             lat = IntegerLattice(len(classes))
             for x in elems:

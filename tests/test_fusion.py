@@ -14,7 +14,7 @@ from burnfuse.fusion import (StableElement, a_fus, characteristic_idempotent,
 from burnfuse.groups import (GroupHom, as_group, inclusion_hom, parse_group,
                              subgroups_up_to_conjugacy, sylow)
 from burnfuse.padic import PadicInt
-from burnfuse.perms import p_conj, p_order
+from burnfuse.perms import p_inv, p_mul
 
 S3 = parse_group("S3")
 S4 = parse_group("S4")
@@ -22,6 +22,11 @@ A4 = parse_group("A4")
 C3 = parse_group("C3")
 C6 = parse_group("C6")
 E = parse_group("C1")
+
+
+def p_conj(g, x):
+    """g x g^-1."""
+    return p_mul(p_mul(g, x), p_inv(g))
 
 
 def identity_hom_on(F):

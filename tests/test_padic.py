@@ -3,7 +3,7 @@ import random
 import pytest
 
 from burnfuse.errors import NonUnitError, ScalarMismatchError
-from burnfuse.padic import PadicInt, congruent, is_prime, xgcd
+from burnfuse.padic import PadicInt, is_prime, xgcd
 
 
 def test_examples():
@@ -67,9 +67,7 @@ def test_precision_monotonicity():
             assert reduced_then == then_reduced
 
 
-def test_congruent_and_str():
-    assert congruent(PadicInt(2, 4, 5), PadicInt(2, 2, 1))
-    assert not congruent(PadicInt(2, 4, 5), PadicInt(2, 4, 1))
+def test_str():
     assert str(PadicInt(2, 4, 5)) == "5 mod 2^4"
 
 
