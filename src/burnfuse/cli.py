@@ -8,7 +8,6 @@ verification, 1 on a verification failure, 2 on bad input.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass

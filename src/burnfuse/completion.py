@@ -15,17 +15,17 @@ import functools
 import json
 
 from .burnside import (BurnsideElement, basis, burnside_ring_element,
-                       canonical_class, cardinality, compose, augment,
+                       canonical_class, cardinality, compose,
                        ideal_power_membership, identity_element, opposite,
                        power, restrict, semichar_embed, single)
 from .errors import FusionError, InputError
-from .fusion import (FusionSystem, StableElement, a_fus,
-                     characteristic_idempotent, fusion_system, invert_stable,
-                     stable_pair_classes, stabilize)
+from .fusion import (StableElement, a_fus, characteristic_idempotent,
+                     fusion_system, invert_stable, stable_pair_classes,
+                     stabilize)
 from .groups import (GroupHom, PermGroup, as_group, sylow,
                      subgroups_up_to_conjugacy, trivial_group)
 from .intlattice import kernel_basis, smith_invariant_factors
-from .padic import PadicInt, is_prime, xgcd
+from .padic import is_prime, xgcd
 
 
 class CheckEntry:

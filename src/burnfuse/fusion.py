@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import functools
 
-from .burnside import (BisetClass, BurnsideElement, basis, canonical_class,
-                       cardinality, augment, compose, identity_element, power,
-                       restrict, restrict_along, single)
+from .burnside import (BisetClass, BurnsideElement, _restrict_basis, basis,
+                       canonical_class, cardinality, augment, compose,
+                       identity_element, power, restrict, single)
 from .errors import (ConvergenceError, FormulaMismatchError, FusionError,
                      NonUnitError, NotSemicharacteristicError,
                      ScalarMismatchError)
@@ -132,31 +132,43 @@ def is_fusion_preserving(phi: GroupHom, F1: FusionSystem,
     return True
 
 
-def _twisted_restrictions_equal(x: BurnsideElement, fus: FusionSystem,
-                                side: str) -> bool:
-    S = fus.sylow_group
-    for P in subgroups_up_to_conjugacy(S):
-        incl = inclusion_hom(P, S)
-        morphs = fus.morphisms_to_sylow(P)
-        if side == "left":
-            base = restrict_along(x, left_hom=incl)
-        else:
-            base = restrict_along(x, right_hom=incl)
-        for phi in morphs:
-            if phi.images == incl.images:
+def _restriction(b: BisetClass, side: int, hom: GroupHom) \
+        -> tuple[tuple[BisetClass, int], ...]:
+    return (_restrict_basis(b, hom, None) if side == 0
+            else _restrict_basis(b, None, hom))
+
+
+@functools.lru_cache(maxsize=None)
+def _stability_defect(b: BisetClass, F1: FusionSystem, F2: FusionSystem) \
+        -> tuple[tuple[tuple, int], ...]:
+    """The nonzero entries of res_phi(b) - res_incl(b) over every
+    non-inclusion fusion morphism phi: P -> S, on the left (side 0, F1) and
+    on the right (side 1, F2), keyed by (side, P, phi, class)."""
+    out = []
+    for side, fus in enumerate((F1, F2)):
+        S = fus.sylow_group
+        for P in subgroups_up_to_conjugacy(S):
+            incl = inclusion_hom(P, S)
+            twists = [phi for phi in fus.morphisms_to_sylow(P)
+                      if phi.images != incl.images]
+            if not twists:
                 continue
-            if side == "left":
-                other = restrict_along(x, left_hom=phi)
-            else:
-                other = restrict_along(x, right_hom=phi)
-            if other != base:
-                return False
-    return True
+            base = _restriction(b, side, incl)
+            for phi in twists:
+                diff = dict(_restriction(b, side, phi))
+                for b2, m in base:
+                    diff[b2] = diff.get(b2, 0) - m
+                out.extend(((side, P, phi, b2), m)
+                           for b2, m in diff.items() if m)
+    return tuple(out)
 
 
 def is_stable(x: BurnsideElement, F1: FusionSystem, F2: FusionSystem) -> bool:
     """Elementary stability: restricting along any fusion morphism on either
-    side gives the same element as restricting along the inclusion."""
+    side gives the same element as restricting along the inclusion. The
+    differences are summed on integer residues from the cached per-class
+    defects, and must vanish mod p^k for a p-adic element, exactly for an
+    integer one."""
     if x.source != F1.sylow_group or x.target != F2.sylow_group:
         raise FusionError("element does not live over the Sylow pair")
     if F1.prime != F2.prime:
@@ -164,8 +176,16 @@ def is_stable(x: BurnsideElement, F1: FusionSystem, F2: FusionSystem) -> bool:
     if not x.is_zero and x.is_padic and x.prime != F1.prime:
         raise ScalarMismatchError(
             f"element prime {x.prime} differs from fusion prime {F1.prime}")
-    return (_twisted_restrictions_equal(x, F1, "left")
-            and _twisted_restrictions_equal(x, F2, "right"))
+    padic = x.is_padic
+    totals: dict = {}
+    for b, c in x._terms.items():
+        r = c.residue if padic else c
+        for key, m in _stability_defect(b, F1, F2):
+            totals[key] = totals.get(key, 0) + r * m
+    if padic:
+        mod = x.prime ** x.precision
+        return all(v % mod == 0 for v in totals.values())
+    return not any(totals.values())
 
 
 class StableElement:
@@ -287,6 +307,7 @@ def stable_pair_classes(F1: FusionSystem, F2: FusionSystem) \
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
 def stable_basis(F1: FusionSystem, F2: FusionSystem, k: int) \
         -> tuple[StableElement, ...]:
     """One stable basis element per fusion-conjugacy class of pairs:
@@ -346,17 +367,18 @@ def stable_coordinates(x: StableElement, k: int | None = None) \
     sb = stable_basis(F1, F2, k)
     classes = stable_pair_classes(F1, F2)
     ordinary = basis(F1.sylow_group, F2.sylow_group)
+    mod = p ** k
 
     def residues(elt: BurnsideElement) -> list[int]:
-        out = []
-        for b in ordinary:
-            c = elt.coefficient(b)
-            out.append(c.reduce_to(k).residue if isinstance(c, PadicInt) else c)
-        return out
+        if elt.is_padic and elt.precision < k:
+            raise ScalarMismatchError(
+                f"cannot raise precision {elt.precision} to {k}")
+        terms = {b: c.residue if elt.is_padic else c
+                 for b, c in elt._terms.items()}
+        return [terms.get(b, 0) % mod for b in ordinary]
 
     columns = [residues(s.underlying) for s in sb]
-    target = residues(x.underlying.reduce_to(k) if x.underlying.is_padic
-                      else x.underlying)
+    target = residues(x.underlying)
     sol = _solve_unit_pivot(columns, target, p, k)
     if sol is None:
         raise FusionError("stable element failed to solve in the stable basis")

@@ -117,10 +117,3 @@ class PadicInt:
 
     def __str__(self) -> str:
         return f"{self.residue} mod {self.prime}^{self.precision}"
-
-    def to_json(self) -> dict:
-        return {"p": self.prime, "k": self.precision, "r": str(self.residue)}
-
-    @staticmethod
-    def from_json(data: dict) -> "PadicInt":
-        return PadicInt(int(data["p"]), int(data["k"]), int(data["r"]))

@@ -14,7 +14,7 @@ import json
 
 from .burnside import BisetClass, BurnsideElement, canonical_class
 from .errors import InputError
-from .fusion import FusionSystem, StableElement, fusion_system
+from .fusion import StableElement, fusion_system
 from .groups import GroupHom, PermGroup, Subgroup, mulclose, parse_group
 from .padic import PadicInt
 from .perms import cycle_string, parse_cycles

@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 from .burnside import (augmentation_ideal_generators, basis, compose,
                        decompose, identity_element, ideal_power_membership,
                        realize, restrict, ring_product, single)
-from .completion import (complete, complete_functor_check,
+from .completion import (complete_functor_check,
                          completion_defining_identity, hom_class_check,
                          stable_rank_check, transfer_counterexample_check,
                          verify_splitting_sum)
 from .fusion import (characteristic_idempotent, fusion_system, invert_stable,
                      is_stable, stabilize)
 from .groups import homomorphisms, parse_group, sylow
-from .padic import PadicInt
 
 ROUND_TRIP_ROSTER = ("C1", "C2", "C3", "C4", "C5", "C2xC2", "C6", "S3",
                      "D8", "Q8", "C3xC3", "A4", "D12", "C12")

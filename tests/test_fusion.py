@@ -6,7 +6,7 @@ from burnfuse.burnside import (basis, compose, decompose, identity_class,
                                identity_element, realize, restrict,
                                restrict_along, single)
 from burnfuse.errors import (FusionError, NonUnitError,
-                             NotSemicharacteristicError)
+                             NotSemicharacteristicError, ScalarMismatchError)
 from burnfuse.fusion import (StableElement, a_fus, characteristic_idempotent,
                              fusion_system, invert_stable, is_fusion_preserving,
                              is_stable, is_unit_semichar, stable_basis,
@@ -21,6 +21,7 @@ S4 = parse_group("S4")
 A4 = parse_group("A4")
 C3 = parse_group("C3")
 C6 = parse_group("C6")
+D8 = parse_group("D8")
 E = parse_group("C1")
 
 
@@ -120,6 +121,86 @@ def test_restrictions_always_stable():
             assert is_stable(y, F1, F2)
 
 
+def oracle_twisted_restrictions_equal(x, fus, side):
+    """Stability on one side by whole-element restriction: along every
+    fusion morphism P -> S the restriction equals the one along the
+    inclusion, compared as elements."""
+    S = fus.sylow_group
+    for P in subgroups_up_to_conjugacy(S):
+        incl = inclusion_hom(P, S)
+        morphs = fus.morphisms_to_sylow(P)
+        if side == "left":
+            base = restrict_along(x, left_hom=incl)
+        else:
+            base = restrict_along(x, right_hom=incl)
+        for phi in morphs:
+            if phi.images == incl.images:
+                continue
+            if side == "left":
+                other = restrict_along(x, left_hom=phi)
+            else:
+                other = restrict_along(x, right_hom=phi)
+            if other != base:
+                return False
+    return True
+
+
+def oracle_is_stable(x, F1, F2):
+    return (oracle_twisted_restrictions_equal(x, F1, "left")
+            and oracle_twisted_restrictions_equal(x, F2, "right"))
+
+
+ORACLE_CASES = [(S3, S3, 2), (S3, S3, 3), (S3, S4, 2), (A4, S4, 2),
+                (S4, S4, 2), (C6, S3, 3), (D8, S4, 2), (S4, A4, 2)]
+
+
+@pytest.mark.parametrize("G,H,p", ORACLE_CASES,
+                         ids=lambda v: v.label if hasattr(v, "label") else str(v))
+def test_is_stable_matches_restriction_oracle(G, H, p):
+    k = 3
+    F1, F2 = fusion_system(G, p), fusion_system(H, p)
+    pool = basis(F1.sylow_group, F2.sylow_group)
+    rng = random.Random(2024 + len(pool))
+
+    def random_sum(coeff):
+        picks = rng.sample(pool, min(3, len(pool)))
+        return sum((coeff() * single(b) for b in picks[1:]),
+                   coeff() * single(picks[0]))
+
+    integer = [random_sum(lambda: rng.randrange(-3, 4)) for _ in range(4)]
+    integer += [restrict(single(b), F1.sylow, F2.sylow)
+                for b in rng.sample(basis(G, H), 2)]
+    stabilized = [stabilize(single(b), F1, F2, k).underlying
+                  for b in rng.sample(pool, min(3, len(pool)))]
+    # p^(k-1) [b] is stable mod p^(k-1); these are not stable mod p^k
+    tops = [PadicInt(p, k, p ** (k - 1)) * single(b).lift(p, k) for b in pool]
+    unstable = [t for t in tops if not oracle_is_stable(t, F1, F2)]
+    perturbed = [s + rng.choice(unstable) for s in stabilized if unstable]
+    padic = [random_sum(lambda: PadicInt(p, k, rng.randrange(p ** k)))
+             for _ in range(4)]
+    seen = set()
+    for x in integer + stabilized + perturbed + padic:
+        want = oracle_is_stable(x, F1, F2)
+        assert is_stable(x, F1, F2) == want
+        seen.add(want)
+    for s in stabilized:
+        assert is_stable(s, F1, F2)
+    for x in perturbed:
+        assert not is_stable(x, F1, F2)
+        assert is_stable(x.reduce_to(k - 1), F1, F2)
+    assert seen == ({True, False} if unstable else {True})
+
+
+def test_stable_coordinates_precision():
+    F = fusion_system(S3, 3)
+    x = stabilize(single(identity_class(F.sylow_group)), F, F, 3)
+    with pytest.raises(ScalarMismatchError):
+        stable_coordinates(x, 4)
+    coarse = stable_coordinates(x, 2)
+    assert coarse == [(cls, c.reduce_to(2))
+                      for cls, c in stable_coordinates(x)]
+
+
 def test_characteristic_idempotent_trivial_fusion():
     for spec, p in [("C2", 2), ("C3", 3), ("D8", 2), ("C2xC2", 2), ("Q8", 2)]:
         G = parse_group(spec)
@@ -175,6 +256,15 @@ def test_stable_element_constructor_validates():
     S = F3.sylow_group
     with pytest.raises(FusionError):
         StableElement(single(identity_class(S)).lift(3, 4), F3, F3)
+    # stable on the left but not on the right
+    F1, F2 = fusion_system(S3, 2), fusion_system(S4, 2)
+    one_sided = [x for x in (single(b).lift(2, 3)
+                             for b in basis(F1.sylow_group, F2.sylow_group))
+                 if oracle_twisted_restrictions_equal(x, F1, "left")
+                 and not oracle_twisted_restrictions_equal(x, F2, "right")]
+    assert one_sided
+    with pytest.raises(FusionError):
+        StableElement(one_sided[0], F1, F2)
 
 
 def test_stable_basis_counts():

@@ -71,12 +71,6 @@ def test_str():
     assert str(PadicInt(2, 4, 5)) == "5 mod 2^4"
 
 
-def test_json_round_trip():
-    x = PadicInt(3, 6, 217)
-    assert PadicInt.from_json(x.to_json()) == x
-    assert x.to_json() == {"p": 3, "k": 6, "r": "217"}
-
-
 def test_int_mixing():
     a = PadicInt(3, 3, 5)
     assert 2 * a == PadicInt(3, 3, 10)
