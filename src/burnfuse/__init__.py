@@ -3,7 +3,7 @@ characteristic idempotents, and the algebraic p-completion map."""
 
 from .burnside import (BisetClass, BurnsideElement, ConcreteBiset, augment,
                        basis, compose, decompose, ideal_power_membership,
-                       identity_element, marks, opposite, realize, restrict,
+                       identity_element, opposite, realize, restrict,
                        ring_product, semichar_embed)
 from .completion import (CompletionReport, complete, complete_functor_check,
                          splitting_idempotent_approx, stable_rank_check,
@@ -26,7 +26,7 @@ __all__ = [
     "complete_functor_check", "compose", "decompose", "double_cosets",
     "fusion_system", "homomorphisms", "ideal_power_membership",
     "identity_element", "invert_stable", "is_fusion_preserving", "is_stable",
-    "marks", "opposite", "parse_group", "realize", "restrict", "ring_product",
+    "opposite", "parse_group", "realize", "restrict", "ring_product",
     "semichar_embed", "splitting_idempotent_approx", "stable_basis",
     "stable_rank_check", "stabilize", "subgroups_up_to_conjugacy", "sylow",
     "transfer_counterexample_check", "trivial_group", "verify_splitting_sum",

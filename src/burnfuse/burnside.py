@@ -24,12 +24,12 @@ from .groups import (GroupHom, PermGroup, Subgroup, as_group,
                      trivial_group)
 from .intlattice import IntegerLattice
 from .padic import PadicInt
-from .perms import Perm, cycle_string
+from .perms import cycle_string
 
 
 class BisetClass:
     """The canonical representative [K, phi] of a transitive (G,H)-biset
-    class. Instances are produced by canonical_class and are interned, so
+    class. Instances are produced by _canonical_pair and are interned, so
     equal classes are usually the same object."""
 
     __slots__ = ("source", "target", "K", "phi", "_hash")
@@ -78,14 +78,14 @@ class BisetClass:
 
 @functools.lru_cache(maxsize=None)
 def _canonical_pair(source: PermGroup, target: PermGroup, K: Subgroup,
-                    images: tuple[Perm, ...]) -> BisetClass:
-    """Canonicalize a (subgroup, homomorphism) pair: move K to its conjugacy
-    class representative, then minimize the image tuple over pre-conjugation
-    by the normalizer and post-conjugation by the target. Runs on element
-    indices, whose order is the order of the image tuples."""
+                    images: tuple[int, ...]) -> BisetClass:
+    """Canonicalize a (subgroup, homomorphism) pair given on indices: images
+    holds the target indices of the images of K.indices. K moves to its
+    conjugacy class representative, then the image tuple is minimized over
+    pre-conjugation by the normalizer and post-conjugation by the target."""
     K0, g0 = class_rep_and_conjugator(source, K)
     conj, inv = source.conj, source.inv
-    imap = dict(zip(K.indices, map(target.index, images)))
+    imap = dict(zip(K.indices, images))
     # base(x) = phi(g0^-1 x g0) on K0 = g0 K g0^-1
     pre = conj[inv[source.index(g0)]]
     base = {x: imap[pre[x]] for x in K0.indices}.__getitem__
@@ -101,8 +101,9 @@ def _canonical_pair(source: PermGroup, target: PermGroup, K: Subgroup,
 
 def canonical_class(source: PermGroup, target: PermGroup, K: Subgroup,
                     phi) -> BisetClass:
-    images = phi.images if isinstance(phi, GroupHom) else tuple(
-        phi[x] for x in K.elements)
+    """The class [K, phi] of a GroupHom or a dict of permutations on K."""
+    images = phi.image_indices if isinstance(phi, GroupHom) else tuple(
+        target.index(phi[x]) for x in K.elements)
     return _canonical_pair(source, target, K, images)
 
 
@@ -114,7 +115,7 @@ def basis(G: PermGroup, H: PermGroup) -> tuple[BisetClass, ...]:
     out = []
     for K in subgroups_up_to_conjugacy(G):
         for hom in homomorphisms(K, H):
-            b = _canonical_pair(G, H, K, hom.images)
+            b = _canonical_pair(G, H, K, hom.image_indices)
             if b not in seen:
                 seen.add(b)
                 out.append(b)
@@ -296,7 +297,7 @@ def single(b: BisetClass, coeff=1) -> BurnsideElement:
 @functools.lru_cache(maxsize=None)
 def identity_class(G: PermGroup) -> BisetClass:
     full = G.full_subgroup()
-    return canonical_class(G, G, full, inclusion_hom(full, G))
+    return _canonical_pair(G, G, full, full.indices)
 
 
 def identity_element(G: PermGroup) -> BurnsideElement:
@@ -469,18 +470,18 @@ def decompose(X: ConcreteBiset) -> BurnsideElement:
     terms: dict[BisetClass, int] = {}
     for x0 in starts:
         to_h = {}
-        for hi, h in enumerate(H.elements):
+        for hi in range(H.order):
             y = X.right[hi][x0]
             if y in to_h:
                 raise BisetError("right action is not free on an orbit")
-            to_h[y] = h
+            to_h[y] = hi
         members = []
         images = []
         for gi in range(G.order):
-            h = to_h.get(X.left[gi][x0])
-            if h is not None:
+            hi = to_h.get(X.left[gi][x0])
+            if hi is not None:
                 members.append(gi)
-                images.append(h)
+                images.append(hi)
         K = Subgroup.from_indices(G, members)
         b = _canonical_pair(G, H, K, tuple(images))
         terms[b] = terms.get(b, 0) + 1
@@ -498,7 +499,7 @@ def _compose_basis(b1: BisetClass, b2: BisetClass) -> tuple[tuple[BisetClass, in
     G, H, M = b1.source, b1.target, b2.target
     K, phi_idx = b1.K, b1.phi.image_indices
     L = b2.K
-    psi = dict(zip(L.indices, b2.phi.images))
+    psi = dict(zip(L.indices, b2.phi.image_indices))
     phiK = Subgroup.from_indices(H, phi_idx, _checked=True)
     terms: dict[BisetClass, int] = {}
     for x, _ in double_cosets(H, phiK, L):
@@ -569,9 +570,11 @@ def power(x: BurnsideElement, n: int) -> BurnsideElement:
 
 def _inverse_class(f: GroupHom, target: PermGroup) -> BisetClass:
     """The class [f(D), f^-1] over (codomain of f, target) of an injective
-    hom f on D, where target contains the elements of D."""
-    H = f.codomain
-    back = dict(zip(f.image_indices, f.domain.elements))
+    hom f on D, where target is D's parent group or D viewed as a group
+    (`as_group`), whose i-th element is D's i-th element."""
+    H, D = f.codomain, f.domain
+    dom = D.indices if target == D.parent else range(D.order)
+    back = dict(zip(f.image_indices, dom))
     image = Subgroup.from_indices(H, f.image_indices, _checked=True)
     return _canonical_pair(H, target, image,
                            tuple(map(back.__getitem__, image.indices)))
@@ -589,7 +592,7 @@ def _restrict_basis(b: BisetClass, left_hom: GroupHom | None,
     if left_hom is not None:
         src = as_group(left_hom.domain)
         x = compose(single(_canonical_pair(src, b.source, src.full_subgroup(),
-                                           left_hom.images)), x)
+                                           left_hom.image_indices)), x)
     if right_hom is not None:
         x = compose(x, single(_inverse_class(right_hom,
                                              as_group(right_hom.domain))))
@@ -656,8 +659,7 @@ def augment(x: BurnsideElement) -> BurnsideElement:
     G = x.source
     out: dict[BisetClass, object] = {}
     for b, c in x._terms.items():
-        b2 = _canonical_pair(G, TRIVIAL, b.K,
-                             tuple(TRIVIAL.identity for _ in b.K.elements))
+        b2 = burnside_ring_class(G, b.K)
         cur = out.get(b2)
         out[b2] = c if cur is None else cur + c
     return BurnsideElement(G, TRIVIAL, out)
@@ -675,7 +677,7 @@ def semichar_embed(a: BurnsideElement) -> BurnsideElement:
     G = a.source
     out: dict[BisetClass, object] = {}
     for b, c in a._terms.items():
-        b2 = _canonical_pair(G, G, b.K, b.K.elements)
+        b2 = _canonical_pair(G, G, b.K, b.K.indices)
         cur = out.get(b2)
         out[b2] = c if cur is None else cur + c
     return BurnsideElement(G, G, out)
@@ -683,8 +685,7 @@ def semichar_embed(a: BurnsideElement) -> BurnsideElement:
 
 def burnside_ring_class(G: PermGroup, K: Subgroup) -> BisetClass:
     """The class of the G-set G/K in the Burnside ring A(G)."""
-    return _canonical_pair(G, TRIVIAL, K,
-                           tuple(TRIVIAL.identity for _ in K.elements))
+    return _canonical_pair(G, TRIVIAL, K, (0,) * K.order)
 
 
 def burnside_ring_element(G: PermGroup, terms) -> BurnsideElement:
@@ -706,38 +707,6 @@ def _cosets(G: PermGroup, K: Subgroup) -> tuple[tuple[int, ...], list[int]]:
         for x in map(row.__getitem__, K.indices):
             lookup[x] = cid
     return tuple(reps), lookup
-
-
-@functools.lru_cache(maxsize=None)
-def _fixed_points(G: PermGroup, L: Subgroup, K: Subgroup) -> int:
-    """Number of L-fixed cosets in G/K, i.e. cosets gK with g^-1 L g <= K."""
-    reps, _ = _cosets(G, K)
-    gens = L.generator_indices()
-    conj, inv, mask = G.conj, G.inv, K.mask
-    count = 0
-    for g in reps:
-        row = conj[inv[g]]
-        if all(mask >> row[s] & 1 for s in gens):
-            count += 1
-    return count
-
-
-def marks(a: BurnsideElement):
-    """The vector of fixed-point counts of a virtual G-set, indexed by the
-    subgroup classes of G in their canonical order. Multiplication in the
-    Burnside ring is pointwise on these vectors, which makes them the
-    independent oracle for ring products."""
-    if a.target != TRIVIAL:
-        raise BisetError("marks expects an element over (G, trivial)")
-    G = a.source
-    classes = subgroups_up_to_conjugacy(G)
-    out = []
-    for L in classes:
-        total = 0
-        for b, c in a._terms.items():
-            total = total + c * _fixed_points(G, L, b.K)
-        out.append(total)
-    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -892,7 +861,7 @@ __all__ = [
     "BisetClass", "BurnsideElement", "ConcreteBiset",
     "basis", "canonical_class", "realize", "decompose", "compose", "power",
     "restrict", "restrict_along", "opposite", "augment", "in_kernel",
-    "semichar_embed", "marks", "ring_product", "ideal_power_membership",
+    "semichar_embed", "ring_product", "ideal_power_membership",
     "identity_element", "identity_class", "element", "zero", "single",
     "cardinality", "burnside_ring_class", "burnside_ring_element",
     "augmentation_ideal_generators", "kernel_basis_elements", "TRIVIAL",

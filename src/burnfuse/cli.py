@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 from .burnside import basis, compose, restrict, single
 from .completion import (complete, complete_functor_check,
-                         splitting_idempotent_approx,
+                         completion_unit_inverse, splitting_idempotent_approx,
                          transfer_counterexample_check, verify_splitting_sum)
 from .errors import BurnfuseError, InputError
-from .fusion import (characteristic_idempotent, fusion_system, invert_stable,
-                     stabilize, stable_basis)
+from .fusion import characteristic_idempotent, fusion_system, stable_basis
 from .groups import ENUM_CAP, check_cap, enumeration_cap, parse_group, sylow
 from .padic import is_prime
 from .serialize import (dump_json, element_to_json, load_element,
@@ -162,11 +161,7 @@ def cmd_invert_unit(args, cfg: Config) -> int:
     [H] = _groups(args.H)
     p = _require_prime(args.p)
     k = args.k or cfg.precision
-    F = fusion_system(H, p)
-    T = F.sylow
-    from .burnside import identity_element
-    h = stabilize(restrict(identity_element(H), T, T), F, F, k)
-    inv = invert_stable(h, k)
+    inv = completion_unit_inverse(H, p, k)
     _emit_element(inv.underlying, cfg, fusion_context=inv)
     return 0
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import functools
 import json
 
-from .burnside import (BurnsideElement, basis, burnside_ring_element,
-                       canonical_class, cardinality, compose,
+from .burnside import (BurnsideElement, _canonical_pair, basis,
+                       burnside_ring_element, cardinality, compose,
                        ideal_power_membership, identity_element, opposite,
                        power, restrict, semichar_embed, single)
 from .errors import FusionError, InputError
@@ -131,22 +131,23 @@ def complete_functor_check(x: BurnsideElement, y: BurnsideElement,
     return report
 
 
-def hom_class_check(phi_images: dict, G: PermGroup, H: PermGroup,
-                    p: int, k: int) -> bool:
-    """For a group homomorphism phi: G -> H with phi(S) inside T, the
-    completion of the class [G, phi] equals the stable class of the
-    restricted map phi|_S."""
-    full = G.full_subgroup()
-    phi = GroupHom(full, H, phi_images)
+def hom_class_check(phi: GroupHom, p: int, k: int) -> bool:
+    """For a group homomorphism phi: G -> H, defined on all of G, with
+    phi(S) inside T, the completion of the class [G, phi] equals the stable
+    class of the restricted map phi|_S."""
+    G, H = phi.domain.parent, phi.codomain
     S, T = sylow(G, p), sylow(H, p)
-    Tset = set(T.elements)
-    if not all(phi(s) in Tset for s in S.elements):
+    f = phi.image_indices
+    if not all(T.mask >> f[s] & 1 for s in S.indices):
         raise FusionError("the homomorphism does not carry S into T")
     F1, F2 = fusion_system(G, p), fusion_system(H, p)
-    x = single(canonical_class(G, H, full, dict(zip(full.elements, phi.images))))
-    via_completion = complete(x, p, k)
-    restricted = GroupHom(F1.sylow_group.full_subgroup(), F2.sylow_group,
-                          {s: phi(s) for s in F1.sylow_group.elements})
+    via_completion = complete(single(_canonical_pair(G, H, phi.domain, f)),
+                              p, k)
+    # ambient index T.indices[j] is index j of the Sylow group T
+    local = {t: j for j, t in enumerate(T.indices)}
+    restricted = GroupHom.from_indices(
+        F1.sylow_group.full_subgroup(), F2.sylow_group,
+        [local[f[s]] for s in S.indices])
     via_fusion = a_fus(restricted, F1, F2, k)
     return via_completion.underlying == via_fusion.underlying
 
@@ -156,9 +157,8 @@ def hom_class_check(phi_images: dict, G: PermGroup, H: PermGroup,
 
 def _sylow_classes(G: PermGroup, p: int):
     S = sylow(G, p)
-    incl = canonical_class(G, G, S, dict(zip(S.elements, S.elements)))
-    zero = canonical_class(G, G, S, {x: G.identity for x in S.elements})
-    return incl, zero
+    return (_canonical_pair(G, G, S, S.indices),
+            _canonical_pair(G, G, S, (0,) * S.order))
 
 
 def splitting_idempotent_approx(G: PermGroup, p: int, n: int) -> BurnsideElement:
@@ -174,8 +174,7 @@ def splitting_idempotent_approx(G: PermGroup, p: int, n: int) -> BurnsideElement
 
 def unit_minus_trivial(G: PermGroup) -> BurnsideElement:
     """The idempotent [G, i_G] - [G, 0] over (G, G)."""
-    full = G.full_subgroup()
-    zero = canonical_class(G, G, full, {x: G.identity for x in full.elements})
+    zero = _canonical_pair(G, G, G.full_subgroup(), (0,) * G.order)
     return identity_element(G) - single(zero)
 
 
@@ -210,10 +209,9 @@ def verify_splitting_sum(G: PermGroup, k_max: int,
     k_max, find an iterate index whose defect lies in I^k applied to the
     augmentation kernel of the (G,G) module.
 
-    The iterate search at power k is bounded by k + 2; on failure the bound
-    doubles, up to schedule_cap.
-    Exhaustion is reported, not raised. The search shares one iterate index
-    across the primes and records the least one that attains membership.
+    At each power k one scan tries n = 0, 1, ..., schedule_cap and records
+    the least n that attains membership; exhaustion is reported, not
+    raised. The search shares one iterate index across the primes.
     """
     primes = prime_divisors(G.order)
     report = CompletionReport("splitting idempotent sum", {
@@ -238,19 +236,13 @@ def verify_splitting_sum(G: PermGroup, k_max: int,
         return d
 
     for k in range(1, k_max + 1):
-        top = min(k + 2, schedule_cap)
-        attained = None
-        while True:
-            for n in range(0, top + 1):
-                if ideal_power_membership(defect(n), k, restrict_to_kernel=True):
-                    attained = n
-                    break
-            if attained is not None or top >= schedule_cap:
-                break
-            top = min(max(2 * top, top + 1), schedule_cap)
+        attained = next((n for n in range(schedule_cap + 1)
+                         if ideal_power_membership(defect(n), k,
+                                                   restrict_to_kernel=True)),
+                        None)
         if attained is None:
             report.add(f"membership at power {k}", False,
-                       schedule_exhausted_at=top)
+                       schedule_exhausted_at=schedule_cap)
         else:
             stabilized = (defect(attained).is_zero
                           or defect(attained) == defect(attained + 1))

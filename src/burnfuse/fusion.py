@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import functools
 
-from .burnside import (BisetClass, BurnsideElement, _restrict_basis, basis,
-                       canonical_class, cardinality, augment, compose,
+from .burnside import (BisetClass, BurnsideElement, _canonical_pair,
+                       _restrict_basis, augment, basis, cardinality, compose,
                        identity_element, power, restrict, single)
 from .errors import (ConvergenceError, FormulaMismatchError, FusionError,
                      NonUnitError, NotSemicharacteristicError,
@@ -28,8 +28,8 @@ class FusionSystem:
     in G. Constructed through fusion_system(); morphism sets are computed
     on demand and cached."""
 
-    __slots__ = ("ambient", "prime", "sylow", "sylow_group",
-                 "_morphisms", "_to_sylow", "_hash")
+    __slots__ = ("ambient", "prime", "sylow", "sylow_group", "_to_sylow",
+                 "_hash")
 
     def __init__(self, ambient: PermGroup, prime: int):
         if not is_prime(prime):
@@ -38,7 +38,6 @@ class FusionSystem:
         self.prime = prime
         self.sylow = sylow(ambient, prime)
         self.sylow_group = as_group(self.sylow)
-        self._morphisms: dict = {}
         self._to_sylow: dict = {}
         self._hash = hash((ambient, prime))
 
@@ -46,41 +45,28 @@ class FusionSystem:
     def label(self) -> str:
         return f"F_{self.prime}({self.ambient.label})"
 
-    def _conjugation_images(self, P: Subgroup, allowed) -> list[tuple]:
-        """The distinct image tuples of x -> g x g^-1 on P's elements, over
-        g in the ambient group, that lie in the element set `allowed`,
-        sorted."""
-        G = self.ambient
-        dom = [G.index(x) for x in P.elements]
-        inside = {G.index(y) for y in allowed}
-        found = {img for img in (tuple(map(row.__getitem__, dom))
-                                 for row in G.conj)
-                 if inside.issuperset(img)}
-        return [tuple(map(G.elements.__getitem__, img)) for img in sorted(found)]
-
-    def morphisms(self, P: Subgroup, Q: Subgroup) -> tuple[GroupHom, ...]:
-        """All maps P -> Q of the form x -> g x g^-1 with g P g^-1 <= Q,
-        deduplicated as maps."""
-        key = (P, Q)
-        cached = self._morphisms.get(key)
-        if cached is not None:
-            return cached
-        if P.parent != self.sylow_group or Q.parent != self.sylow_group:
-            raise FusionError("arguments must be subgroups of the Sylow group")
-        Qg = as_group(Q)
-        homs = tuple(GroupHom(P, Qg, dict(zip(P.elements, images)))
-                     for images in self._conjugation_images(P, Q.elements))
-        self._morphisms[key] = homs
-        return homs
-
     def morphisms_to_sylow(self, P: Subgroup) -> tuple[GroupHom, ...]:
-        """Morphisms P -> S with the Sylow group itself as codomain."""
+        """All maps P -> S of the form x -> g x g^-1 with g in the ambient
+        group and g P g^-1 <= S, deduplicated as maps and sorted by image
+        indices. They are read off the ambient conjugation table: S's
+        ambient indices are sorted, so ambient index S.indices[i] is index
+        i of the Sylow group."""
         cached = self._to_sylow.get(P)
         if cached is not None:
             return cached
-        homs = tuple(GroupHom(P, self.sylow_group, dict(zip(P.elements, images)))
-                     for images in self._conjugation_images(
-                         P, self.sylow_group.elements))
+        if P.parent != self.sylow_group:
+            raise FusionError("the argument must be a subgroup of the Sylow group")
+        S = self.sylow.indices
+        local = [-1] * self.ambient.order
+        for i, a in enumerate(S):
+            local[a] = i
+        dom = [S[i] for i in P.indices]
+        found = {img for img in (tuple(map(local.__getitem__,
+                                           map(row.__getitem__, dom)))
+                                 for row in self.ambient.conj)
+                 if -1 not in img}
+        homs = tuple(GroupHom.from_indices(P, self.sylow_group, img)
+                     for img in sorted(found))
         self._to_sylow[P] = homs
         return homs
 
@@ -106,28 +92,25 @@ def fusion_system(G: PermGroup, p: int) -> FusionSystem:
 def is_fusion_preserving(phi: GroupHom, F1: FusionSystem,
                          F2: FusionSystem) -> bool:
     """Whether every morphism psi: P -> S1 of F1 has a companion
-    rho: phi(P) -> S2 in F2 with phi . psi = rho . phi on P."""
+    rho: phi(P) -> S2 in F2 with phi . psi = rho . phi on P. Runs on
+    indices: phi's image indices are aligned with S1's elements."""
     S1, S2 = F1.sylow_group, F2.sylow_group
-    if set(phi.domain.elements) != set(S1.elements):
+    if phi.domain.elements != S1.elements:
         raise FusionError("the map must be defined on the whole Sylow group")
     if phi.codomain != S2:
         raise FusionError("the map must land in the target Sylow group")
+    f = phi.image_indices
     for P in subgroups_up_to_conjugacy(S1):
-        imgP = Subgroup(S2, {phi(x) for x in P.elements}, _checked=True)
-        candidates = F2.morphisms_to_sylow(imgP)
+        imgP = Subgroup.from_indices(S2, map(f.__getitem__, P.indices),
+                                     _checked=True)
+        companions = {rho.image_indices
+                      for rho in F2.morphisms_to_sylow(imgP)}
         for psi in F1.morphisms_to_sylow(P):
-            required = {}
-            consistent = True
-            for x in P.elements:
-                key = phi(x)
-                val = phi(psi(x))
-                if required.setdefault(key, val) != val:
-                    consistent = False
-                    break
-            if not consistent:
-                return False
-            if not any(all(rho(y) == required[y] for y in imgP.elements)
-                       for rho in candidates):
+            required: dict[int, int] = {}
+            for x, y in zip(P.indices, psi.image_indices):
+                if required.setdefault(f[x], f[y]) != f[y]:
+                    return False
+            if tuple(map(required.__getitem__, imgP.indices)) not in companions:
                 return False
     return True
 
@@ -148,12 +131,11 @@ def _stability_defect(b: BisetClass, F1: FusionSystem, F2: FusionSystem) \
     for side, fus in enumerate((F1, F2)):
         S = fus.sylow_group
         for P in subgroups_up_to_conjugacy(S):
-            incl = inclusion_hom(P, S)
             twists = [phi for phi in fus.morphisms_to_sylow(P)
-                      if phi.images != incl.images]
+                      if phi.image_indices != P.indices]
             if not twists:
                 continue
-            base = _restriction(b, side, incl)
+            base = _restriction(b, side, inclusion_hom(P))
             for phi in twists:
                 diff = dict(_restriction(b, side, phi))
                 for b2, m in base:
@@ -265,45 +247,31 @@ def stabilize(x: BurnsideElement, F1: FusionSystem, F2: FusionSystem,
 def stable_pair_classes(F1: FusionSystem, F2: FusionSystem) \
         -> tuple[tuple[BisetClass, ...], ...]:
     """Partition of the ordinary basis classes over the Sylow pair into
-    fusion-conjugacy classes, by a brute-force merge: (K, phi) is identified
-    with (a(K), b . phi . a^-1) for fusion isomorphisms a of the source and
-    b of the target."""
+    fusion-conjugacy classes: (K, phi) is identified with
+    (a(K), b . phi . a^-1) for fusion morphisms a: K -> S1 and
+    b: phi(K) -> S2. Fusion morphisms compose and include the inverses, so
+    the one-step image of a pair is its whole class; each class is built
+    from its least member, and the classes come in the order of those."""
     S1, S2 = F1.sylow_group, F2.sylow_group
-    ordinary = basis(S1, S2)
-    index = {b: i for i, b in enumerate(ordinary)}
-    parent = list(range(len(ordinary)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for b in ordinary:
-        K, phi = b.K, b.phi
-        i = index[b]
-        imgK = Subgroup(S2, set(phi.images), _checked=True)
-        betas = F2.morphisms_to_sylow(imgK)
-        for alpha in F1.morphisms_to_sylow(K):
-            newK = Subgroup(S1, set(alpha.images), _checked=True)
-            inv_alpha = {alpha(x): x for x in K.elements}
-            for beta in betas:
-                mapped = {y: beta(phi(inv_alpha[y])) for y in newK.elements}
-                b2 = canonical_class(S1, S2, newK, mapped)
-                union(i, index[b2])
-    groups: dict[int, list[BisetClass]] = {}
-    for b, i in index.items():
-        groups.setdefault(find(i), []).append(b)
+    seen: set[BisetClass] = set()
     out = []
-    for root in sorted(groups):
-        members = sorted(groups[root], key=lambda b: b.sort_key)
-        out.append(tuple(members))
-    out.sort(key=lambda grp: grp[0].sort_key)
+    for b in basis(S1, S2):
+        if b in seen:
+            continue
+        phi = b.phi.image_indices
+        imgK = Subgroup.from_indices(S2, phi, _checked=True)
+        betas = [dict(zip(imgK.indices, beta.image_indices)).__getitem__
+                 for beta in F2.morphisms_to_sylow(imgK)]
+        members = set()
+        for alpha in F1.morphisms_to_sylow(b.K):
+            newK = Subgroup.from_indices(S1, alpha.image_indices, _checked=True)
+            # phi . alpha^-1 on newK's indices
+            moved = dict(zip(alpha.image_indices, phi))
+            pre = tuple(map(moved.__getitem__, newK.indices))
+            members.update(_canonical_pair(S1, S2, newK, tuple(map(beta, pre)))
+                           for beta in betas)
+        seen |= members
+        out.append(tuple(sorted(members, key=lambda m: m.sort_key)))
     return tuple(out)
 
 
@@ -322,8 +290,29 @@ def stable_basis(F1: FusionSystem, F2: FusionSystem, k: int) \
     return tuple(out)
 
 
-def _solve_unit_pivot(columns: list[list[int]], target: list[int],
-                      p: int, k: int) -> list[int] | None:
+def _residues(elt: BurnsideElement, ordinary, p: int, k: int) -> list[int]:
+    """The coefficients of elt on the ordinary basis, mod p^k."""
+    if elt.is_padic and elt.precision < k:
+        raise ScalarMismatchError(
+            f"cannot raise precision {elt.precision} to {k}")
+    mod = p ** k
+    terms = {b: c.residue if elt.is_padic else c
+             for b, c in elt._terms.items()}
+    return [terms.get(b, 0) % mod for b in ordinary]
+
+
+@functools.lru_cache(maxsize=None)
+def _stable_columns(F1: FusionSystem, F2: FusionSystem, k: int) \
+        -> tuple[tuple[int, ...], ...]:
+    """The stable basis elements as residue columns over the ordinary
+    basis, mod p^k."""
+    ordinary = basis(F1.sylow_group, F2.sylow_group)
+    return tuple(tuple(_residues(s.underlying, ordinary, F1.prime, k))
+                 for s in stable_basis(F1, F2, k))
+
+
+def _solve_unit_pivot(columns: tuple[tuple[int, ...], ...],
+                      target: list[int], p: int, k: int) -> list[int] | None:
     """Solve sum_j c_j columns[j] = target over Z/p^k by elimination with
     unit pivots. Returns the coefficient list, or None if inconsistent.
     Requires the columns to be independent mod p, which holds for stable
@@ -364,25 +353,13 @@ def stable_coordinates(x: StableElement, k: int | None = None) \
     k = k if k is not None else x.underlying.precision
     if k is None:
         raise ScalarMismatchError("a precision is required for zero elements")
-    sb = stable_basis(F1, F2, k)
-    classes = stable_pair_classes(F1, F2)
-    ordinary = basis(F1.sylow_group, F2.sylow_group)
-    mod = p ** k
-
-    def residues(elt: BurnsideElement) -> list[int]:
-        if elt.is_padic and elt.precision < k:
-            raise ScalarMismatchError(
-                f"cannot raise precision {elt.precision} to {k}")
-        terms = {b: c.residue if elt.is_padic else c
-                 for b, c in elt._terms.items()}
-        return [terms.get(b, 0) % mod for b in ordinary]
-
-    columns = [residues(s.underlying) for s in sb]
-    target = residues(x.underlying)
-    sol = _solve_unit_pivot(columns, target, p, k)
+    target = _residues(x.underlying, basis(F1.sylow_group, F2.sylow_group),
+                       p, k)
+    sol = _solve_unit_pivot(_stable_columns(F1, F2, k), target, p, k)
     if sol is None:
         raise FusionError("stable element failed to solve in the stable basis")
-    return [(cls, PadicInt(p, k, c)) for cls, c in zip(classes, sol)]
+    return [(cls, PadicInt(p, k, c))
+            for cls, c in zip(stable_pair_classes(F1, F2), sol)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -390,9 +367,8 @@ def _semichar_classes(F1: FusionSystem, F2: FusionSystem) -> frozenset:
     """The fusion pair classes that contain an inclusion-type pair [K, i_K];
     only defined for F1 == F2."""
     S = F1.sylow_group
-    incl = set()
-    for K in subgroups_up_to_conjugacy(S):
-        incl.add(canonical_class(S, S, K, dict(zip(K.elements, K.elements))))
+    incl = {_canonical_pair(S, S, K, K.indices)
+            for K in subgroups_up_to_conjugacy(S)}
     return frozenset(grp for grp in stable_pair_classes(F1, F2)
                      if any(b in incl for b in grp))
 
@@ -473,8 +449,7 @@ def a_fus(phi: GroupHom, F1: FusionSystem, F2: FusionSystem,
         raise FusionError("the map is not fusion preserving")
     S1, S2 = F1.sylow_group, F2.sylow_group
     p = F1.prime
-    cls = canonical_class(S1, S2, S1.full_subgroup(),
-                          dict(zip(phi.domain.elements, phi.images)))
+    cls = _canonical_pair(S1, S2, S1.full_subgroup(), phi.image_indices)
     base = single(cls).lift(p, k)
     w2 = characteristic_idempotent(F2, k).underlying
     out = compose(base, w2)

@@ -336,7 +336,9 @@ class Subgroup:
 
 @functools.lru_cache(maxsize=None)
 def as_group(sub: Subgroup) -> PermGroup:
-    """View a subgroup as a PermGroup in the same permutation universe."""
+    """View a subgroup as a PermGroup in the same permutation universe. Its
+    element i is sub.elements[i], which has index sub.indices[i] in the
+    parent, because both orders are the order of the image tuples."""
     gens = sub.generators()
     if gens:
         body = ", ".join(cycle_string(g) for g in gens)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonUnitError, ScalarMismatchError
+from .errors import ScalarMismatchError
 
 
 def is_prime(n: int) -> bool:
@@ -106,14 +106,6 @@ class PadicInt:
 
     def __neg__(self):
         return PadicInt(self.prime, self.precision, -self.residue)
-
-    def invert(self) -> "PadicInt":
-        if not self.is_unit:
-            raise NonUnitError(
-                f"{self} is divisible by {self.prime}, not invertible")
-        x, _, g = xgcd(self.residue, self.modulus)
-        assert g == 1
-        return PadicInt(self.prime, self.precision, x)
 
     def __str__(self) -> str:
         return f"{self.residue} mod {self.prime}^{self.precision}"

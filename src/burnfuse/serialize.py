@@ -1,4 +1,5 @@
-"""JSON encoding and decoding of Burnside elements and stable elements.
+"""JSON encoding and decoding of Burnside elements, and encoding of stable
+elements.
 
 An element serializes as its group specs, a scalar descriptor, and a list of
 terms; each term carries the subgroup K by generator cycle-strings, the map
@@ -12,10 +13,10 @@ from __future__ import annotations
 import functools
 import json
 
-from .burnside import BisetClass, BurnsideElement, canonical_class
+from .burnside import BisetClass, BurnsideElement, _canonical_pair
 from .errors import InputError
-from .fusion import StableElement, fusion_system
-from .groups import GroupHom, PermGroup, Subgroup, mulclose, parse_group
+from .fusion import StableElement
+from .groups import PermGroup, Subgroup, mulclose, parse_group
 from .padic import PadicInt
 from .perms import cycle_string, parse_cycles
 
@@ -67,8 +68,8 @@ def _term_from_json(term: dict, source: PermGroup,
                       [target.index(h) for h in images.values()], target)
     if full is None or len(full) != K.order:
         raise InputError("the phi generator images do not define a homomorphism")
-    hom = GroupHom.from_indices(K, target, map(full.__getitem__, K.indices))
-    return canonical_class(source, target, K, hom)
+    return _canonical_pair(source, target, K,
+                           tuple(map(full.__getitem__, K.indices)))
 
 
 def _integer(value) -> int:
@@ -116,18 +117,6 @@ def stable_to_json(x: StableElement) -> dict:
     data["rightFusion"] = {"group": x.right_fusion.ambient.label,
                            "p": x.right_fusion.prime}
     return data
-
-
-@_decoder
-def stable_from_json(data: dict) -> StableElement:
-    lf, rf = data["leftFusion"], data["rightFusion"]
-    F1 = fusion_system(parse_group(lf["group"]), _integer(lf["p"]))
-    F2 = fusion_system(parse_group(rf["group"]), _integer(rf["p"]))
-    underlying = element_from_json(data)
-    if underlying.source != F1.sylow_group or underlying.target != F2.sylow_group:
-        raise InputError("the element does not live over the Sylow pair "
-                         "of the declared fusion systems")
-    return StableElement(underlying, F1, F2)
 
 
 def load_element(path: str) -> BurnsideElement:

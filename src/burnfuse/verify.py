@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 from .burnside import (augmentation_ideal_generators, basis, compose,
                        decompose, identity_element, ideal_power_membership,
                        realize, restrict, ring_product, single)
-from .completion import (complete_functor_check,
-                         completion_defining_identity, hom_class_check,
-                         stable_rank_check, transfer_counterexample_check,
-                         verify_splitting_sum)
-from .fusion import (characteristic_idempotent, fusion_system, invert_stable,
-                     is_stable, stabilize)
+from .completion import (complete_functor_check, completion_defining_identity,
+                         completion_unit, completion_unit_inverse,
+                         hom_class_check, stable_rank_check,
+                         transfer_counterexample_check, verify_splitting_sum)
+from .fusion import characteristic_idempotent, fusion_system, is_stable
 from .groups import homomorphisms, parse_group, sylow
 
 ROUND_TRIP_ROSTER = ("C1", "C2", "C3", "C4", "C5", "C2xC2", "C6", "S3",
@@ -167,11 +166,9 @@ def criterion_inverse_formulas() -> VerdictResult:
         for spec in INVERSE_GROUPS:
             H = parse_group(spec)
             for p in (2, 3):
-                F = fusion_system(H, p)
-                T = F.sylow
-                h = stabilize(restrict(identity_element(H), T, T), F, F, 6)
-                inv = invert_stable(h, 6)
-                w = characteristic_idempotent(F, 6).underlying
+                h = completion_unit(H, p, 6)
+                inv = completion_unit_inverse(H, p, 6)
+                w = characteristic_idempotent(fusion_system(H, p), 6).underlying
                 if compose(h.underlying, inv.underlying) != w:
                     r.fail(f"right inverse fails for ({spec}, {p})")
                 if compose(inv.underlying, h.underlying) != w:
@@ -215,14 +212,12 @@ def criterion_functoriality(seed: int = DEFAULT_SEED) -> VerdictResult:
             for hs in HOM_FUNCTOR_GROUPS:
                 G, H = parse_group(gs), parse_group(hs)
                 for p in (2, 3):
-                    T = sylow(H, p)
-                    tset = set(T.elements)
+                    S, T = sylow(G, p), sylow(H, p)
                     for phi in homomorphisms(G.full_subgroup(), H):
-                        S = sylow(G, p)
-                        if not all(phi(s) in tset for s in S.elements):
+                        f = phi.image_indices
+                        if not all(T.mask >> f[s] & 1 for s in S.indices):
                             continue
-                        images = dict(zip(phi.domain.elements, phi.images))
-                        if not hom_class_check(images, G, H, p, 4):
+                        if not hom_class_check(phi, p, 4):
                             r.fail(f"group-map class mismatch {gs}->{hs} p={p}")
                             return
                         hom_checks += 1

@@ -9,7 +9,7 @@ from burnfuse.burnside import (BisetClass, BurnsideElement, ConcreteBiset,
                                burnside_ring_element, canonical_class,
                                cardinality, compose, decompose,
                                ideal_power_membership, identity_class,
-                               identity_element, in_kernel, marks, opposite,
+                               identity_element, in_kernel, opposite,
                                power, realize, restrict, ring_product,
                                semichar_embed, single, zero)
 from burnfuse.errors import BisetError, ScalarMismatchError
@@ -329,6 +329,32 @@ def test_semichar_embed():
         for K in subgroups_up_to_conjugacy(G):
             a = burnside_ring_element(G, [(K, 1)])
             assert augment(semichar_embed(a)) == a
+
+
+def _fixed_points(G, L, K):
+    """Number of L-fixed cosets in G/K, i.e. cosets gK with g^-1 L g <= K,
+    on permutation tuples."""
+    kset = set(K.elements)
+    seen, count = set(), 0
+    for g in G.elements:
+        if g in seen:
+            continue
+        seen.update(p_mul(g, k) for k in K.elements)
+        gi = p_inv(g)
+        if all(p_mul(p_mul(gi, x), g) in kset for x in L.generators()):
+            count += 1
+    return count
+
+
+def marks(a):
+    """The ring-product oracle: the vector of fixed-point counts of a
+    virtual G-set, indexed by the subgroup classes of G in their canonical
+    order. Multiplication in the Burnside ring is pointwise on these
+    vectors."""
+    assert a.target == TRIVIAL
+    G = a.source
+    return tuple(sum(c * _fixed_points(G, L, b.K) for b, c in a.terms())
+                 for L in subgroups_up_to_conjugacy(G))
 
 
 def test_marks_examples():

@@ -90,7 +90,7 @@ def test_hom_class_check_inclusion():
     C2 = parse_group("C2")
     t = (0, 2, 1)
     images = {C2.identity: S3.identity, (1, 0): t}
-    assert hom_class_check(images, C2, S3, 2, 4)
+    assert hom_class_check(GroupHom(C2.full_subgroup(), S3, images), 2, 4)
 
 
 def test_hom_class_check_rejects_bad_sylow_image():
@@ -103,7 +103,7 @@ def test_hom_class_check_rejects_bad_sylow_image():
                  and sorted(g) == [0, 1, 2] and g != (1, 2, 0) and g != (2, 0, 1))
     images = {C2.identity: S3.identity, (1, 0): other}
     with pytest.raises(FusionError):
-        hom_class_check(images, C2, S3, 2, 4)
+        hom_class_check(GroupHom(C2.full_subgroup(), S3, images), 2, 4)
 
 
 def test_splitting_idempotent_approx_examples():

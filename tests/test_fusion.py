@@ -2,16 +2,17 @@ import random
 
 import pytest
 
-from burnfuse.burnside import (basis, compose, decompose, identity_class,
-                               identity_element, realize, restrict,
-                               restrict_along, single)
+from burnfuse.burnside import (basis, canonical_class, compose, decompose,
+                               identity_class, identity_element, realize,
+                               restrict, restrict_along, single)
 from burnfuse.errors import (FusionError, NonUnitError,
                              NotSemicharacteristicError, ScalarMismatchError)
 from burnfuse.fusion import (StableElement, a_fus, characteristic_idempotent,
                              fusion_system, invert_stable, is_fusion_preserving,
                              is_stable, is_unit_semichar, stable_basis,
                              stable_coordinates, stable_pair_classes, stabilize)
-from burnfuse.groups import (GroupHom, as_group, inclusion_hom, parse_group,
+from burnfuse.groups import (GroupHom, all_subgroups, as_group, homomorphisms,
+                             inclusion_hom, parse_group,
                              subgroups_up_to_conjugacy, sylow)
 from burnfuse.padic import PadicInt
 from burnfuse.perms import p_inv, p_mul
@@ -35,18 +36,90 @@ def identity_hom_on(F):
     return GroupHom(S.full_subgroup(), S, dict((x, x) for x in S.elements))
 
 
+def oracle_morphisms(F, P, Q):
+    """The maps P -> Q of the form x -> g x g^-1 over g in the ambient
+    group with g P g^-1 <= Q, as sorted permutation image tuples aligned
+    with P's elements."""
+    qset = set(Q.elements)
+    return sorted({images for images in (tuple(p_conj(g, x) for x in P.elements)
+                                         for g in F.ambient.elements)
+                   if qset.issuperset(images)})
+
+
+def oracle_is_fusion_preserving(phi, F1, F2):
+    """Fusion preservation on permutation tuples and dicts: every morphism
+    psi: P -> S1 has a companion rho: phi(P) -> S2 with
+    phi . psi = rho . phi on P."""
+    S1, S2 = F1.sylow_group, F2.sylow_group
+    for P in subgroups_up_to_conjugacy(S1):
+        imgP = S2.subgroup({phi(x) for x in P.elements}, _checked=True)
+        candidates = oracle_morphisms(F2, imgP, S2)
+        for psi in oracle_morphisms(F1, P, S1):
+            required = {}
+            for x, y in zip(P.elements, psi):
+                if required.setdefault(phi(x), phi(y)) != phi(y):
+                    return False
+            if not any(all(rho[i] == required[z]
+                           for i, z in enumerate(imgP.elements))
+                       for rho in candidates):
+                return False
+    return True
+
+
+def oracle_stable_pair_classes(F1, F2):
+    """Fusion classes of the basis over the Sylow pair by union-find:
+    every class is merged with each (a(K), b . phi . a^-1), over all
+    fusion morphisms a and b, on permutation tuples."""
+    S1, S2 = F1.sylow_group, F2.sylow_group
+    ordinary = basis(S1, S2)
+    index = {b: i for i, b in enumerate(ordinary)}
+    parent = list(range(len(ordinary)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for b in ordinary:
+        imgK = S2.subgroup(set(b.phi.images), _checked=True)
+        betas = [dict(zip(imgK.elements, beta))
+                 for beta in oracle_morphisms(F2, imgK, S2)]
+        for alpha in oracle_morphisms(F1, b.K, S1):
+            newK = S1.subgroup(set(alpha), _checked=True)
+            inv_alpha = dict(zip(alpha, b.K.elements))
+            for beta in betas:
+                mapped = {y: beta[b.phi(inv_alpha[y])] for y in newK.elements}
+                ri, rj = find(index[b]), find(index[canonical_class(
+                    S1, S2, newK, mapped)])
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for b, i in index.items():
+        groups.setdefault(find(i), []).append(b)
+    return tuple(sorted((tuple(sorted(g, key=lambda b: b.sort_key))
+                         for g in groups.values()),
+                        key=lambda grp: grp[0].sort_key))
+
+
 def test_fusion_morphism_sets():
     F2 = fusion_system(S3, 2)
     S = F2.sylow_group
-    assert len(F2.morphisms(S.full_subgroup(), S.full_subgroup())) == 1
+    assert len(F2.morphisms_to_sylow(S.full_subgroup())) == 1
     F3 = fusion_system(S3, 3)
     T = F3.sylow_group
-    auts = F3.morphisms(T.full_subgroup(), T.full_subgroup())
-    assert len(auts) == 2
+    assert len(F3.morphisms_to_sylow(T.full_subgroup())) == 2
     F5 = fusion_system(C3, 5)
     assert F5.sylow.order == 1
     e = F5.sylow_group
-    assert len(F5.morphisms(e.full_subgroup(), e.full_subgroup())) == 1
+    assert len(F5.morphisms_to_sylow(e.full_subgroup())) == 1
+    with pytest.raises(FusionError):  # a subgroup of S3, not of the Sylow group
+        F3.morphisms_to_sylow(F3.sylow)
+    # every subgroup of S, class representative or not, against the oracle
+    for G, p in [(S3, 2), (S3, 3), (S4, 2), (S4, 3), (A4, 2), (D8, 2)]:
+        F = fusion_system(G, p)
+        S = F.sylow_group
+        for P in all_subgroups(S):
+            got = [phi.images for phi in F.morphisms_to_sylow(P)]
+            assert got == oracle_morphisms(F, P, S)
 
 
 def test_fusion_axioms():
@@ -68,9 +141,11 @@ def test_fusion_axioms():
             for phi in morphs:
                 img = S.subgroup(set(phi.images), _checked=True)
                 onto = {phi(x): x for x in P.elements}
-                back = F.morphisms(img, P)
-                assert any(all(rho(y) == onto[y] for y in img.elements)
-                           for rho in back)
+                back = oracle_morphisms(F, img, P)
+                assert tuple(onto[y] for y in img.elements) in back
+                # the inverse is a morphism into S as well
+                assert tuple(onto[y] for y in img.elements) in {
+                    rho.images for rho in F.morphisms_to_sylow(img)}
 
 
 def test_is_fusion_preserving():
@@ -85,6 +160,39 @@ def test_is_fusion_preserving():
     assert is_fusion_preserving(cross, FC3, F3)
 
 
+@pytest.mark.parametrize("G,H,p", [(S3, S3, 3), (S3, C3, 3), (A4, A4, 2),
+                                   (A4, S4, 2), (S4, S4, 2), (S4, D8, 2),
+                                   (C6, S3, 2)],
+                         ids=lambda v: v.label if hasattr(v, "label") else str(v))
+def test_is_fusion_preserving_matches_oracle(G, H, p):
+    F1, F2 = fusion_system(G, p), fusion_system(H, p)
+    S1, S2 = F1.sylow_group, F2.sylow_group
+    for phi in homomorphisms(S1.full_subgroup(), S2):
+        assert is_fusion_preserving(phi, F1, F2) == \
+            oracle_is_fusion_preserving(phi, F1, F2)
+
+
+def test_is_fusion_preserving_oracle_sees_both_answers():
+    verdicts = set()
+    for G, H, p in [(A4, A4, 2), (S3, C3, 3)]:
+        F1, F2 = fusion_system(G, p), fusion_system(H, p)
+        for phi in homomorphisms(F1.sylow_group.full_subgroup(),
+                                 F2.sylow_group):
+            verdicts.add(is_fusion_preserving(phi, F1, F2))
+    assert verdicts == {True, False}
+
+
+PARTITION_CASES = [(S3, S3, 2), (S3, S3, 3), (S4, S4, 2), (S4, A4, 2),
+                   (A4, S4, 2), (D8, S4, 2), (C6, S3, 3), (S4, S3, 3)]
+
+
+@pytest.mark.parametrize("G,H,p", PARTITION_CASES,
+                         ids=lambda v: v.label if hasattr(v, "label") else str(v))
+def test_stable_pair_classes_match_union_find_oracle(G, H, p):
+    F1, F2 = fusion_system(G, p), fusion_system(H, p)
+    assert stable_pair_classes(F1, F2) == oracle_stable_pair_classes(F1, F2)
+
+
 def test_group_homs_restrict_to_fusion_preserving():
     # any group homomorphism carrying S into T restricts to a fusion
     # preserving map between the induced systems
@@ -92,7 +200,6 @@ def test_group_homs_restrict_to_fusion_preserving():
         FG, FH = fusion_system(G, p), fusion_system(H, p)
         S, T = FG.sylow, FH.sylow
         tset = set(T.elements)
-        from burnfuse.groups import homomorphisms
         for phi in homomorphisms(G.full_subgroup(), H):
             if not all(phi(s) in tset for s in S.elements):
                 continue
@@ -370,7 +477,8 @@ def test_semichar_ring_compatibility():
     # on semicharacteristic stable elements the augmentation is
     # multiplicative: quotienting a composite matches the ring product of
     # the quotients, with the product read off the marks oracle
-    from burnfuse.burnside import augment, marks, ring_product
+    from burnfuse.burnside import augment, ring_product
+    from test_burnside import marks
     for G, p in [(S3, 2), (S3, 3), (A4, 2)]:
         F = fusion_system(G, p)
         w = characteristic_idempotent(F, 4)

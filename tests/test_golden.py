@@ -65,6 +65,10 @@ GOLDEN_COMMANDS = {
         "74acdc0a45dc9c892ad4b4e56f50f04e8c7039aa4be1292682291105de72e371",
     ("verify", "functor", "S3", "S4", "S3", "--p", "2"):
         "a74c4e0219d7cddd0d4023a489043d6bd397458b1c642311eb96c647760c0423",
+    ("stable-basis", "D8", "S4", "--p", "2", "--k", "4"):
+        "ab8b9fd920bc794198fcefb41d046fa4dae66dbae93a831fff3003d2a46e0015",
+    ("stable-basis", "S4", "A4", "--p", "2", "--k", "4"):
+        "1fd02fe53a735457c4f77d328f535ab5d53466b8ebeb0b61b477b3e8d2092059",
 }
 
 
@@ -138,8 +142,17 @@ def test_basis_stdout_independent_of_hash_seed():
         GOLDEN_BASIS[("S4", "S4", "text")]
 
 
-def test_invert_unit_stdout_independent_of_hash_seed():
-    argv = ("invert-unit", "S4", "--p", "2", "--k", "8")
+def _check_hash_seed_independent(argv):
     first = _cold_stdout("0", *argv)
     assert first == _cold_stdout("1", *argv)
     assert hashlib.sha256(first).hexdigest() == GOLDEN_COMMANDS[argv]
+
+
+def test_invert_unit_stdout_independent_of_hash_seed():
+    _check_hash_seed_independent(("invert-unit", "S4", "--p", "2", "--k", "8"))
+
+
+def test_stable_basis_stdout_independent_of_hash_seed():
+    # fusion classes are collected from sets
+    _check_hash_seed_independent(
+        ("stable-basis", "S4", "S4", "--p", "2", "--k", "6"))

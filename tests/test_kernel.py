@@ -110,7 +110,7 @@ def test_basis_matches_tuple_canonicalization(gs, hs):
     expected = set()
     for K in subgroups_up_to_conjugacy(G):
         for hom in homomorphisms(K, H):
-            b = _canonical_pair(G, H, K, hom.images)
+            b = _canonical_pair(G, H, K, hom.image_indices)
             want = oracle(K.elements, hom.images)
             assert (b.K.elements, b.phi.images) == want
             expected.add(want)
@@ -131,7 +131,7 @@ def test_canonical_pair_on_conjugated_inputs():
                 images = tuple(_conj(h, b.phi(p_mul(p_mul(gi, x), g)))
                                for x in K)
                 sub = G.subgroup(K)
-                got = _canonical_pair(G, H, sub, images)
+                got = _canonical_pair(G, H, sub, tuple(map(H.index, images)))
                 assert got == b
                 assert (got.K.elements, got.phi.images) == oracle(K, images)
 

