@@ -15,8 +15,8 @@ from .burnside import (BisetClass, BurnsideElement, _canonical_pair,
 from .errors import (ConvergenceError, FormulaMismatchError, FusionError,
                      NonUnitError, NotSemicharacteristicError,
                      ScalarMismatchError)
-from .groups import (GroupHom, PermGroup, Subgroup, as_group, inclusion_hom,
-                     subgroups_up_to_conjugacy, sylow)
+from .groups import (GroupHom, PermGroup, Subgroup, all_subgroups, as_group,
+                     inclusion_hom, subgroups_up_to_conjugacy, sylow)
 from .padic import PadicInt, is_prime
 
 ITERATION_GUARD = 64
@@ -122,17 +122,46 @@ def _restriction(b: BisetClass, side: int, hom: GroupHom) \
 
 
 @functools.lru_cache(maxsize=None)
+def _twists(F: FusionSystem, P: Subgroup) -> tuple[GroupHom, ...]:
+    """The fusion morphisms phi: P -> S along which stability is checked,
+    sorted by image indices. A morphism is left out when either holds:
+    - it lies in the Inn(S)-orbit {c_s . psi} of a morphism already kept,
+      or of the inclusion: x -> s^-1 x is a biset isomorphism from the
+      restriction along c_s . psi to the one along psi;
+    - it is the restriction of a fusion morphism psi: R -> S with
+      P < R and |R:P| = p: restriction is functorial and Z-linear, so
+      res_{psi|P} = res_{P->R} . res_psi agrees with res_{P->R} . res_incl
+      once R is checked. In a p-group every proper subgroup has index p in
+      a larger one, so induction from S down covers every P."""
+    S = F.sylow_group
+    rows = S.conj
+    implied = {tuple(map(row.__getitem__, P.indices)) for row in rows}
+    for R in all_subgroups(S):
+        if R.order == F.prime * P.order and R.mask & P.mask == P.mask:
+            at = [i for i, x in enumerate(R.indices) if P.mask >> x & 1]
+            implied.update(tuple(map(psi.image_indices.__getitem__, at))
+                           for psi in F.morphisms_to_sylow(R))
+    out = []
+    for phi in F.morphisms_to_sylow(P):
+        if phi.image_indices not in implied:
+            out.append(phi)
+            implied.update(tuple(map(row.__getitem__, phi.image_indices))
+                           for row in rows)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
 def _stability_defect(b: BisetClass, F1: FusionSystem, F2: FusionSystem) \
         -> tuple[tuple[tuple, int], ...]:
-    """The nonzero entries of res_phi(b) - res_incl(b) over every
-    non-inclusion fusion morphism phi: P -> S, on the left (side 0, F1) and
-    on the right (side 1, F2), keyed by (side, P, phi, class)."""
+    """The nonzero entries of res_phi(b) - res_incl(b) over every twist
+    phi: P -> S of `_twists`, P running over the subgroup classes of S, on
+    the left (side 0, F1) and on the right (side 1, F2), keyed by
+    (side, P, phi, class). Every other fusion morphism's difference is an
+    integer combination of these, so they vanish together mod p^k."""
     out = []
     for side, fus in enumerate((F1, F2)):
-        S = fus.sylow_group
-        for P in subgroups_up_to_conjugacy(S):
-            twists = [phi for phi in fus.morphisms_to_sylow(P)
-                      if phi.image_indices != P.indices]
+        for P in subgroups_up_to_conjugacy(fus.sylow_group):
+            twists = _twists(fus, P)
             if not twists:
                 continue
             base = _restriction(b, side, inclusion_hom(P))
@@ -147,7 +176,10 @@ def _stability_defect(b: BisetClass, F1: FusionSystem, F2: FusionSystem) \
 
 def is_stable(x: BurnsideElement, F1: FusionSystem, F2: FusionSystem) -> bool:
     """Elementary stability: restricting along any fusion morphism on either
-    side gives the same element as restricting along the inclusion. The
+    side gives the same element as restricting along the inclusion. Only
+    the twists of `_twists` are checked: the other morphisms are
+    Inn(S)-translates of these or of the inclusion, or restrictions of
+    morphisms on index-p overgroups, and give the same verdict. The
     differences are summed on integer residues from the cached per-class
     defects, and must vanish mod p^k for a p-adic element, exactly for an
     integer one."""
@@ -290,76 +322,69 @@ def stable_basis(F1: FusionSystem, F2: FusionSystem, k: int) \
     return tuple(out)
 
 
-def _residues(elt: BurnsideElement, ordinary, p: int, k: int) -> list[int]:
-    """The coefficients of elt on the ordinary basis, mod p^k."""
-    if elt.is_padic and elt.precision < k:
-        raise ScalarMismatchError(
-            f"cannot raise precision {elt.precision} to {k}")
-    mod = p ** k
-    terms = {b: c.residue if elt.is_padic else c
-             for b, c in elt._terms.items()}
-    return [terms.get(b, 0) % mod for b in ordinary]
-
-
 @functools.lru_cache(maxsize=None)
 def _stable_columns(F1: FusionSystem, F2: FusionSystem, k: int) \
-        -> tuple[tuple[int, ...], ...]:
-    """The stable basis elements as residue columns over the ordinary
-    basis, mod p^k."""
-    ordinary = basis(F1.sylow_group, F2.sylow_group)
-    return tuple(tuple(_residues(s.underlying, ordinary, F1.prime, k))
-                 for s in stable_basis(F1, F2, k))
+        -> tuple[tuple[tuple[tuple[BisetClass, int], ...], BisetClass, int], ...]:
+    """Per fusion class, in the order of `stable_pair_classes`: the stable
+    basis element as a sparse residue column ((class, residue), ...) mod
+    p^k, a member of the fusion class whose coefficient is a unit mod p,
+    and that coefficient's inverse mod p^k.
 
-
-def _solve_unit_pivot(columns: tuple[tuple[int, ...], ...],
-                      target: list[int], p: int, k: int) -> list[int] | None:
-    """Solve sum_j c_j columns[j] = target over Z/p^k by elimination with
-    unit pivots. Returns the coefficient list, or None if inconsistent.
-    Requires the columns to be independent mod p, which holds for stable
-    basis columns (the stable module is a direct summand)."""
+    The columns are block-triangular over the fusion classes ordered by
+    descending |K|: omega is bifree, so by Mackey composing with it never
+    raises |K|, and at equal |K| it stays inside the fusion class. A column
+    with support on another class of the same or larger |K|, or without a
+    unit on its own class, raises FormulaMismatchError."""
+    p = F1.prime
     mod = p ** k
-    ncols = len(columns)
-    nrows = len(target)
-    a = [[columns[j][i] % mod for j in range(ncols)] + [target[i] % mod]
-         for i in range(nrows)]
-    pivot_row_of_col: dict[int, int] = {}
-    used_rows: set[int] = set()
-    for j in range(ncols):
-        pivot = next((i for i in range(nrows)
-                      if i not in used_rows and a[i][j] % p != 0), None)
+    classes = stable_pair_classes(F1, F2)
+    where = {b: i for i, cls in enumerate(classes) for b in cls}
+    out = []
+    for i, (cls, s) in enumerate(zip(classes, stable_basis(F1, F2, k))):
+        column = tuple((b, c.residue) for b, c in s.underlying.terms())
+        if any(where[b] != i and b.K.order >= cls[0].K.order
+               for b, _ in column):
+            raise FormulaMismatchError(
+                "stable basis columns are not triangular over the fusion classes")
+        pivot = next(((b, c) for b, c in column if where[b] == i and c % p),
+                     None)
         if pivot is None:
             raise FormulaMismatchError(
                 "stable basis columns are not independent mod p")
-        inv = pow(a[pivot][j], -1, mod)
-        a[pivot] = [(v * inv) % mod for v in a[pivot]]
-        for i in range(nrows):
-            if i != pivot and a[i][j]:
-                f = a[i][j]
-                a[i] = [(v - f * w) % mod for v, w in zip(a[i], a[pivot])]
-        used_rows.add(pivot)
-        pivot_row_of_col[j] = pivot
-    for i in range(nrows):
-        if i not in used_rows and a[i][ncols] % mod != 0:
-            return None
-    return [a[pivot_row_of_col[j]][ncols] for j in range(ncols)]
+        out.append((column, pivot[0], pow(pivot[1], -1, mod)))
+    return tuple(out)
 
 
 def stable_coordinates(x: StableElement, k: int | None = None) \
         -> list[tuple[tuple[BisetClass, ...], PadicInt]]:
     """Coordinates of a stable element in the stable basis, as pairs
-    (fusion class of (K, phi), coefficient)."""
+    (fusion class of (K, phi), coefficient). The columns of
+    `_stable_columns` are triangular, so the classes are solved one at a
+    time in order of descending |K|: the coefficient is read at the
+    class's pivot, the column is subtracted, and every member of the class
+    must then be zero mod p^k."""
     F1, F2 = x.left_fusion, x.right_fusion
+    elt = x.underlying
     p = F1.prime
-    k = k if k is not None else x.underlying.precision
+    k = k if k is not None else elt.precision
     if k is None:
         raise ScalarMismatchError("a precision is required for zero elements")
-    target = _residues(x.underlying, basis(F1.sylow_group, F2.sylow_group),
-                       p, k)
-    sol = _solve_unit_pivot(_stable_columns(F1, F2, k), target, p, k)
-    if sol is None:
-        raise FusionError("stable element failed to solve in the stable basis")
-    return [(cls, PadicInt(p, k, c))
-            for cls, c in zip(stable_pair_classes(F1, F2), sol)]
+    if elt.is_padic and elt.precision < k:
+        raise ScalarMismatchError(
+            f"cannot raise precision {elt.precision} to {k}")
+    mod = p ** k
+    rest = {b: c.residue % mod for b, c in elt._terms.items()}
+    out = []
+    for cls, (column, pivot, inv) in zip(stable_pair_classes(F1, F2),
+                                         _stable_columns(F1, F2, k)):
+        a = rest.get(pivot, 0) * inv % mod
+        if a:
+            for b, c in column:
+                rest[b] = (rest.get(b, 0) - a * c) % mod
+        if any(rest.get(b) for b in cls):
+            raise FusionError("stable element failed to solve in the stable basis")
+        out.append((cls, PadicInt(p, k, a)))
+    return out
 
 
 @functools.lru_cache(maxsize=None)

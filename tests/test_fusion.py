@@ -2,15 +2,17 @@ import random
 
 import pytest
 
+from burnfuse import fusion
 from burnfuse.burnside import (basis, canonical_class, compose, decompose,
                                identity_class, identity_element, realize,
                                restrict, restrict_along, single)
-from burnfuse.errors import (FusionError, NonUnitError,
+from burnfuse.errors import (FormulaMismatchError, FusionError, NonUnitError,
                              NotSemicharacteristicError, ScalarMismatchError)
-from burnfuse.fusion import (StableElement, a_fus, characteristic_idempotent,
-                             fusion_system, invert_stable, is_fusion_preserving,
-                             is_stable, is_unit_semichar, stable_basis,
-                             stable_coordinates, stable_pair_classes, stabilize)
+from burnfuse.fusion import (StableElement, _twists, a_fus,
+                             characteristic_idempotent, fusion_system,
+                             invert_stable, is_fusion_preserving, is_stable,
+                             is_unit_semichar, stable_basis, stable_coordinates,
+                             stable_pair_classes, stabilize)
 from burnfuse.groups import (GroupHom, all_subgroups, as_group, homomorphisms,
                              inclusion_hom, parse_group,
                              subgroups_up_to_conjugacy, sylow)
@@ -23,6 +25,12 @@ A4 = parse_group("A4")
 C3 = parse_group("C3")
 C6 = parse_group("C6")
 D8 = parse_group("D8")
+A5 = parse_group("A5")
+S5 = parse_group("S5")
+S3xC3 = parse_group("S3xC3")
+S4xC2 = parse_group("S4xC2")
+D8xC2 = parse_group("D8xC2")
+C2 = parse_group("C2")
 E = parse_group("C1")
 
 
@@ -258,7 +266,8 @@ def oracle_is_stable(x, F1, F2):
 
 
 ORACLE_CASES = [(S3, S3, 2), (S3, S3, 3), (S3, S4, 2), (A4, S4, 2),
-                (S4, S4, 2), (C6, S3, 3), (D8, S4, 2), (S4, A4, 2)]
+                (S4, S4, 2), (C6, S3, 3), (D8, S4, 2), (S4, A4, 2),
+                (A5, A4, 2), (S3xC3, S3, 3)]
 
 
 @pytest.mark.parametrize("G,H,p", ORACLE_CASES,
@@ -296,6 +305,50 @@ def test_is_stable_matches_restriction_oracle(G, H, p):
         assert not is_stable(x, F1, F2)
         assert is_stable(x.reduce_to(k - 1), F1, F2)
     assert seen == ({True, False} if unstable else {True})
+
+
+def inner_orbit(S, images):
+    """The image tuples of c_s . phi over s in S, for phi given by its
+    image tuple."""
+    return {tuple(p_conj(s, y) for y in images) for s in S.elements}
+
+
+def oracle_overgroup_restrictions(F, P):
+    """The restrictions to P of every fusion morphism R -> S, over the
+    subgroups R of S that contain P with index p, as image tuples aligned
+    with P's elements."""
+    S = F.sylow_group
+    pset = set(P.elements)
+    out = set()
+    for R in all_subgroups(S):
+        if R.order == F.prime * P.order and pset <= set(R.elements):
+            for psi in oracle_morphisms(F, R, S):
+                at = dict(zip(R.elements, psi))
+                out.add(tuple(at[x] for x in P.elements))
+    return out
+
+
+@pytest.mark.parametrize("G,p", [(S4, 2), (A4, 2), (A5, 2), (S3xC3, 3),
+                                 (S4xC2, 2)],
+                         ids=lambda v: v.label if hasattr(v, "label") else str(v))
+def test_twists_cover_every_fusion_morphism(G, p):
+    # every fusion morphism on a subgroup class is an Inn(S)-translate of
+    # the inclusion or of a kept twist, or extends to an index-p overgroup;
+    # the kept twists are fusion morphisms that no other rule covers
+    F = fusion_system(G, p)
+    S = F.sylow_group
+    kept = 0
+    for P in subgroups_up_to_conjugacy(S):
+        morphs = set(oracle_morphisms(F, P, S))
+        covered = (inner_orbit(S, P.elements)
+                   | oracle_overgroup_restrictions(F, P))
+        for phi in _twists(F, P):
+            assert phi.images in morphs
+            assert phi.images not in covered
+            covered |= inner_orbit(S, phi.images)
+            kept += 1
+        assert morphs <= covered
+    assert kept > 0
 
 
 def test_stable_coordinates_precision():
@@ -559,6 +612,100 @@ def test_a_fus_rejects_non_preserving():
                      dict((x, x) for x in F3.sylow_group.elements))
     with pytest.raises(FusionError):
         a_fus(cross, F3, FC3, 4)
+
+
+def dense_residues(elt, ordinary, p, k):
+    """The coefficients of elt on the ordinary basis, mod p^k."""
+    if elt.is_padic and elt.precision < k:
+        raise ScalarMismatchError(
+            f"cannot raise precision {elt.precision} to {k}")
+    mod = p ** k
+    terms = {b: c.residue if elt.is_padic else c
+             for b, c in elt._terms.items()}
+    return [terms.get(b, 0) % mod for b in ordinary]
+
+
+def dense_solve_unit_pivot(columns, target, p, k):
+    """Solve sum_j c_j columns[j] = target over Z/p^k by elimination with
+    unit pivots over the whole ordinary basis. Returns the coefficient
+    list, or None if inconsistent."""
+    mod = p ** k
+    ncols = len(columns)
+    nrows = len(target)
+    a = [[columns[j][i] % mod for j in range(ncols)] + [target[i] % mod]
+         for i in range(nrows)]
+    pivot_row_of_col: dict[int, int] = {}
+    used_rows: set[int] = set()
+    for j in range(ncols):
+        pivot = next((i for i in range(nrows)
+                      if i not in used_rows and a[i][j] % p != 0), None)
+        if pivot is None:
+            raise FormulaMismatchError(
+                "stable basis columns are not independent mod p")
+        inv = pow(a[pivot][j], -1, mod)
+        a[pivot] = [(v * inv) % mod for v in a[pivot]]
+        for i in range(nrows):
+            if i != pivot and a[i][j]:
+                f = a[i][j]
+                a[i] = [(v - f * w) % mod for v, w in zip(a[i], a[pivot])]
+        used_rows.add(pivot)
+        pivot_row_of_col[j] = pivot
+    for i in range(nrows):
+        if i not in used_rows and a[i][ncols] % mod != 0:
+            return None
+    return [a[pivot_row_of_col[j]][ncols] for j in range(ncols)]
+
+
+@pytest.mark.parametrize("G,H,p", [(S4, S4, 2), (S5, S5, 2), (S5, S4, 3),
+                                   (A4, S4, 2), (S3, S3, 3), (D8xC2, C2, 2),
+                                   (A5, A5, 2), (S4, S3, 3)],
+                         ids=lambda v: v.label if hasattr(v, "label") else str(v))
+def test_stable_coordinates_match_dense_oracle(G, H, p):
+    k = 3
+    F1, F2 = fusion_system(G, p), fusion_system(H, p)
+    sb = stable_basis(F1, F2, k)
+    ordinary = basis(F1.sylow_group, F2.sylow_group)
+    columns = [dense_residues(s.underlying, ordinary, p, k) for s in sb]
+    rng = random.Random(7 + len(ordinary))
+    for _ in range(3):
+        coeffs = [PadicInt(p, k, rng.randrange(p ** k)) for _ in sb]
+        total = sum((c * s.underlying for c, s in zip(coeffs[1:], sb[1:])),
+                    coeffs[0] * sb[0].underlying)
+        got = stable_coordinates(StableElement(total, F1, F2))
+        assert [cls for cls, _ in got] == list(stable_pair_classes(F1, F2))
+        want = dense_solve_unit_pivot(
+            columns, dense_residues(total, ordinary, p, k), p, k)
+        assert [c.residue for _, c in got] == want
+        assert [c for _, c in got] == coeffs
+
+
+def reversed_basis(sb):
+    """Each column on a foreign fusion class: a class gets no unit pivot or
+    support on a class of larger or equal |K|."""
+    return sb[::-1]
+
+
+def skewed_basis(sb):
+    """p times the first element added to the second: the second keeps its
+    unit pivot but gains support on a class of larger or equal |K|."""
+    first, second = sb[0], sb[1]
+    bent = StableElement(second.underlying + first.prime * first.underlying,
+                         first.left_fusion, first.right_fusion)
+    return (first, bent, *sb[2:])
+
+
+@pytest.mark.parametrize("misalign", [reversed_basis, skewed_basis])
+def test_stable_columns_reject_misaligned_basis(monkeypatch, misalign):
+    F = fusion_system(S4, 2)
+    original = fusion.stable_basis
+    monkeypatch.setattr(fusion, "stable_basis",
+                        lambda F1, F2, k: misalign(original(F1, F2, k)))
+    fusion._stable_columns.cache_clear()
+    try:
+        with pytest.raises(FormulaMismatchError):
+            stable_coordinates(characteristic_idempotent(F, 3))
+    finally:
+        fusion._stable_columns.cache_clear()
 
 
 def test_stable_coordinates_round_trip():

@@ -69,6 +69,8 @@ GOLDEN_COMMANDS = {
         "ab8b9fd920bc794198fcefb41d046fa4dae66dbae93a831fff3003d2a46e0015",
     ("stable-basis", "S4", "A4", "--p", "2", "--k", "4"):
         "1fd02fe53a735457c4f77d328f535ab5d53466b8ebeb0b61b477b3e8d2092059",
+    ("invert-unit", "D8xC2", "--p", "2", "--k", "4"):
+        "7ef88681cac126441ebd3fe78d6096519a8bc35538bf2f2104bd32598c2d3a4d",
 }
 
 
