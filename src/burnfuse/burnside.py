@@ -4,10 +4,13 @@ The module of virtual (G,H)-bisets with free right H-action has a canonical
 basis of transitive classes [K, phi] with K a subgroup of G up to conjugacy
 and phi: K -> H a homomorphism up to pre-conjugation by the normalizer of K
 and post-conjugation by H. Composition of two classes is the Mackey sum over
-double cosets in the middle group; restriction is composition with the
-classes of the restricting maps, and the opposite of a bifree class is the
-class of the inverse map. realize and decompose convert between classes and
-explicit bisets with action tables.
+double cosets in the middle group, and the other operations are derived
+from it: restriction is composition with the classes of the restricting
+maps, augmentation is composition with the (H, trivial)-biset H/H, and the
+Burnside ring A(G), embedded as the classes [K, i_K], multiplies by
+composition. The opposite of a bifree class is the class of the inverse
+map. realize and decompose convert between classes and explicit bisets
+with action tables.
 
 Coefficients are plain integers or PadicInt values; an element is homogeneous
 in scalar kind and carries a single (p, k) when p-adic.
@@ -149,6 +152,14 @@ def _classify_scalars(terms: dict) -> tuple[str, tuple[int, int] | None]:
     return kind or "int", pk
 
 
+def _accumulate(out: dict, c, pairs) -> None:
+    """Add c * mult to out[b] for every (b, mult) in pairs."""
+    for b, mult in pairs:
+        cur = out.get(b)
+        add = c * mult
+        out[b] = add if cur is None else cur + add
+
+
 class BurnsideElement:
     """A finite integer or p-adic linear combination of BisetClass values
     over a fixed (source, target) pair. Zero coefficients are dropped."""
@@ -222,9 +233,7 @@ class BurnsideElement:
         if self.source != other.source or self.target != other.target:
             raise BisetError("cannot add elements over different group pairs")
         out = dict(self._terms)
-        for b, c in other._terms.items():
-            cur = out.get(b)
-            out[b] = (sign * c) if cur is None else cur + sign * c
+        _accumulate(out, sign, other._terms.items())
         return BurnsideElement(self.source, self.target, out)
 
     def __add__(self, other):
@@ -306,12 +315,7 @@ def identity_element(G: PermGroup) -> BurnsideElement:
 
 def cardinality(x: BurnsideElement):
     """Total point count of the virtual biset."""
-    total = 0
-    for b, c in x._terms.items():
-        total = total + c * b.size
-    if isinstance(total, int) and x.is_padic:
-        return PadicInt(x.prime, x.precision, 0)
-    return total
+    return sum(c * b.size for b, c in x._terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +544,7 @@ def compose(x: BurnsideElement, y: BurnsideElement) -> BurnsideElement:
     out: dict[BisetClass, object] = {}
     for b1, c1 in x._terms.items():
         for b2, c2 in y._terms.items():
-            c = c1 * c2
-            for b, mult in _compose_basis(b1, b2):
-                cur = out.get(b)
-                add = c * mult
-                out[b] = add if cur is None else cur + add
+            _accumulate(out, c1 * c2, _compose_basis(b1, b2))
     return BurnsideElement(x.source, y.target, out)
 
 
@@ -612,10 +612,7 @@ def restrict_along(x: BurnsideElement, left_hom: GroupHom | None = None,
     tgt = as_group(right_hom.domain) if right_hom is not None else x.target
     out: dict[BisetClass, object] = {}
     for b, c in x._terms.items():
-        for b2, mult in _restrict_basis(b, left_hom, right_hom):
-            cur = out.get(b2)
-            add = c * mult
-            out[b2] = add if cur is None else cur + add
+        _accumulate(out, c, _restrict_basis(b, left_hom, right_hom))
     return BurnsideElement(src, tgt, out)
 
 
@@ -642,10 +639,7 @@ def opposite(x: BurnsideElement) -> BurnsideElement:
     Every class in the support must have injective phi."""
     out: dict[BisetClass, object] = {}
     for b, c in x._terms.items():
-        for b2, mult in _opposite_basis(b):
-            cur = out.get(b2)
-            add = c * mult
-            out[b2] = add if cur is None else cur + add
+        _accumulate(out, c, _opposite_basis(b))
     return BurnsideElement(x.target, x.source, out)
 
 
@@ -654,15 +648,12 @@ TRIVIAL = trivial_group()
 
 def augment(x: BurnsideElement) -> BurnsideElement:
     """Quotient by the free right action: [K, phi] maps to the left G-set
-    G/K, an element over (G, trivial). The kernel of this map consists of
-    the elements with augment(x) = 0."""
-    G = x.source
-    out: dict[BisetClass, object] = {}
-    for b, c in x._terms.items():
-        b2 = burnside_ring_class(G, b.K)
-        cur = out.get(b2)
-        out[b2] = c if cur is None else cur + c
-    return BurnsideElement(G, TRIVIAL, out)
+    G/K, an element over (G, trivial). This is composition with the
+    (H, trivial)-biset H/H, the class [H, 0]: its one double coset
+    phi(K)\\H/H gives [K, 0]. The kernel of this map consists of the
+    elements with augment(x) = 0."""
+    H = x.target
+    return compose(x, single(burnside_ring_class(H, H.full_subgroup())))
 
 
 def in_kernel(x: BurnsideElement) -> bool:
@@ -676,10 +667,8 @@ def semichar_embed(a: BurnsideElement) -> BurnsideElement:
         raise BisetError("semichar_embed expects an element over (G, trivial)")
     G = a.source
     out: dict[BisetClass, object] = {}
-    for b, c in a._terms.items():
-        b2 = _canonical_pair(G, G, b.K, b.K.indices)
-        cur = out.get(b2)
-        out[b2] = c if cur is None else cur + c
+    _accumulate(out, 1, ((_canonical_pair(G, G, b.K, b.K.indices), c)
+                         for b, c in a._terms.items()))
     return BurnsideElement(G, G, out)
 
 
@@ -693,77 +682,16 @@ def burnside_ring_element(G: PermGroup, terms) -> BurnsideElement:
         burnside_ring_class(G, K): c for K, c in terms})
 
 
-@functools.lru_cache(maxsize=None)
-def _cosets(G: PermGroup, K: Subgroup) -> tuple[tuple[int, ...], list[int]]:
-    """Left cosets gK: representatives (minimal member) and the coset number
-    of each element, all as element indices."""
-    lookup = [-1] * G.order
-    reps = []
-    for g, row in enumerate(G.mul):
-        if lookup[g] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(g)
-        for x in map(row.__getitem__, K.indices):
-            lookup[x] = cid
-    return tuple(reps), lookup
-
-
-@functools.lru_cache(maxsize=None)
-def _ring_product_classes(G: PermGroup, K: Subgroup, L: Subgroup) \
-        -> tuple[tuple[BisetClass, int], ...]:
-    """Orbit decomposition of the G-set G/K x G/L with diagonal action."""
-    repsK, lookK = _cosets(G, K)
-    repsL, lookL = _cosets(G, L)
-    mul = G.mul
-    gens = [mul[i] for i in G.generator_indices()]
-    orbit: dict[tuple[int, int], int] = {}
-    terms: dict[BisetClass, int] = {}
-    n_orbits = 0
-    for i in range(len(repsK)):
-        for j in range(len(repsL)):
-            if (i, j) in orbit:
-                continue
-            stack = [(i, j)]
-            orbit[(i, j)] = n_orbits
-            members = [(i, j)]
-            while stack:
-                a, bq = stack.pop()
-                ra, rb = repsK[a], repsL[bq]
-                for row in gens:
-                    nxt = (lookK[row[ra]], lookL[row[rb]])
-                    if nxt not in orbit:
-                        orbit[nxt] = n_orbits
-                        members.append(nxt)
-                        stack.append(nxt)
-            n_orbits += 1
-            ra, rb = repsK[i], repsL[j]
-            stab = [g for g, row in enumerate(mul)
-                    if lookK[row[ra]] == i and lookL[row[rb]] == j]
-            assert len(members) * len(stab) == G.order
-            b2 = burnside_ring_class(
-                G, Subgroup.from_indices(G, stab, _checked=True))
-            terms[b2] = terms.get(b2, 0) + 1
-    return tuple(sorted(terms.items(), key=lambda kv: kv[0].sort_key))
-
-
 def ring_product(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
-    """Product in the Burnside ring A(G): the cartesian product of G-sets
-    with the diagonal action, decomposed into orbits."""
+    """Product in the Burnside ring A(G). G/K x G/L is the sum over x in
+    K\\G/L of G/(K intersect xLx^-1), which is the Mackey composition
+    [K, i_K] o [L, 0] of the embedded first factor with the second; the
+    scalar rules are those of compose."""
     if a.target != TRIVIAL or b.target != TRIVIAL:
         raise BisetError("ring_product expects elements over (G, trivial)")
     if a.source != b.source:
         raise BisetError("ring_product needs a common group")
-    G = a.source
-    out: dict[BisetClass, object] = {}
-    for b1, c1 in a._terms.items():
-        for b2, c2 in b._terms.items():
-            c = c1 * c2
-            for bc, mult in _ring_product_classes(G, b1.K, b2.K):
-                cur = out.get(bc)
-                add = c * mult
-                out[bc] = add if cur is None else cur + add
-    return BurnsideElement(G, TRIVIAL, out)
+    return compose(semichar_embed(a), b)
 
 
 # ---------------------------------------------------------------------------

@@ -45,22 +45,26 @@ class Config:
 def read_config_file(path: str = CONFIG_FILE) -> dict:
     if not os.path.exists(path):
         return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8
+        raise InputError(f"cannot read config from {path}: {exc}") from exc
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputError(f"bad config line {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in ("precision", "order_cap", "schedule_cap", "seed"):
-                try:
-                    out[key] = int(value)
-                except ValueError as exc:
-                    raise InputError(f"config key {key} needs an integer") from exc
-            else:
-                raise InputError(f"unknown config key {key!r}")
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InputError(f"bad config line {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in ("precision", "order_cap", "schedule_cap", "seed"):
+            try:
+                out[key] = int(value)
+            except ValueError as exc:
+                raise InputError(f"config key {key} needs an integer") from exc
+        else:
+            raise InputError(f"unknown config key {key!r}")
     return out
 
 
@@ -113,6 +117,14 @@ def _require_prime(p: int) -> int:
     return p
 
 
+def _precision(args, default: int) -> int:
+    """The --k of a command, or default when it is not given."""
+    k = args.k if args.k is not None else default
+    if k < 1:
+        raise InputError("precision k must be at least 1")
+    return k
+
+
 def cmd_basis(args, cfg: Config) -> int:
     G, H = _groups(args.G, args.H)
     classes = basis(G, H)
@@ -151,7 +163,7 @@ def cmd_restrict(args, cfg: Config) -> int:
 def cmd_idempotent(args, cfg: Config) -> int:
     [G] = _groups(args.G)
     p = _require_prime(args.p)
-    k = args.k or cfg.precision
+    k = _precision(args, cfg.precision)
     w = characteristic_idempotent(fusion_system(G, p), k)
     _emit_element(w.underlying, cfg, fusion_context=w)
     return 0
@@ -160,7 +172,7 @@ def cmd_idempotent(args, cfg: Config) -> int:
 def cmd_invert_unit(args, cfg: Config) -> int:
     [H] = _groups(args.H)
     p = _require_prime(args.p)
-    k = args.k or cfg.precision
+    k = _precision(args, cfg.precision)
     inv = completion_unit_inverse(H, p, k)
     _emit_element(inv.underlying, cfg, fusion_context=inv)
     return 0
@@ -169,7 +181,7 @@ def cmd_invert_unit(args, cfg: Config) -> int:
 def cmd_complete(args, cfg: Config) -> int:
     x = _element(args.element)
     p = _require_prime(args.p)
-    k = args.k or cfg.precision
+    k = _precision(args, cfg.precision)
     c = complete(x, p, k)
     _emit_element(c.underlying, cfg, fusion_context=c)
     return 0
@@ -178,7 +190,7 @@ def cmd_complete(args, cfg: Config) -> int:
 def cmd_stable_basis(args, cfg: Config) -> int:
     G, H = _groups(args.G, args.H)
     p = _require_prime(args.p)
-    k = args.k or cfg.precision
+    k = _precision(args, cfg.precision)
     F1, F2 = fusion_system(G, p), fusion_system(H, p)
     sb = stable_basis(F1, F2, k)
     if cfg.format == "json":
@@ -223,7 +235,7 @@ def cmd_verify(args, cfg: Config) -> int:
             raise InputError("verify functor needs three groups: G H K")
         G, H, K = _groups(*args.args)
         p = _require_prime(args.p)
-        k = args.k or 4
+        k = _precision(args, 4)
         import random
         rng = random.Random(cfg.seed)
         ok = True
@@ -246,7 +258,7 @@ def cmd_verify(args, cfg: Config) -> int:
     if args.what == "counterexample":
         [H] = _groups(*args.args)
         p = _require_prime(args.p)
-        k = args.k or cfg.precision
+        k = _precision(args, cfg.precision)
         report = transfer_counterexample_check(H, p, k)
         return _finish_report(report, cfg)
     if args.what == "all":
@@ -357,9 +369,6 @@ def run(argv=None) -> int:
         with enumeration_cap(cfg.order_cap):
             return args.func(args, cfg)
     except BurnfuseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

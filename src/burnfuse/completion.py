@@ -164,7 +164,7 @@ def _sylow_classes(G: PermGroup, p: int):
 def splitting_idempotent_approx(G: PermGroup, p: int, n: int) -> BurnsideElement:
     """The exact integer element ([S,i_S] - [S,0])^((p-1)p^n) over (G,G)."""
     if n < 0:
-        raise ValueError("the iterate index must be nonnegative")
+        raise InputError("the iterate index must be nonnegative")
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
     incl, zero = _sylow_classes(G, p)

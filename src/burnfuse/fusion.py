@@ -115,12 +115,6 @@ def is_fusion_preserving(phi: GroupHom, F1: FusionSystem,
     return True
 
 
-def _restriction(b: BisetClass, side: int, hom: GroupHom) \
-        -> tuple[tuple[BisetClass, int], ...]:
-    return (_restrict_basis(b, hom, None) if side == 0
-            else _restrict_basis(b, None, hom))
-
-
 @functools.lru_cache(maxsize=None)
 def _twists(F: FusionSystem, P: Subgroup) -> tuple[GroupHom, ...]:
     """The fusion morphisms phi: P -> S along which stability is checked,
@@ -164,9 +158,11 @@ def _stability_defect(b: BisetClass, F1: FusionSystem, F2: FusionSystem) \
             twists = _twists(fus, P)
             if not twists:
                 continue
-            base = _restriction(b, side, inclusion_hom(P))
-            for phi in twists:
-                diff = dict(_restriction(b, side, phi))
+            # side 0 restricts the left action, side 1 the right one
+            base, *rows = (_restrict_basis(b, *((h, None), (None, h))[side])
+                           for h in (inclusion_hom(P),) + twists)
+            for phi, row in zip(twists, rows):
+                diff = dict(row)
                 for b2, m in base:
                     diff[b2] = diff.get(b2, 0) - m
                 out.extend(((side, P, phi, b2), m)
@@ -312,14 +308,8 @@ def stable_basis(F1: FusionSystem, F2: FusionSystem, k: int) \
         -> tuple[StableElement, ...]:
     """One stable basis element per fusion-conjugacy class of pairs:
     the class representative composed with the idempotents on both sides."""
-    w1 = characteristic_idempotent(F1, k).underlying
-    w2 = characteristic_idempotent(F2, k).underlying
-    out = []
-    for group in stable_pair_classes(F1, F2):
-        rep = group[0]
-        val = compose(compose(w1, single(rep).lift(F1.prime, k)), w2)
-        out.append(StableElement(val, F1, F2))
-    return tuple(out)
+    return tuple(stabilize(single(group[0]), F1, F2, k)
+                 for group in stable_pair_classes(F1, F2))
 
 
 @functools.lru_cache(maxsize=None)
@@ -429,12 +419,8 @@ def invert_stable(x: StableElement, k: int) -> StableElement:
     F = x.left_fusion
     p = F.prime
     omega = characteristic_idempotent(F, k).underlying
-    u = x.underlying.lift(p, k) if not x.underlying.is_padic \
-        else x.underlying.reduce_to(k)
-    if u.precision != k:
-        raise ScalarMismatchError(
-            f"element precision {u.precision} does not match requested {k}")
-    xp1 = power(u, p - 1) if p > 1 else u
+    u = x.underlying.lift(p, k)
+    xp1 = power(u, p - 1)
     head = power(u, p - 2) if p > 2 else omega
     # series route
     d = omega - xp1

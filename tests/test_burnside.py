@@ -380,6 +380,98 @@ def test_marks_multiplicative_oracle():
                                          semichar_embed(b)))) == pointwise
 
 
+def _left_cosets(G, K):
+    """Left cosets gK: representatives (minimal member) and the coset number
+    of each element, all as element indices."""
+    lookup = [-1] * G.order
+    reps = []
+    for g, row in enumerate(G.mul):
+        if lookup[g] >= 0:
+            continue
+        reps.append(g)
+        for x in map(row.__getitem__, K.indices):
+            lookup[x] = len(reps) - 1
+    return reps, lookup
+
+
+def oracle_ring_product(G, K, L):
+    """The ring-product oracle by orbits: decompose the G-set G/K x G/L with
+    the diagonal action into orbits, each contributing G/(point stabilizer).
+    Independent of the Mackey composition."""
+    repsK, lookK = _left_cosets(G, K)
+    repsL, lookL = _left_cosets(G, L)
+    gens = [G.mul[i] for i in G.generator_indices()]
+    seen = set()
+    terms = {}
+    for start in itertools.product(range(len(repsK)), range(len(repsL))):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, size = [start], 1
+        while stack:
+            i, j = stack.pop()
+            for row in gens:
+                nxt = (lookK[row[repsK[i]]], lookL[row[repsL[j]]])
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+                    size += 1
+        i, j = start
+        stab = [g for g, row in enumerate(G.mul)
+                if lookK[row[repsK[i]]] == i and lookL[row[repsL[j]]] == j]
+        assert size * len(stab) == G.order
+        b = burnside_ring_class(G, Subgroup.from_indices(G, stab))
+        terms[b] = terms.get(b, 0) + 1
+    return BurnsideElement(G, TRIVIAL, terms)
+
+
+@pytest.mark.parametrize("spec", ["S3", "C6", "D8", "Q8", "A4", "S4", "C3xC3"])
+def test_ring_product_matches_orbit_oracle(spec):
+    G = parse_group(spec)
+    classes = subgroups_up_to_conjugacy(G)
+    for K, L in itertools.product(classes, repeat=2):
+        got = ring_product(burnside_ring_element(G, [(K, 1)]),
+                           burnside_ring_element(G, [(L, 1)]))
+        assert got == oracle_ring_product(G, K, L), (K, L)
+
+
+def test_ring_product_scalar_rules():
+    D8 = parse_group("D8")
+    rng = random.Random(108)
+    classes = subgroups_up_to_conjugacy(D8)
+    a = burnside_ring_element(D8, [(K, rng.randint(-3, 3)) for K in classes])
+    b = burnside_ring_element(D8, [(K, rng.randint(-3, 3)) for K in classes])
+    assert ring_product(a.lift(2, 4), b) == ring_product(a, b).lift(2, 4)
+    assert ring_product(a, b.lift(2, 4)).precision == 4
+    with pytest.raises(ScalarMismatchError):
+        ring_product(a.lift(2, 4), b.lift(2, 5))
+    with pytest.raises(BisetError):
+        ring_product(a, burnside_ring_element(S3, [(S3.full_subgroup(), 1)]))
+    with pytest.raises(BisetError):
+        ring_product(semichar_embed(a), b)
+
+
+def augment_oracle(x):
+    """[K, phi] -> G/K, class by class."""
+    out = {}
+    for b, c in x.terms():
+        key = burnside_ring_class(x.source, b.K)
+        out[key] = out[key] + c if key in out else c
+    return BurnsideElement(x.source, TRIVIAL, out)
+
+
+@pytest.mark.parametrize("G,H", [("S4", "S3"), ("D8", "C2xC2"), ("A4", "A4")])
+def test_augment_matches_per_class_map(G, H):
+    G, H = parse_group(G), parse_group(H)
+    rng = random.Random(109)
+    for _ in range(6):
+        x = random_element(G, H, rng, terms=5)
+        assert augment(x) == augment_oracle(x)
+        xp = x.lift(3, 4)
+        assert augment(xp) == augment_oracle(xp)
+    assert augment(zero(G, H)) == zero(G, TRIVIAL)
+
+
 def test_ideal_membership_examples():
     assert ideal_power_membership(zero(S3, S3), 1)
     assert ideal_power_membership(zero(S3, S3), 3)

@@ -4,6 +4,7 @@ import pytest
 
 from burnfuse.burnside import basis, single
 from burnfuse.cli import Config, read_config_file, run
+from burnfuse.completion import splitting_idempotent_approx
 from burnfuse.errors import InputError
 from burnfuse.groups import parse_group
 from burnfuse.serialize import dump_json, element_to_json
@@ -129,6 +130,48 @@ def test_config_file(tmp_path, monkeypatch, capsys):
     (tmp_path / "burnfuse.toml").write_text("nonsense = 3\n", encoding="utf-8")
     code, _, err = invoke(capsys, "idempotent", "S3", "--p", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["idempotent", "S3", "--p", "3"],
+    ["invert-unit", "S3", "--p", "3"],
+    ["complete", "ELEMENT", "--p", "2"],
+    ["stable-basis", "S3", "S3", "--p", "3"],
+    ["verify", "functor", "S3", "S3", "S3", "--p", "2"],
+    ["verify", "counterexample", "C3", "--p", "2"],
+])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_nonpositive_k_exits_two(tmp_path, capsys, argv, k):
+    path = tmp_path / "x.json"
+    S3 = parse_group("S3")
+    path.write_text(dump_json(element_to_json(single(basis(S3, S3)[2]))),
+                    encoding="utf-8")
+    argv = [str(path) if a == "ELEMENT" else a for a in argv]
+    code, out, err = invoke(capsys, *argv, "--k", k)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_unreadable_config_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "burnfuse.toml").write_bytes(b"precision = 4 # \xff\n")
+    with pytest.raises(InputError):
+        read_config_file()
+    code, out, err = invoke(capsys, "idempotent", "S3", "--p", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    code, out, err = invoke(capsys, "--config", str(tmp_path),
+                            "idempotent", "S3", "--p", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_negative_splitting_index_exits_two(capsys):
+    with pytest.raises(InputError):
+        splitting_idempotent_approx(parse_group("S3"), 2, -1)
+    code, out, err = invoke(capsys, "splitting", "S3", "--p", "2", "--n", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_config_validation():

@@ -7,7 +7,9 @@ kernel picks the same canonical [K, phi] representatives, labels and order.
 The digests of commands that compose or restrict were recorded from the
 implementation that composed by realizing both bisets and taking their
 coequalizer, so they pin that the double-coset formulas give the same
-output.
+output. The `verify sum` digests were recorded from the implementation that
+multiplied in the Burnside ring by decomposing G/K x G/L into orbits, so
+they pin that ring products by Mackey composition give the same output.
 """
 
 import hashlib
@@ -71,6 +73,12 @@ GOLDEN_COMMANDS = {
         "1fd02fe53a735457c4f77d328f535ab5d53466b8ebeb0b61b477b3e8d2092059",
     ("invert-unit", "D8xC2", "--p", "2", "--k", "4"):
         "7ef88681cac126441ebd3fe78d6096519a8bc35538bf2f2104bd32598c2d3a4d",
+    ("verify", "sum", "D8", "--kmax", "3"):
+        "54ac26f84730b9ec9556ac4c13bf13695a1a1dcd0b38118a6e1f53d6d9cd1433",
+    ("verify", "sum", "S4", "--kmax", "2"):
+        "cd90da01a629d54345dd38e5cc354377f3ba05de936e1f1f7a5da977ff43dec6",
+    ("--format", "json", "verify", "sum", "S3", "--kmax", "3"):
+        "d1e19be2bc8a4d5fd73b064e5fe703a33e05fc86c3fdccfc3e73411b32a30f5b",
 }
 
 
