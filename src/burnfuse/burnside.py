@@ -374,118 +374,71 @@ class ConcreteBiset:
                 raise BisetError("right action is not free")
 
 
-def _full_tables(group: PermGroup, gen_rows: dict[int, list[int]], size: int,
-                 side: str):
-    """Expand generator action rows to all elements using BFS factorizations."""
-    rows: list = [None] * group.order
-    rows[0] = list(range(size))
-    for gi, row in gen_rows.items():
-        rows[gi] = row
-    for elem_i, gen_i, prefix_i in group.bfs_words(side):
-        if rows[elem_i] is not None:
-            continue
-        # left: (g*prefix).x = g.(prefix.x); right: x.(prefix*g) = (x.prefix).g
-        grow = rows[gen_i]
-        prow = rows[prefix_i]
-        rows[elem_i] = [grow[prow[x]] for x in range(size)]
-    return rows
-
-
 @functools.lru_cache(maxsize=None)
 def realize(b: BisetClass) -> ConcreteBiset:
     """The transitive biset (G x H) / (g k, h) ~ (g, phi(k) h) with left and
-    right multiplication actions. Points are equivalence classes; the class
-    of (g, h) is represented by its minimal member, as a pair of indices."""
+    right multiplication actions, by a closed formula.
+
+    The members of the class of (g, h) are (g k, phi(k)^-1 h) for k in K, and
+    their first entries run once over the coset gK. So each class has exactly
+    one member (m, h) with m = min(gK), and these pairs are the points: m runs
+    over the coset minima in increasing order, h over H, and (m, h) is point
+    pos(m)*|H| + h. The right action is (m, h).h0 = (m, h h0). The left action
+    is g.(m, h) = (m', t h) with x = g m, m' = min(xK), t = phi(x^-1 m')^-1.
+    """
     G, H, K, phi = b.source, b.target, b.K, b.phi
     gmul, hmul, ginv = G.mul, H.mul, G.inv
-    # The members of the class of (g, h) are (g k, phi(k)^-1 h) for k in K.
-    # Their first entries g k are distinct, so the minimal member is the one
-    # whose first entry is the least element m of the coset gK, at k = g^-1 m.
     coset_min = [min(map(row.__getitem__, K.indices)) for row in gmul]
-    phi_inv = dict(zip(K.indices, map(H.inv.__getitem__, phi.image_indices)))
-
-    def rep(g: int, h: int) -> tuple[int, int]:
-        m = coset_min[g]
-        return m, hmul[phi_inv[gmul[ginv[g]][m]]][h]
-
-    index: dict[tuple[int, int], int] = {}
-    points: list[tuple[int, int]] = []
-
-    def point_id(g: int, h: int) -> int:
-        r = rep(g, h)
-        ix = index.get(r)
-        if ix is None:
-            ix = len(points)
-            index[r] = ix
-            points.append(r)
-        return ix
-
-    point_id(0, 0)
-    cursor = 0
-    gen_g = G.generator_indices()
-    gen_h = H.generator_indices()
-    while cursor < len(points):
-        g, h = points[cursor]
-        cursor += 1
-        for g0 in gen_g:
-            point_id(gmul[g0][g], h)
-        for h0 in gen_h:
-            point_id(g, hmul[h][h0])
-    size = len(points)
+    minima = sorted(set(coset_min))
+    size = len(minima) * H.order
     if size != b.size:
         raise AssertionError("realized biset has the wrong cardinality")
-    left_gen = {g0: [index[rep(gmul[g0][g], h)] for g, h in points]
-                for g0 in gen_g}
-    right_gen = {h0: [index[rep(g, hmul[h][h0])] for g, h in points]
-                 for h0 in gen_h}
-    left = _full_tables(G, left_gen, size, "left")
-    right = _full_tables(H, right_gen, size, "right")
+    offset = {m: i * H.order for i, m in enumerate(minima)}
+    phi_inv = dict(zip(K.indices, map(H.inv.__getitem__, phi.image_indices)))
+    # points_of[x][h] is the point of the class of (x, h)
+    points_of = []
+    for x, m in enumerate(coset_min):
+        base = offset[m]
+        points_of.append([base + v for v in hmul[phi_inv[gmul[ginv[x]][m]]]])
+    left = [[y for m in minima for y in points_of[row[m]]] for row in gmul]
+    right = [[base + v for base in offset.values() for v in col]
+             for col in zip(*hmul)]
     return ConcreteBiset(G, H, size, left, right)
 
 
 def decompose(X: ConcreteBiset) -> BurnsideElement:
-    """Write a concrete biset as a sum of transitive classes.
+    """Write a concrete biset as a sum of transitive classes, in one pass.
 
     Each (G x H)-orbit is transitive with free right H-action, so picking a
     point x gives K = {g : g.x in x.H} and phi(g) = the unique h with
-    g.x = x.h; the orbit is the class [K, phi].
+    g.x = x.h; the orbit is the class [K, phi]. The points are walked in
+    order; the orbit of each unseen point x is the union of the right orbits
+    of the g.x, which are then marked seen.
     """
     X.validate()
     G, H, n = X.source, X.target, X.size
-    orbit_of = [-1] * n
-    orbit_count = 0
-    gen_rows = ([X.left[i] for i in G.generator_indices()]
-                + [X.right[i] for i in H.generator_indices()])
-    starts = []
-    for x0 in range(n):
-        if orbit_of[x0] >= 0:
-            continue
-        starts.append(x0)
-        stack = [x0]
-        orbit_of[x0] = orbit_count
-        while stack:
-            x = stack.pop()
-            for row in gen_rows:
-                y = row[x]
-                if orbit_of[y] < 0:
-                    orbit_of[y] = orbit_count
-                    stack.append(y)
-        orbit_count += 1
+    seen = [False] * n
     terms: dict[BisetClass, int] = {}
-    for x0 in starts:
+    for x0 in range(n):
+        if seen[x0]:
+            continue
         to_h = {}
-        for hi in range(H.order):
-            y = X.right[hi][x0]
+        for hi, row in enumerate(X.right):
+            y = row[x0]
             if y in to_h:
                 raise BisetError("right action is not free on an orbit")
             to_h[y] = hi
         members = []
         images = []
-        for gi in range(G.order):
-            hi = to_h.get(X.left[gi][x0])
+        for gi, row in enumerate(X.left):
+            y = row[x0]
+            hi = to_h.get(y)
             if hi is not None:
                 members.append(gi)
                 images.append(hi)
+            if not seen[y]:
+                for hrow in X.right:
+                    seen[hrow[y]] = True
         K = Subgroup.from_indices(G, members)
         b = _canonical_pair(G, H, K, tuple(images))
         terms[b] = terms.get(b, 0) + 1

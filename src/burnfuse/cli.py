@@ -42,9 +42,13 @@ class Config:
             raise InputError("order_cap must cover the smallest examples")
 
 
-def read_config_file(path: str = CONFIG_FILE) -> dict:
-    if not os.path.exists(path):
-        return {}
+def read_config_file(path: str | None = None) -> dict:
+    """The key = value settings in path. Only the implicit burnfuse.toml,
+    read when path is None, may be absent."""
+    if path is None:
+        if not os.path.exists(CONFIG_FILE):
+            return {}
+        path = CONFIG_FILE
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -222,59 +226,60 @@ def _finish_report(report, cfg: Config) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_verify(args, cfg: Config) -> int:
-    if args.what in ("sum", "counterexample") and len(args.args) != 1:
-        raise InputError(f"verify {args.what} needs exactly one group")
-    if args.what == "sum":
-        [G] = _groups(*args.args)
-        report = verify_splitting_sum(G, args.kmax,
-                                      schedule_cap=cfg.schedule_cap)
-        return _finish_report(report, cfg)
-    if args.what == "functor":
-        if len(args.args) != 3:
-            raise InputError("verify functor needs three groups: G H K")
-        G, H, K = _groups(*args.args)
-        p = _require_prime(args.p)
-        k = _precision(args, 4)
-        import random
-        rng = random.Random(cfg.seed)
-        ok = True
-        lines = []
-        for i in range(args.pairs):
-            x = single(rng.choice(basis(G, H)))
-            y = single(rng.choice(basis(H, K)))
-            rep = complete_functor_check(x, y, p, k)
-            ok = ok and rep.passed
-            lines.append(f"  {'PASS' if rep.passed else 'FAIL'}  pair {i + 1}")
-        if cfg.format == "json":
-            print(dump_json({"title": "functoriality sample",
-                             "groups": [G.label, H.label, K.label],
-                             "p": p, "k": k, "passed": ok}))
-        else:
-            print(f"functoriality over ({G.label},{H.label},{K.label}) p={p} k={k}")
-            print("\n".join(lines))
-            print(f"  => {'PASS' if ok else 'FAIL'}")
-        return 0 if ok else 1
-    if args.what == "counterexample":
-        [H] = _groups(*args.args)
-        p = _require_prime(args.p)
-        k = _precision(args, cfg.precision)
-        report = transfer_counterexample_check(H, p, k)
-        return _finish_report(report, cfg)
-    if args.what == "all":
-        results = run_all(cfg.seed)
-        if cfg.format == "json":
-            print(dump_json({"criteria": [
-                {"number": r.number, "name": r.name, "passed": r.passed,
-                 "elapsed": round(r.elapsed, 2), "details": r.details}
-                for r in results]}))
-        else:
-            for r in results:
-                print(r.line())
-                for d in r.details:
-                    print(f"        {d}")
-        return 0 if all(r.passed for r in results) else 1
-    raise InputError(f"unknown verify target {args.what!r}")
+def cmd_verify_sum(args, cfg: Config) -> int:
+    [G] = _groups(args.G)
+    report = verify_splitting_sum(G, args.kmax, schedule_cap=cfg.schedule_cap)
+    return _finish_report(report, cfg)
+
+
+def cmd_verify_functor(args, cfg: Config) -> int:
+    G, H, K = _groups(args.G, args.H, args.K)
+    p = _require_prime(args.p)
+    k = _precision(args, 4)
+    if args.pairs < 1:
+        raise InputError("--pairs must be at least 1")
+    import random
+    rng = random.Random(cfg.seed)
+    ok = True
+    lines = []
+    for i in range(args.pairs):
+        x = single(rng.choice(basis(G, H)))
+        y = single(rng.choice(basis(H, K)))
+        rep = complete_functor_check(x, y, p, k)
+        ok = ok and rep.passed
+        lines.append(f"  {'PASS' if rep.passed else 'FAIL'}  pair {i + 1}")
+    if cfg.format == "json":
+        print(dump_json({"title": "functoriality sample",
+                         "groups": [G.label, H.label, K.label],
+                         "p": p, "k": k, "passed": ok}))
+    else:
+        print(f"functoriality over ({G.label},{H.label},{K.label}) p={p} k={k}")
+        print("\n".join(lines))
+        print(f"  => {'PASS' if ok else 'FAIL'}")
+    return 0 if ok else 1
+
+
+def cmd_verify_counterexample(args, cfg: Config) -> int:
+    [H] = _groups(args.H)
+    p = _require_prime(args.p)
+    k = _precision(args, cfg.precision)
+    report = transfer_counterexample_check(H, p, k)
+    return _finish_report(report, cfg)
+
+
+def cmd_verify_all(args, cfg: Config) -> int:
+    results = run_all(cfg.seed)
+    if cfg.format == "json":
+        print(dump_json({"criteria": [
+            {"number": r.number, "name": r.name, "passed": r.passed,
+             "elapsed": round(r.elapsed, 2), "details": r.details}
+            for r in results]}))
+    else:
+        for r in results:
+            print(r.line())
+            for d in r.details:
+                print(f"        {d}")
+    return 0 if all(r.passed for r in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,66 +292,56 @@ def build_parser() -> argparse.ArgumentParser:
                         help="default p-adic precision k")
     parser.add_argument("--order-cap", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--config", default=CONFIG_FILE,
-                        help="key=value config file (optional)")
+    parser.add_argument("--config", default=None,
+                        help=f"key=value config file (default: {CONFIG_FILE} "
+                             "if present)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("basis", help="list the canonical basis over (G, H)")
-    sp.add_argument("G")
-    sp.add_argument("H")
-    sp.set_defaults(func=cmd_basis)
+    def command(parent, name, func, help, *positionals):
+        sp = parent.add_parser(name, help=help)
+        for arg in positionals:
+            sp.add_argument(arg)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("compose", help="compose two element JSON files")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp.set_defaults(func=cmd_compose)
+    def p_and_k(sp, p=None):
+        """--p, required unless it has a default, and an optional --k."""
+        sp.add_argument("--p", type=int, default=p, required=p is None)
+        sp.add_argument("--k", type=int, default=None)
+        return sp
 
-    sp = sub.add_parser("restrict", help="restrict an element to Sylow subgroups")
-    sp.add_argument("element")
+    command(sub, "basis", cmd_basis,
+            "list the canonical basis over (G, H)", "G", "H")
+    command(sub, "compose", cmd_compose,
+            "compose two element JSON files", "left", "right")
+    sp = command(sub, "restrict", cmd_restrict,
+                 "restrict an element to Sylow subgroups", "element")
     sp.add_argument("--p", type=int, required=True)
-    sp.set_defaults(func=cmd_restrict)
-
-    sp = sub.add_parser("idempotent", help="characteristic idempotent of F_p(G)")
-    sp.add_argument("G")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, default=None)
-    sp.set_defaults(func=cmd_idempotent)
-
-    sp = sub.add_parser("invert-unit",
-                        help="invert the stabilized Sylow-restricted group biset")
-    sp.add_argument("H")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, default=None)
-    sp.set_defaults(func=cmd_invert_unit)
-
-    sp = sub.add_parser("complete", help="apply the p-completion map")
-    sp.add_argument("element")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, default=None)
-    sp.set_defaults(func=cmd_complete)
-
-    sp = sub.add_parser("stable-basis", help="stable basis for a fusion pair")
-    sp.add_argument("G")
-    sp.add_argument("H")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, default=None)
-    sp.set_defaults(func=cmd_stable_basis)
-
-    sp = sub.add_parser("splitting",
-                        help="integer splitting idempotent approximant")
-    sp.add_argument("G")
+    p_and_k(command(sub, "idempotent", cmd_idempotent,
+                    "characteristic idempotent of F_p(G)", "G"))
+    p_and_k(command(sub, "invert-unit", cmd_invert_unit,
+                    "invert the stabilized Sylow-restricted group biset", "H"))
+    p_and_k(command(sub, "complete", cmd_complete,
+                    "apply the p-completion map", "element"))
+    p_and_k(command(sub, "stable-basis", cmd_stable_basis,
+                    "stable basis for a fusion pair", "G", "H"))
+    sp = command(sub, "splitting", cmd_splitting,
+                 "integer splitting idempotent approximant", "G")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.set_defaults(func=cmd_splitting)
 
-    sp = sub.add_parser("verify", help="run verification suites")
-    sp.add_argument("what", choices=("sum", "functor", "counterexample", "all"))
-    sp.add_argument("args", nargs="*")
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--k", type=int, default=None)
+    # each verify target declares only the options it reads
+    targets = sub.add_parser("verify", help="run verification suites"
+                             ).add_subparsers(dest="target", required=True)
+    sp = command(targets, "sum", cmd_verify_sum,
+                 "splitting idempotents sum check", "G")
     sp.add_argument("--kmax", type=int, default=3)
+    sp = p_and_k(command(targets, "functor", cmd_verify_functor,
+                         "functoriality sample", "G", "H", "K"), p=2)
     sp.add_argument("--pairs", type=int, default=10)
-    sp.set_defaults(func=cmd_verify)
+    p_and_k(command(targets, "counterexample", cmd_verify_counterexample,
+                    "transfer counterexample", "H"), p=2)
+    command(targets, "all", cmd_verify_all, "the full acceptance suite")
     return parser
 
 

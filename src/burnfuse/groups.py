@@ -123,8 +123,7 @@ class PermGroup:
     """
 
     __slots__ = ("degree", "generators", "elements", "label",
-                 "_index", "_gen_idx", "_hash", "_mul", "_inv", "_conj",
-                 "_left_words", "_right_words")
+                 "_index", "_gen_idx", "_hash", "_mul", "_inv", "_conj")
 
     def __init__(self, degree: int, generators, label: str = "?", *,
                  cap: int | None = None, _elements=None):
@@ -145,8 +144,6 @@ class PermGroup:
         self._gen_idx = tuple(self._index[g] for g in dict.fromkeys(gens))
         self._hash = hash((degree, self.elements))
         self._mul = self._inv = self._conj = None
-        self._left_words = None
-        self._right_words = None
 
     @property
     def order(self) -> int:
@@ -195,32 +192,6 @@ class PermGroup:
 
     def generator_indices(self) -> tuple[int, ...]:
         return self._gen_idx
-
-    def bfs_words(self, side: str) -> tuple[tuple[int, int, int], ...]:
-        """Factorizations element = gen*prefix ("left") or prefix*gen
-        ("right"), listed so that each prefix appears before its products.
-        Entries are (element_index, generator_index, prefix_index)."""
-        attr = "_left_words" if side == "left" else "_right_words"
-        cached = getattr(self, attr)
-        if cached is not None:
-            return cached
-        mul = self.mul
-        reached = {0}
-        frontier = [0]
-        out = []
-        while frontier:
-            new = []
-            for pi in frontier:
-                for gi in self._gen_idx:
-                    qi = mul[gi][pi] if side == "left" else mul[pi][gi]
-                    if qi not in reached:
-                        reached.add(qi)
-                        out.append((qi, gi, pi))
-                        new.append(qi)
-            frontier = new
-        result = tuple(out)
-        setattr(self, attr, result)
-        return result
 
     def subgroup(self, elements, *, _checked: bool = False) -> "Subgroup":
         return Subgroup(self, elements, _checked=_checked)

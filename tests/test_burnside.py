@@ -13,9 +13,9 @@ from burnfuse.burnside import (BisetClass, BurnsideElement, ConcreteBiset,
                                power, realize, restrict, ring_product,
                                semichar_embed, single, zero)
 from burnfuse.errors import BisetError, ScalarMismatchError
-from burnfuse.groups import (Subgroup, double_cosets, homomorphisms, mulclose,
-                             parse_group, sylow, subgroups_up_to_conjugacy,
-                             trivial_hom)
+from burnfuse.groups import (Subgroup, as_group, double_cosets, homomorphisms,
+                             mulclose, parse_group, sylow,
+                             subgroups_up_to_conjugacy, trivial_hom)
 from burnfuse.padic import PadicInt
 from burnfuse.perms import p_inv, p_mul
 
@@ -105,6 +105,21 @@ def test_round_trip_small():
     for G, H in [(C2, C2), (C3, C3), (S3, S3), (C2, S3)]:
         for b in basis(G, H):
             assert decompose(realize(b)) == single(b)
+
+
+A5 = parse_group("A5")
+
+
+@pytest.mark.parametrize("G,H", [
+    (S4, S4), (S4, parse_group("D8")), (A5, C2),
+    (parse_group("C2xC2xC2"), parse_group("A4")),
+    (as_group(sylow(S4, 2)), as_group(sylow(A5, 2))),
+], ids=["S4,S4", "S4,D8", "A5,C2", "C2xC2xC2,A4", "Syl2(S4),Syl2(A5)"])
+def test_round_trip_beyond_small_groups(G, H):
+    # larger and nonsolvable groups, and subgroups viewed as groups, whose
+    # element order is not the order of a standard spec
+    for b in basis(G, H):
+        assert decompose(realize(b)) == single(b)
 
 
 def test_decompose_group_bisets():

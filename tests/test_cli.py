@@ -4,7 +4,8 @@ import pytest
 
 from burnfuse.burnside import basis, single
 from burnfuse.cli import Config, read_config_file, run
-from burnfuse.completion import splitting_idempotent_approx
+from burnfuse.completion import (splitting_idempotent_approx,
+                                 verify_splitting_sum)
 from burnfuse.errors import InputError
 from burnfuse.groups import parse_group
 from burnfuse.serialize import dump_json, element_to_json
@@ -162,6 +163,39 @@ def test_unreadable_config_exits_two(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: ")
     code, out, err = invoke(capsys, "--config", str(tmp_path),
                             "idempotent", "S3", "--p", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "functor", "S3", "S3", "S3", "--p", "2", "--pairs", "0"],
+    ["verify", "functor", "S3", "S3", "S3", "--p", "2", "--pairs", "-1"],
+    ["verify", "sum", "S3", "--kmax", "0"],
+    ["verify", "sum", "S3", "--p", "3"],
+    ["verify", "sum", "S3", "--kmax", "2", "--k", "0", "--p", "4"],
+    ["verify", "all", "--k", "4"],
+    ["verify", "counterexample", "C3", "--pairs", "3"],
+    ["verify", "sum", "S3", "S4"],
+    ["verify", "functor", "S3", "S3"],
+])
+def test_verify_rejects_vacuous_runs_and_unused_options(capsys, argv):
+    # a check that checks nothing, or an option the target never reads,
+    # is bad input rather than a pass
+    code, out, _ = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+
+
+def test_splitting_sum_needs_a_power():
+    with pytest.raises(InputError):
+        verify_splitting_sum(parse_group("S3"), 0)
+
+
+def test_missing_config_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # only the implicit burnfuse.toml may be absent
+    assert invoke(capsys, "basis", "C2", "C2")[0] == 0
+    code, out, err = invoke(capsys, "--config", str(tmp_path / "missing.toml"),
+                            "basis", "C2", "C2")
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
 
