@@ -90,7 +90,7 @@ def _canonical_pair(source: PermGroup, target: PermGroup, K: Subgroup,
     conj, inv = source.conj, source.inv
     imap = dict(zip(K.indices, images))
     # base(x) = phi(g0^-1 x g0) on K0 = g0 K g0^-1
-    pre = conj[inv[source.index(g0)]]
+    pre = conj[inv[g0]]
     base = {x: imap[pre[x]] for x in K0.indices}.__getitem__
     # distinct n-twists x -> base(n^-1 x n) for n in N(K0), then the least
     # post-conjugate by the target
@@ -104,10 +104,10 @@ def _canonical_pair(source: PermGroup, target: PermGroup, K: Subgroup,
 
 def canonical_class(source: PermGroup, target: PermGroup, K: Subgroup,
                     phi) -> BisetClass:
-    """The class [K, phi] of a GroupHom or a dict of permutations on K."""
-    images = phi.image_indices if isinstance(phi, GroupHom) else tuple(
-        target.index(phi[x]) for x in K.elements)
-    return _canonical_pair(source, target, K, images)
+    """The class [K, phi] of a GroupHom, or of a dict checked as one."""
+    if not isinstance(phi, GroupHom):
+        phi = GroupHom(K, target, phi)
+    return _canonical_pair(source, target, K, phi.image_indices)
 
 
 @functools.lru_cache(maxsize=None)
@@ -457,7 +457,7 @@ def _compose_basis(b1: BisetClass, b2: BisetClass) -> tuple[tuple[BisetClass, in
     K, phi_idx = b1.K, b1.phi.image_indices
     L = b2.K
     psi = dict(zip(L.indices, b2.phi.image_indices))
-    phiK = Subgroup.from_indices(H, phi_idx, _checked=True)
+    phiK = Subgroup.from_indices(H, phi_idx)
     terms: dict[BisetClass, int] = {}
     for x, _ in double_cosets(H, phiK, L):
         row = H.conj[H.inv[H.index(x)]]  # t -> x^-1 t x
@@ -467,7 +467,7 @@ def _compose_basis(b1: BisetClass, b2: BisetClass) -> tuple[tuple[BisetClass, in
             if img is not None:
                 members.append(k)
                 images.append(img)
-        Kx = Subgroup.from_indices(G, members, _checked=True)
+        Kx = Subgroup.from_indices(G, members)
         b = _canonical_pair(G, M, Kx, tuple(images))
         terms[b] = terms.get(b, 0) + 1
     return tuple(sorted(terms.items(), key=lambda kv: kv[0].sort_key))
@@ -528,7 +528,7 @@ def _inverse_class(f: GroupHom, target: PermGroup) -> BisetClass:
     H, D = f.codomain, f.domain
     dom = D.indices if target == D.parent else range(D.order)
     back = dict(zip(f.image_indices, dom))
-    image = Subgroup.from_indices(H, f.image_indices, _checked=True)
+    image = Subgroup.from_indices(H, f.image_indices)
     return _canonical_pair(H, target, image,
                            tuple(map(back.__getitem__, image.indices)))
 

@@ -212,10 +212,13 @@ def verify_splitting_sum(G: PermGroup, k_max: int,
     At each power k one scan tries n = 0, 1, ..., schedule_cap and records
     the least n that attains membership; exhaustion is reported, not
     raised. The search shares one iterate index across the primes.
-    k_max below 1 would check no power and raises InputError.
+    k_max below 1 or schedule_cap below 0 would check nothing and raises
+    InputError.
     """
     if k_max < 1:
         raise InputError("k_max must be at least 1")
+    if schedule_cap < 0:
+        raise InputError("schedule_cap must be nonnegative")
     primes = prime_divisors(G.order)
     report = CompletionReport("splitting idempotent sum", {
         "group": G.label, "primes": list(primes), "k_max": k_max})

@@ -101,8 +101,7 @@ def is_fusion_preserving(phi: GroupHom, F1: FusionSystem,
         raise FusionError("the map must land in the target Sylow group")
     f = phi.image_indices
     for P in subgroups_up_to_conjugacy(S1):
-        imgP = Subgroup.from_indices(S2, map(f.__getitem__, P.indices),
-                                     _checked=True)
+        imgP = Subgroup.from_indices(S2, map(f.__getitem__, P.indices))
         companions = {rho.image_indices
                       for rho in F2.morphisms_to_sylow(imgP)}
         for psi in F1.morphisms_to_sylow(P):
@@ -287,12 +286,12 @@ def stable_pair_classes(F1: FusionSystem, F2: FusionSystem) \
         if b in seen:
             continue
         phi = b.phi.image_indices
-        imgK = Subgroup.from_indices(S2, phi, _checked=True)
+        imgK = Subgroup.from_indices(S2, phi)
         betas = [dict(zip(imgK.indices, beta.image_indices)).__getitem__
                  for beta in F2.morphisms_to_sylow(imgK)]
         members = set()
         for alpha in F1.morphisms_to_sylow(b.K):
-            newK = Subgroup.from_indices(S1, alpha.image_indices, _checked=True)
+            newK = Subgroup.from_indices(S1, alpha.image_indices)
             # phi . alpha^-1 on newK's indices
             moved = dict(zip(alpha.image_indices, phi))
             pre = tuple(map(moved.__getitem__, newK.indices))

@@ -17,6 +17,13 @@ sorted index tuple and an int bitmask; the bitmask serves membership,
 subset tests, hashing and deduplication, never ordering. Permutation tuples
 remain at the edges: parsing, labels, JSON and the public `elements` and
 `images` fields.
+
+Validation happens once, where permutations enter: `Subgroup(parent,
+elements)`, `PermGroup.subgroup` and `GroupHom` from a dict check their
+input. `Subgroup.from_indices` and `GroupHom.from_indices` check nothing;
+their callers build subgroups and homomorphisms by construction (joins,
+conjugates, Mackey preimages, propagated generator images), and tuple
+oracles in the tests check those constructions.
 """
 
 from __future__ import annotations
@@ -126,7 +133,7 @@ class PermGroup:
                  "_index", "_gen_idx", "_hash", "_mul", "_inv", "_conj")
 
     def __init__(self, degree: int, generators, label: str = "?", *,
-                 cap: int | None = None, _elements=None):
+                 _elements=None):
         self.degree = degree
         gens = tuple(tuple(g) for g in generators)
         for g in gens:
@@ -137,8 +144,7 @@ class PermGroup:
         if _elements is not None:
             self.elements = tuple(sorted(_elements))
         else:
-            self.elements = tuple(sorted(
-                mulclose(gens, degree, cap if cap is not None else CLOSURE_CAP)))
+            self.elements = tuple(sorted(mulclose(gens, degree, CLOSURE_CAP)))
         self.label = label
         self._index = {p: i for i, p in enumerate(self.elements)}
         self._gen_idx = tuple(self._index[g] for g in dict.fromkeys(gens))
@@ -193,11 +199,11 @@ class PermGroup:
     def generator_indices(self) -> tuple[int, ...]:
         return self._gen_idx
 
-    def subgroup(self, elements, *, _checked: bool = False) -> "Subgroup":
-        return Subgroup(self, elements, _checked=_checked)
+    def subgroup(self, elements) -> "Subgroup":
+        return Subgroup(self, elements)
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup.from_indices(self, range(self.order), _checked=True)
+        return Subgroup.from_indices(self, range(self.order))
 
     def __eq__(self, other):
         if self is other:
@@ -219,44 +225,40 @@ class Subgroup:
 
     The sorted element tuple, equivalently the index tuple, is the key used
     everywhere to pick deterministic conjugacy-class representatives.
-    Unless built with _checked=True, the identity, inverses and closure
-    under products are verified on the parent's tables.
+    Built from permutations, the set is checked to be a subgroup, on the
+    parent's tables; `from_indices` checks nothing.
     """
 
     __slots__ = ("parent", "elements", "indices", "mask", "_gens", "_hash")
 
-    def __init__(self, parent: PermGroup, elements, *, _checked: bool = False):
-        index = parent._index
-        idx = set()
-        for x in elements:
-            i = index.get(tuple(x))
-            if i is None:
-                raise SubgroupError(f"{tuple(x)} is not in the parent group")
-            idx.add(i)
-        self._setup(parent, idx, _checked)
+    def __init__(self, parent: PermGroup, elements):
+        try:
+            idx = {parent._index[tuple(x)] for x in elements}
+        except KeyError as exc:
+            raise SubgroupError(
+                f"{exc.args[0]} is not in the parent group") from None
+        if 0 not in idx:
+            raise SubgroupError("missing identity element")
+        for i in sorted(idx):
+            if parent.inv[i] not in idx:
+                raise SubgroupError(f"inverse of {parent.elements[i]} missing")
+        mul = parent.mul
+        for a in idx:
+            if not idx.issuperset(map(mul[a].__getitem__, idx)):
+                raise SubgroupError("element set not closed under products")
+        self._setup(parent, idx)
 
     @classmethod
-    def from_indices(cls, parent: PermGroup, indices, *,
-                     _checked: bool = False) -> "Subgroup":
+    def from_indices(cls, parent: PermGroup, indices) -> "Subgroup":
+        """The subgroup with the given parent indices (repeats allowed). The
+        caller guarantees they form a subgroup; nothing is checked."""
         self = cls.__new__(cls)
-        self._setup(parent, set(indices), _checked)
+        self._setup(parent, set(indices))
         return self
 
-    def _setup(self, parent: PermGroup, idx: set[int], checked: bool) -> None:
+    def _setup(self, parent: PermGroup, idx: set[int]) -> None:
         self.parent = parent
         self.indices = tuple(sorted(idx))
-        if not checked:
-            if 0 not in idx:
-                raise SubgroupError("missing identity element")
-            inv = parent.inv
-            for i in self.indices:
-                if inv[i] not in idx:
-                    raise SubgroupError(
-                        f"inverse of {parent.elements[i]} missing")
-            mul = parent.mul
-            for a in self.indices:
-                if not idx.issuperset(map(mul[a].__getitem__, self.indices)):
-                    raise SubgroupError("element set not closed under products")
         self.elements = tuple(map(parent.elements.__getitem__, self.indices))
         self.mask = _mask(self.indices)
         self._gens = None
@@ -322,33 +324,36 @@ def as_group(sub: Subgroup) -> PermGroup:
 class GroupHom:
     """A group homomorphism from a Subgroup into a PermGroup, stored as the
     image tuple aligned with the sorted domain elements, and as the matching
-    codomain indices. Multiplicativity is checked exhaustively at
-    construction, on the Cayley tables."""
+    codomain indices. Built from a dict, the map is checked to be total, into
+    the codomain and multiplicative; `from_indices` checks nothing."""
 
     __slots__ = ("domain", "codomain", "images", "image_indices", "_map",
                  "_hash")
 
-    def __init__(self, domain: Subgroup, codomain: PermGroup, mapping):
-        if isinstance(mapping, dict):
-            try:
-                images = tuple(mapping[x] for x in domain.elements)
-            except KeyError as exc:
-                raise HomomorphismError(f"map not total: missing {exc}") from exc
-        else:
-            images = tuple(mapping)
-            if len(images) != domain.order:
-                raise HomomorphismError("image tuple has wrong length")
+    def __init__(self, domain: Subgroup, codomain: PermGroup, mapping: dict):
+        try:
+            images = tuple(mapping[x] for x in domain.elements)
+        except KeyError as exc:
+            raise HomomorphismError(f"map not total: missing {exc}") from exc
         for y in images:
             if y not in codomain:
                 raise HomomorphismError(f"image {y} is not in the codomain")
-        self._setup(domain, codomain, tuple(map(codomain._index.__getitem__,
-                                                images)))
+        img = tuple(map(codomain._index.__getitem__, images))
+        f = dict(zip(domain.indices, img))
+        dmul, cmul = domain.parent.mul, codomain.mul
+        for a, b in itertools.product(domain.indices, repeat=2):
+            if f[dmul[a][b]] != cmul[f[a]][f[b]]:
+                els = domain.parent.elements
+                raise HomomorphismError(
+                    f"not multiplicative at {els[a]}, {els[b]}")
+        self._setup(domain, codomain, img)
 
     @classmethod
     def from_indices(cls, domain: Subgroup, codomain: PermGroup,
                      image_indices) -> "GroupHom":
         """The map sending domain.indices[i] to codomain element
-        image_indices[i]; multiplicativity is checked as in the constructor."""
+        image_indices[i]. The caller guarantees it is a homomorphism;
+        nothing is checked."""
         self = cls.__new__(cls)
         self._setup(domain, codomain, tuple(image_indices))
         return self
@@ -359,18 +364,6 @@ class GroupHom:
         self.codomain = codomain
         self.image_indices = img
         self.images = tuple(map(codomain.elements.__getitem__, img))
-        dom = domain.indices
-        f = dict(zip(dom, img)).__getitem__
-        dmul, cmul = domain.parent.mul, codomain.mul
-        for a, fa in zip(dom, img):
-            lhs = list(map(f, map(dmul[a].__getitem__, dom)))
-            rhs = list(map(cmul[fa].__getitem__, img))
-            if lhs != rhs:
-                b = dom[next(i for i, (u, v) in enumerate(zip(lhs, rhs))
-                             if u != v)]
-                els = domain.parent.elements
-                raise HomomorphismError(
-                    f"not multiplicative at {els[a]}, {els[b]}")
         self._map = None
         self._hash = hash((domain, codomain, img))
 
@@ -403,11 +396,8 @@ class GroupHom:
         return f"GroupHom({pairs or 'trivial'})"
 
 
-def inclusion_hom(sub: Subgroup, codomain: PermGroup | None = None) -> GroupHom:
-    codomain = codomain if codomain is not None else sub.parent
-    if codomain == sub.parent:
-        return GroupHom.from_indices(sub, codomain, sub.indices)
-    return GroupHom(sub, codomain, dict(zip(sub.elements, sub.elements)))
+def inclusion_hom(sub: Subgroup) -> GroupHom:
+    return GroupHom.from_indices(sub, sub.parent, sub.indices)
 
 
 def trivial_hom(sub: Subgroup, codomain: PermGroup) -> GroupHom:
@@ -490,7 +480,7 @@ def _parse_atom(token: str) -> tuple[int, list[Perm]]:
 
 
 @functools.lru_cache(maxsize=None)
-def parse_group(spec: str, *, cap: int | None = None) -> PermGroup:
+def parse_group(spec: str) -> PermGroup:
     """Build a group from a spec string.
 
     Grammar: named families C<n>, D<2n>, S<n>, A<n>, Q8, products joined
@@ -512,7 +502,7 @@ def parse_group(spec: str, *, cap: int | None = None) -> PermGroup:
                 gens.append(parse_cycles(part, degree))
         label = f"perm {degree}: " + (", ".join(cycle_string(g) for g in gens)
                                       if gens else "()")
-        return PermGroup(degree, gens, label, cap=cap)
+        return PermGroup(degree, gens, label)
     degree = 0
     gens: list[Perm] = []
     tokens = [t.strip() for t in text.split("x")]
@@ -523,7 +513,7 @@ def parse_group(spec: str, *, cap: int | None = None) -> PermGroup:
         gens.extend(pad + tuple(degree + i for i in g) for g in part_gens)
         degree += d
     label = "x".join(tokens)
-    return PermGroup(degree, gens, label, cap=cap)
+    return PermGroup(degree, gens, label)
 
 
 def trivial_group() -> PermGroup:
@@ -561,8 +551,7 @@ def all_subgroups(G: PermGroup) -> tuple[Subgroup, ...]:
                     found[jmask] = (joined, (*gens, g))
                     new.append(jmask)
         frontier = new
-    subs = [Subgroup.from_indices(G, elems, _checked=True)
-            for elems, _ in found.values()]
+    subs = [Subgroup.from_indices(G, elems) for elems, _ in found.values()]
     subs.sort(key=lambda s: (s.order, s.indices))
     return tuple(subs)
 
@@ -573,16 +562,17 @@ def _conjugate_indices(G: PermGroup, g: int, H: Subgroup) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def class_rep_and_conjugator(G: PermGroup, H: Subgroup) -> tuple[Subgroup, Perm]:
-    """The canonical representative of H's conjugacy class together with a
-    group element g such that g H g^-1 is that representative."""
+def class_rep_and_conjugator(G: PermGroup, H: Subgroup) -> tuple[Subgroup, int]:
+    """The canonical representative of H's conjugacy class together with
+    the index of a group element g such that g H g^-1 is that
+    representative."""
     best = None
     best_g = None
     for g in range(G.order):
         conj = sorted(_conjugate_indices(G, g, H))
         if best is None or conj < best:
             best, best_g = conj, g
-    return Subgroup.from_indices(G, best, _checked=True), G.elements[best_g]
+    return Subgroup.from_indices(G, best), best_g
 
 
 @functools.lru_cache(maxsize=None)
@@ -606,7 +596,7 @@ def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
     mask = H.mask
     members = [g for g, row in enumerate(G.conj)
                if all(mask >> row[x] & 1 for x in gens)]
-    return Subgroup.from_indices(G, members, _checked=True)
+    return Subgroup.from_indices(G, members)
 
 
 def _p_part(order: int, p: int) -> int:
@@ -625,7 +615,7 @@ def sylow(G: PermGroup, p: int) -> Subgroup:
         raise GroupParseError(f"{p} is not prime")
     target = _p_part(G.order, p)
     mul = G.mul
-    P = Subgroup.from_indices(G, [0], _checked=True)
+    P = Subgroup.from_indices(G, [0])
     while P.order < target:
         N = normalizer(G, P)
         for g in N.indices:
@@ -637,7 +627,7 @@ def sylow(G: PermGroup, p: int) -> Subgroup:
             if P.mask >> gp & 1:
                 elems, _ = _join(mul, P.indices, P.mask,
                                  P.generator_indices(), g)
-                P = Subgroup.from_indices(G, elems, _checked=True)
+                P = Subgroup.from_indices(G, elems)
                 break
         else:
             raise AssertionError("Sylow growth step failed")

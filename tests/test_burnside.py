@@ -181,7 +181,7 @@ def compose_double_coset_oracle(b1, b2):
     G, H, M = b1.source, b1.target, b2.target
     K, phi = b1.K, b1.phi
     L, psi = b2.K, b2.phi
-    phiK = H.subgroup(set(phi.images), _checked=True)
+    phiK = H.subgroup(set(phi.images))
     out = {}
     for x, _ in double_cosets(H, phiK, L):
         xi = p_inv(x)

@@ -96,6 +96,18 @@ def test_verify_sum_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def test_negative_schedule_cap_exits_two(tmp_path, monkeypatch, capsys):
+    # a schedule that tries no iterate would give a vacuous verdict
+    with pytest.raises(InputError):
+        verify_splitting_sum(parse_group("S3"), 2, schedule_cap=-1)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "burnfuse.toml").write_text(
+        "schedule_cap = -1\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "verify", "sum", "S3", "--kmax", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_input_errors_exit_two(tmp_path, capsys):
     code, _, err = invoke(capsys, "basis", "Z9", "C2")
     assert code == 2
@@ -263,6 +275,9 @@ GOOD_TERM = {"K": ["(1 2)"], "phi": [["(1 2)", "(1 2)"]], "coeff": "1"}
     {"terms": ["(1 2)"]},
     {"source": 5},
     {"terms": [GOOD_TERM | {"coeff": 1.5}]},
+    # an order-3 generator sent to a transposition is no homomorphism
+    {"terms": [{"K": ["(1 2 3)"], "phi": [["(1 2 3)", "(1 2)"]],
+                "coeff": "1"}]},
 ])
 def test_malformed_element_file_exits_two(tmp_path, capsys, change):
     data = {"source": "S3", "target": "S3", "scalars": "int",

@@ -60,7 +60,7 @@ def oracle_is_fusion_preserving(phi, F1, F2):
     phi . psi = rho . phi on P."""
     S1, S2 = F1.sylow_group, F2.sylow_group
     for P in subgroups_up_to_conjugacy(S1):
-        imgP = S2.subgroup({phi(x) for x in P.elements}, _checked=True)
+        imgP = S2.subgroup({phi(x) for x in P.elements})
         candidates = oracle_morphisms(F2, imgP, S2)
         for psi in oracle_morphisms(F1, P, S1):
             required = {}
@@ -89,11 +89,11 @@ def oracle_stable_pair_classes(F1, F2):
         return i
 
     for b in ordinary:
-        imgK = S2.subgroup(set(b.phi.images), _checked=True)
+        imgK = S2.subgroup(set(b.phi.images))
         betas = [dict(zip(imgK.elements, beta))
                  for beta in oracle_morphisms(F2, imgK, S2)]
         for alpha in oracle_morphisms(F1, b.K, S1):
-            newK = S1.subgroup(set(alpha), _checked=True)
+            newK = S1.subgroup(set(alpha))
             inv_alpha = dict(zip(alpha, b.K.elements))
             for beta in betas:
                 mapped = {y: beta[b.phi(inv_alpha[y])] for y in newK.elements}
@@ -147,7 +147,7 @@ def test_fusion_axioms():
             have = {phi.images for phi in morphs}
             assert conj_maps <= have
             for phi in morphs:
-                img = S.subgroup(set(phi.images), _checked=True)
+                img = S.subgroup(set(phi.images))
                 onto = {phi(x): x for x in P.elements}
                 back = oracle_morphisms(F, img, P)
                 assert tuple(onto[y] for y in img.elements) in back
@@ -242,7 +242,7 @@ def oracle_twisted_restrictions_equal(x, fus, side):
     inclusion, compared as elements."""
     S = fus.sylow_group
     for P in subgroups_up_to_conjugacy(S):
-        incl = inclusion_hom(P, S)
+        incl = inclusion_hom(P)
         morphs = fus.morphisms_to_sylow(P)
         if side == "left":
             base = restrict_along(x, left_hom=incl)

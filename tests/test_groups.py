@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
-from burnfuse.errors import CapExceededError, GroupParseError, HomomorphismError
+from burnfuse.burnside import basis, canonical_class, restrict, single
+from burnfuse.errors import (CapExceededError, GroupParseError,
+                             HomomorphismError, SubgroupError)
 from burnfuse.groups import (GroupHom, Subgroup, as_group, double_cosets,
                              homomorphisms, mulclose, parse_group, sylow,
                              subgroups_up_to_conjugacy, trivial_group)
@@ -81,7 +83,7 @@ def test_parse_errors():
 
 def test_order_cap():
     with pytest.raises(CapExceededError):
-        parse_group("S8", cap=1000)
+        parse_group("S9")
 
 
 def two_generated_subgroups(G):
@@ -217,6 +219,48 @@ def test_group_hom_rejects_non_multiplicative():
     bad = {x: (swap if x == gen else C2.identity) for x in C4.elements}
     with pytest.raises(HomomorphismError):
         GroupHom(C4.full_subgroup(), C2, bad)
+
+
+@pytest.mark.parametrize("spec,elements", [
+    ("A4", [(0, 1, 2, 3), (1, 0, 2, 3)]),  # a transposition, not in A4
+    ("S3", [(1, 0, 2)]),                   # no identity
+    ("S3", [(0, 1, 2), (1, 2, 0)]),        # (1 2 3) without its inverse
+    ("S3", [(0, 1, 2), (1, 0, 2), (2, 1, 0)]),  # (1 2), (1 3): not closed
+])
+def test_subgroup_rejects_non_subgroups(spec, elements):
+    with pytest.raises(SubgroupError):
+        parse_group(spec).subgroup(elements)
+
+
+def test_subgroup_of_another_group_is_rejected():
+    S3, S4 = parse_group("S3"), parse_group("S4")
+    foreign = S4.full_subgroup()
+    x = single(basis(S3, S3)[0])
+    with pytest.raises(SubgroupError):
+        restrict(x, foreign, S3.full_subgroup())
+    with pytest.raises(SubgroupError):
+        restrict(x, S3.full_subgroup(), foreign)
+    with pytest.raises(SubgroupError):
+        double_cosets(S3, foreign, S3.full_subgroup())
+
+
+def test_group_hom_rejects_partial_and_outside_maps():
+    S3, C2 = parse_group("S3"), parse_group("C2")
+    K = S3.subgroup([S3.identity, (1, 0, 2)])
+    with pytest.raises(HomomorphismError):
+        GroupHom(K, C2, {S3.identity: C2.identity})
+    with pytest.raises(HomomorphismError):
+        GroupHom(K, C2, {S3.identity: C2.identity, (1, 0, 2): (1, 0, 2)})
+
+
+def test_canonical_class_rejects_non_homomorphism():
+    S3 = parse_group("S3")
+    C3 = S3.subgroup(mulclose([(1, 2, 0)], 3, 6))
+    swap = (1, 0, 2)
+    bad = {x: (S3.identity if x == S3.identity else swap)
+           for x in C3.elements}
+    with pytest.raises(HomomorphismError):
+        canonical_class(S3, S3, C3, bad)
 
 
 def test_as_group_round_trip():

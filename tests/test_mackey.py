@@ -98,7 +98,7 @@ def _sample_homs(P, G, rng, count=3):
     """The inclusion and up to count - 1 other homs P -> G, seeded, plus a
     non-injective one if none was drawn and P is not trivial."""
     homs = homomorphisms(P, G)
-    incl = inclusion_hom(P, G)
+    incl = inclusion_hom(P)
     others = [f for f in homs if f != incl]
     picks = [incl] + rng.sample(others, min(count - 1, len(others)))
     if P.order > 1 and all(f.is_injective for f in picks):
@@ -108,7 +108,7 @@ def _sample_homs(P, G, rng, count=3):
 
 def _injective_homs(T, H, rng, count=2):
     """The inclusion and up to count - 1 other injective homs T -> H."""
-    incl = inclusion_hom(T, H)
+    incl = inclusion_hom(T)
     others = [f for f in homomorphisms(T, H)
               if f.is_injective and f != incl]
     return [incl] + rng.sample(others, min(count - 1, len(others)))
@@ -127,7 +127,7 @@ def test_restrict_matches_sliced_actions(gs, hs):
     rights = [f for T in subgroups_up_to_conjugacy(H)
               for f in _injective_homs(T, H, rng)]
     assert any(not f.is_injective for f in lefts)
-    assert any(f != inclusion_hom(f.domain, H) for f in rights)
+    assert any(f != inclusion_hom(f.domain) for f in rights)
     for a in lefts:
         for b in rng.sample(classes, min(6, len(classes))):
             assert restrict_along(single(b), a) == oracle_restrict(b, a)
