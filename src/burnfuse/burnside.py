@@ -21,10 +21,9 @@ from __future__ import annotations
 import functools
 
 from .errors import BisetError, ScalarMismatchError, SubgroupError
-from .groups import (GroupHom, PermGroup, Subgroup, as_group,
-                     class_rep_and_conjugator, double_cosets, homomorphisms,
-                     inclusion_hom, normalizer, subgroups_up_to_conjugacy,
-                     trivial_group)
+from .groups import (GroupHom, PermGroup, Subgroup, _hom_images, as_group,
+                     class_rep_and_conjugator, double_cosets, inclusion_hom,
+                     normalizer, subgroups_up_to_conjugacy, trivial_group)
 from .intlattice import IntegerLattice
 from .padic import PadicInt
 from .perms import cycle_string
@@ -85,21 +84,33 @@ def _canonical_pair(source: PermGroup, target: PermGroup, K: Subgroup,
     """Canonicalize a (subgroup, homomorphism) pair given on indices: images
     holds the target indices of the images of K.indices. K moves to its
     conjugacy class representative, then the image tuple is minimized over
-    pre-conjugation by the normalizer and post-conjugation by the target."""
+    pre-conjugation by the normalizer and post-conjugation by the target.
+
+    The minimum is found by refinement (Linton's minimal images): the
+    candidates are every (target conjugation row, twist) pair, and position
+    by position along K0.indices only those whose image there is least are
+    kept, until one is left or the positions run out. Lexicographic order
+    makes the survivors exactly the minimizers, so only the winning image
+    tuple is ever built."""
     K0, g0 = class_rep_and_conjugator(source, K)
     conj, inv = source.conj, source.inv
     imap = dict(zip(K.indices, images))
     # base(x) = phi(g0^-1 x g0) on K0 = g0 K g0^-1
     pre = conj[inv[g0]]
     base = {x: imap[pre[x]] for x in K0.indices}.__getitem__
-    # distinct n-twists x -> base(n^-1 x n) for n in N(K0), then the least
-    # post-conjugate by the target
+    # distinct n-twists x -> base(n^-1 x n) for n in N(K0)
     twisted = {tuple(map(base, map(conj[inv[n]].__getitem__, K0.indices)))
                for n in normalizer(source, K0).indices}
-    best = min(tuple(map(row.__getitem__, tw))
-               for row in target.conj for tw in twisted)
-    return BisetClass(source, target, K0,
-                      GroupHom.from_indices(K0, target, best))
+    cands = [(row, tw) for row in target.conj for tw in twisted]
+    # position 0 is the identity, which every candidate fixes
+    for i in range(1, len(K0.indices)):
+        if len(cands) == 1:
+            break
+        least = min(row[tw[i]] for row, tw in cands)
+        cands = [(row, tw) for row, tw in cands if row[tw[i]] == least]
+    row, tw = cands[0]
+    return BisetClass(source, target, K0, GroupHom.from_indices(
+        K0, target, map(row.__getitem__, tw)))
 
 
 def canonical_class(source: PermGroup, target: PermGroup, K: Subgroup,
@@ -117,8 +128,10 @@ def basis(G: PermGroup, H: PermGroup) -> tuple[BisetClass, ...]:
     seen = set()
     out = []
     for K in subgroups_up_to_conjugacy(G):
-        for hom in homomorphisms(K, H):
-            b = _canonical_pair(G, H, K, hom.image_indices)
+        # every H-orbit of maps meets this list, and _canonical_pair
+        # minimizes over post-conjugation by H
+        for images in _hom_images(K, H, up_to_conjugacy=True):
+            b = _canonical_pair(G, H, K, images)
             if b not in seen:
                 seen.add(b)
                 out.append(b)

@@ -130,7 +130,8 @@ class PermGroup:
     """
 
     __slots__ = ("degree", "generators", "elements", "label",
-                 "_index", "_gen_idx", "_hash", "_mul", "_inv", "_conj")
+                 "_index", "_gen_idx", "_hash", "_mul", "_inv", "_conj",
+                 "_full")
 
     def __init__(self, degree: int, generators, label: str = "?", *,
                  _elements=None):
@@ -149,7 +150,7 @@ class PermGroup:
         self._index = {p: i for i, p in enumerate(self.elements)}
         self._gen_idx = tuple(self._index[g] for g in dict.fromkeys(gens))
         self._hash = hash((degree, self.elements))
-        self._mul = self._inv = self._conj = None
+        self._mul = self._inv = self._conj = self._full = None
 
     @property
     def order(self) -> int:
@@ -203,7 +204,10 @@ class PermGroup:
         return Subgroup(self, elements)
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup.from_indices(self, range(self.order))
+        """The whole group as a Subgroup, built once."""
+        if self._full is None:
+            self._full = Subgroup.from_indices(self, range(self.order))
+        return self._full
 
     def __eq__(self, other):
         if self is other:
@@ -398,10 +402,6 @@ class GroupHom:
 
 def inclusion_hom(sub: Subgroup) -> GroupHom:
     return GroupHom.from_indices(sub, sub.parent, sub.indices)
-
-
-def trivial_hom(sub: Subgroup, codomain: PermGroup) -> GroupHom:
-    return GroupHom.from_indices(sub, codomain, (0,) * sub.order)
 
 
 # ---------------------------------------------------------------------------
@@ -681,22 +681,40 @@ def _propagate(domain: Subgroup, gens, images, codomain: PermGroup):
     return phi
 
 
-@functools.lru_cache(maxsize=None)
-def homomorphisms(K: Subgroup, H: PermGroup) -> tuple[GroupHom, ...]:
-    """All group homomorphisms K -> H, enumerated by generator images."""
+def _hom_images(K: Subgroup, H: PermGroup, up_to_conjugacy: bool = False):
+    """The homomorphisms K -> H as image-index tuples aligned with
+    K.indices, enumerated by generator images in index order.
+
+    With up_to_conjugacy, the first generator only maps to elements that
+    are least in their H-conjugacy class (the minimum of their column of
+    H.conj). Every H-orbit of homomorphisms under post-conjugation still
+    has a member here: conjugate phi by an h that moves phi(g_1) to the
+    least element of its class. The later generators are not filtered,
+    because the centralizer of phi(g_1) may still move their images."""
     hmul, kmul = H.mul, K.parent.mul
     gens = K.generator_indices()
     if not gens:
-        return (trivial_hom(K, H),)
+        return [(0,)]
     h_orders = [_element_order(hmul, h) for h in range(H.order)]
     candidates = []
     for g in gens:
         n = _element_order(kmul, g)
         candidates.append([h for h in range(H.order) if n % h_orders[h] == 0])
+    if up_to_conjugacy:
+        least = list(map(min, zip(*H.conj)))
+        candidates[0] = [h for h in candidates[0] if least[h] == h]
     out = []
     for images in itertools.product(*candidates):
         phi = _propagate(K, gens, images, H)
         if phi is not None:
-            out.append(GroupHom.from_indices(
-                K, H, map(phi.__getitem__, K.indices)))
-    return tuple(out)
+            out.append(tuple(map(phi.__getitem__, K.indices)))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def homomorphisms(K: Subgroup, H: PermGroup) -> tuple[GroupHom, ...]:
+    """All group homomorphisms K -> H, enumerated by generator images.
+    `burnside.basis` enumerates only the maps whose first generator image
+    is least in its H-conjugacy class (see `_hom_images`); this is the full
+    list."""
+    return tuple(GroupHom.from_indices(K, H, img) for img in _hom_images(K, H))

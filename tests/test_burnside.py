@@ -13,9 +13,9 @@ from burnfuse.burnside import (BisetClass, BurnsideElement, ConcreteBiset,
                                power, realize, restrict, ring_product,
                                semichar_embed, single, zero)
 from burnfuse.errors import BisetError, ScalarMismatchError
-from burnfuse.groups import (Subgroup, as_group, double_cosets, homomorphisms,
-                             mulclose, parse_group, sylow,
-                             subgroups_up_to_conjugacy, trivial_hom)
+from burnfuse.groups import (GroupHom, Subgroup, as_group, double_cosets,
+                             homomorphisms, mulclose, parse_group, sylow,
+                             subgroups_up_to_conjugacy)
 from burnfuse.padic import PadicInt
 from burnfuse.perms import p_inv, p_mul
 
@@ -25,6 +25,10 @@ C2 = parse_group("C2")
 C3 = parse_group("C3")
 C6 = parse_group("C6")
 E = parse_group("C1")
+
+
+def trivial_hom(sub, codomain):
+    return GroupHom.from_indices(sub, codomain, (0,) * sub.order)
 
 
 def group_as_biset(G, A, B):

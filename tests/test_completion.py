@@ -18,7 +18,7 @@ from burnfuse.errors import InputError
 from burnfuse.fusion import (characteristic_idempotent, fusion_system,
                              is_stable, stable_pair_classes)
 from burnfuse.groups import (GroupHom, as_group, parse_group, sylow,
-                             subgroups_up_to_conjugacy, trivial_hom)
+                             subgroups_up_to_conjugacy)
 from burnfuse.intlattice import IntegerLattice, kernel_basis
 from burnfuse.padic import PadicInt
 from burnfuse.perms import p_inv, p_mul

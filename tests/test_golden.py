@@ -46,6 +46,10 @@ GOLDEN_BASIS = {
         "58b50c1633cb0c986f45fba1d7fe09d06b9804809ddc06d80d26c738ae263e48",
     ("S3", "S3", "json"):
         "de413841d8ef70b9aceb84af6e7da0b9537873c1a17df90684fad882fe34e05b",
+    ("S5", "A5", "text"):
+        "bbfd170db95b2b886b03ec1f83443b30a3d9007f6ebae6f20850413cf0915c13",
+    ("S5", "A5", "json"):
+        "1ad710c46f1332f9b5525f9fb379cbb19543957826949a4479b6df8a0cf90f62",
 }
 
 

@@ -276,3 +276,10 @@ def test_trivial_group():
     e = trivial_group()
     assert e.order == 1
     assert e == parse_group("C1")
+
+
+def test_full_subgroup_is_built_once():
+    S4 = parse_group("S4")
+    full = S4.full_subgroup()
+    assert full is S4.full_subgroup()
+    assert full.elements == S4.elements and full.parent is S4

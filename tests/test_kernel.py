@@ -12,9 +12,9 @@ import pytest
 from burnfuse import cli
 from burnfuse.burnside import _canonical_pair, _compose_basis, basis
 from burnfuse.fusion import fusion_system
-from burnfuse.groups import (all_subgroups, class_rep_and_conjugator,
-                             homomorphisms, mulclose, normalizer, parse_group,
-                             subgroups_up_to_conjugacy)
+from burnfuse.groups import (_hom_images, all_subgroups,
+                             class_rep_and_conjugator, homomorphisms, mulclose,
+                             normalizer, parse_group, subgroups_up_to_conjugacy)
 from burnfuse.perms import p_inv, p_mul
 
 
@@ -101,7 +101,8 @@ class TupleCanonicalizer:
 
 ROSTER = ("S3", "C6", "D8", "Q8", "A4", "S4")
 BASIS_PAIRS = list(itertools.product(ROSTER, ROSTER)) + [("A4", "A5"),
-                                                         ("D12", "S4")]
+                                                         ("D12", "S4"),
+                                                         ("S3", "S5")]
 
 
 @pytest.mark.parametrize("gs,hs", BASIS_PAIRS)
@@ -118,6 +119,22 @@ def test_basis_matches_tuple_canonicalization(gs, hs):
     got = [(b.K.elements, b.phi.images) for b in basis(G, H)]
     assert set(got) == expected and len(got) == len(expected)
     assert got == sorted(got, key=lambda kp: (-len(kp[0]), kp))
+
+
+@pytest.mark.parametrize("gs,hs", list(itertools.product(ROSTER, ROSTER)))
+def test_filtered_homs_meet_every_target_orbit(gs, hs):
+    # basis enumerates Hom(K, H) only up to post-conjugation by H: the
+    # filtered maps must be homomorphisms, and every homomorphism must be
+    # H-conjugate to one of them
+    G, H = parse_group(gs), parse_group(hs)
+    for K in subgroups_up_to_conjugacy(G):
+        full = {hom.images for hom in homomorphisms(K, H)}
+        filtered = {tuple(map(H.elements.__getitem__, images))
+                    for images in _hom_images(K, H, up_to_conjugacy=True)}
+        assert filtered <= full
+        for images in full:
+            assert any(tuple(_conj(h, y) for y in images) in filtered
+                       for h in H.elements)
 
 
 def test_canonical_pair_on_conjugated_inputs():
