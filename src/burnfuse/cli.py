@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import sys
 from dataclasses import dataclass
 
@@ -238,7 +239,6 @@ def cmd_verify_functor(args, cfg: Config) -> int:
     k = _precision(args, 4)
     if args.pairs < 1:
         raise InputError("--pairs must be at least 1")
-    import random
     rng = random.Random(cfg.seed)
     ok = True
     lines = []

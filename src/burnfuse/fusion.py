@@ -18,6 +18,7 @@ from .errors import (ConvergenceError, FormulaMismatchError, FusionError,
 from .groups import (GroupHom, PermGroup, Subgroup, all_subgroups, as_group,
                      inclusion_hom, subgroups_up_to_conjugacy, sylow)
 from .padic import PadicInt, is_prime
+from .perms import gather
 
 ITERATION_GUARD = 64
 
@@ -61,8 +62,7 @@ class FusionSystem:
         for i, a in enumerate(S):
             local[a] = i
         dom = [S[i] for i in P.indices]
-        found = {img for img in (tuple(map(local.__getitem__,
-                                           map(row.__getitem__, dom)))
+        found = {img for img in (gather(local, gather(row, dom))
                                  for row in self.ambient.conj)
                  if -1 not in img}
         homs = tuple(GroupHom.from_indices(P, self.sylow_group, img)
@@ -109,7 +109,7 @@ def is_fusion_preserving(phi: GroupHom, F1: FusionSystem,
             for x, y in zip(P.indices, psi.image_indices):
                 if required.setdefault(f[x], f[y]) != f[y]:
                     return False
-            if tuple(map(required.__getitem__, imgP.indices)) not in companions:
+            if gather(required, imgP.indices) not in companions:
                 return False
     return True
 
@@ -128,17 +128,17 @@ def _twists(F: FusionSystem, P: Subgroup) -> tuple[GroupHom, ...]:
       a larger one, so induction from S down covers every P."""
     S = F.sylow_group
     rows = S.conj
-    implied = {tuple(map(row.__getitem__, P.indices)) for row in rows}
+    implied = {gather(row, P.indices) for row in rows}
     for R in all_subgroups(S):
         if R.order == F.prime * P.order and R.mask & P.mask == P.mask:
             at = [i for i, x in enumerate(R.indices) if P.mask >> x & 1]
-            implied.update(tuple(map(psi.image_indices.__getitem__, at))
+            implied.update(gather(psi.image_indices, at)
                            for psi in F.morphisms_to_sylow(R))
     out = []
     for phi in F.morphisms_to_sylow(P):
         if phi.image_indices not in implied:
             out.append(phi)
-            implied.update(tuple(map(row.__getitem__, phi.image_indices))
+            implied.update(gather(row, phi.image_indices)
                            for row in rows)
     return tuple(out)
 
@@ -287,15 +287,15 @@ def stable_pair_classes(F1: FusionSystem, F2: FusionSystem) \
             continue
         phi = b.phi.image_indices
         imgK = Subgroup.from_indices(S2, phi)
-        betas = [dict(zip(imgK.indices, beta.image_indices)).__getitem__
+        betas = [dict(zip(imgK.indices, beta.image_indices))
                  for beta in F2.morphisms_to_sylow(imgK)]
         members = set()
         for alpha in F1.morphisms_to_sylow(b.K):
             newK = Subgroup.from_indices(S1, alpha.image_indices)
             # phi . alpha^-1 on newK's indices
             moved = dict(zip(alpha.image_indices, phi))
-            pre = tuple(map(moved.__getitem__, newK.indices))
-            members.update(_canonical_pair(S1, S2, newK, tuple(map(beta, pre)))
+            pre = gather(moved, newK.indices)
+            members.update(_canonical_pair(S1, S2, newK, gather(beta, pre))
                            for beta in betas)
         seen |= members
         out.append(tuple(sorted(members, key=lambda m: m.sort_key)))

@@ -36,8 +36,8 @@ import re
 
 from .errors import (CapExceededError, GroupParseError, HomomorphismError,
                      SubgroupError)
-from .perms import (Perm, cycle_string, identity_perm, is_permutation,
-                    p_mul, parse_cycles)
+from .perms import (Perm, cycle_string, gather, identity_perm,
+                    is_permutation, p_mul, parse_cycles)
 
 CLOSURE_CAP = 100_000
 ENUM_CAP = 200
@@ -107,7 +107,7 @@ def _join(mul, elems, mask: int, gens, g: int) -> tuple[list[int], int]:
         for s in gens:
             y = mul[s][r]
             if not mask >> y & 1:
-                coset = tuple(map(mul[y].__getitem__, elems))
+                coset = gather(mul[y], elems)
                 out.extend(coset)
                 mask |= _mask(coset)
                 reps.append(y)
@@ -193,7 +193,7 @@ class PermGroup:
         if self._conj is None:
             mul, inv = self.mul, self.inv
             cols = tuple(zip(*mul))  # cols[b][a] is the index of a * b
-            self._conj = tuple(tuple(map(cols[inv[h]].__getitem__, mul[h]))
+            self._conj = tuple(gather(cols[inv[h]], mul[h])
                                for h in range(len(mul)))
         return self._conj
 
@@ -263,7 +263,7 @@ class Subgroup:
     def _setup(self, parent: PermGroup, idx: set[int]) -> None:
         self.parent = parent
         self.indices = tuple(sorted(idx))
-        self.elements = tuple(map(parent.elements.__getitem__, self.indices))
+        self.elements = gather(parent.elements, self.indices)
         self.mask = _mask(self.indices)
         self._gens = None
         self._hash = hash((parent, self.mask))
@@ -367,7 +367,7 @@ class GroupHom:
         self.domain = domain
         self.codomain = codomain
         self.image_indices = img
-        self.images = tuple(map(codomain.elements.__getitem__, img))
+        self.images = gather(codomain.elements, img)
         self._map = None
         self._hash = hash((domain, codomain, img))
 
@@ -707,7 +707,7 @@ def _hom_images(K: Subgroup, H: PermGroup, up_to_conjugacy: bool = False):
     for images in itertools.product(*candidates):
         phi = _propagate(K, gens, images, H)
         if phi is not None:
-            out.append(tuple(map(phi.__getitem__, K.indices)))
+            out.append(gather(phi, K.indices))
     return out
 
 

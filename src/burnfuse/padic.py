@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import ScalarMismatchError
 
 
+@functools.lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 from .errors import GroupParseError
 
@@ -22,6 +23,14 @@ def is_permutation(images) -> bool:
 def p_mul(a: Perm, b: Perm) -> Perm:
     """Compose two permutations, applying b first: (a*b)(i) = a(b(i))."""
     return tuple(a[j] for j in b)
+
+
+def gather(table, idx) -> tuple:
+    """tuple(table[i] for i in idx), by one itemgetter call when idx has
+    two or more entries (itemgetter of one index returns the bare item)."""
+    if len(idx) > 1:
+        return itemgetter(*idx)(table)
+    return tuple(table[i] for i in idx)
 
 
 def p_inv(a: Perm) -> Perm:

@@ -165,6 +165,43 @@ def test_decompose_rejects_bad_bisets():
         decompose(bad)
 
 
+C4 = parse_group("C4")
+_I2, _S2 = [0, 1], [1, 0]
+_I4 = [0, 1, 2, 3]
+
+
+def _c4_on_two_points():
+    """C4 acting on 2 points through C4 -> C2: g^2 fixes both points, though
+    the generator moves them."""
+    return [_S2 if p_mul(h, h) != C4.identity else _I2 for h in C4.elements]
+
+
+@pytest.mark.parametrize("source,target,size,left,right,message", [
+    (C2, C2, 2, [_I2], [_I2, _S2],
+     "action table shape does not match group orders"),
+    (C2, C2, 2, [_I2, _S2], [_I2, _S2, _I2],
+     "action table shape does not match group orders"),
+    (C2, C2, 2, [_S2, _I2], [_I2, _S2], "left identity does not act trivially"),
+    (C2, C2, 2, [_I2, _S2], [_S2, _I2], "right identity does not act trivially"),
+    # a 4-cycle is no action of C2
+    (C2, C2, 4, [_I4, [1, 2, 3, 0]], [_I4, [1, 0, 3, 2]],
+     "left table is not an action"),
+    (C2, C2, 4, [_I4, [1, 0, 3, 2]], [_I4, [1, 2, 3, 0]],
+     "right table is not an action"),
+    # (2 3) on the left and the free (1 2)(3 4) on the right
+    (C2, C2, 4, [_I4, [0, 2, 1, 3]], [_I4, [1, 0, 3, 2]],
+     "left and right actions do not commute"),
+    # C2 acting trivially on 2 points
+    (C2, C2, 2, [_I2, _I2], [_I2, _I2], "right action is not free"),
+    (E, C4, 2, [_I2], _c4_on_two_points(), "right action is not free"),
+], ids=["left-shape", "right-shape", "left-identity", "right-identity",
+        "left-action", "right-action", "commute", "free-trivial", "free-C4"])
+def test_validate_rejects(source, target, size, left, right, message):
+    X = ConcreteBiset(source, target, size, left, right)
+    with pytest.raises(BisetError, match=f"^{message}$"):
+        X.validate()
+
+
 def test_compose_examples():
     x1 = single(basis(E, C2)[0])
     x2 = single([b for b in basis(C2, E) if b.K.order == 1][0])

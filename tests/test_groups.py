@@ -8,8 +8,8 @@ from burnfuse.errors import (CapExceededError, GroupParseError,
 from burnfuse.groups import (GroupHom, Subgroup, as_group, double_cosets,
                              homomorphisms, mulclose, parse_group, sylow,
                              subgroups_up_to_conjugacy, trivial_group)
-from burnfuse.perms import (cycle_string, identity_perm, p_inv, p_mul,
-                            parse_cycles)
+from burnfuse.perms import (cycle_string, gather, identity_perm, p_inv,
+                            p_mul, parse_cycles)
 
 
 def p_order(a):
@@ -29,6 +29,17 @@ def test_perm_basics():
     assert cycle_string(a) == "(1 2 3)"
     assert cycle_string(identity_perm(4)) == "()"
     assert parse_cycles("(1 2)(3 4)", 4) == (1, 0, 3, 2)
+
+
+@pytest.mark.parametrize("idx", [(), (3,), (4, 0), (5, 1, 1, 6, 0)])
+def test_gather(idx):
+    # itemgetter returns a bare item for one index, so lengths 0 and 1 take
+    # another path than 2 and more; every path returns a tuple
+    for table in ((7, 5, 3, 8, 9, 2, 6), [7, 5, 3, 8, 9, 2, 6]):
+        assert gather(table, idx) == tuple(table[i] for i in idx)
+        assert gather(table, list(idx)) == tuple(table[i] for i in idx)
+    # the tracer counts every binding of p_mul, so gather must not be one
+    assert gather is not p_mul
 
 
 def test_cycle_parse_errors():

@@ -19,8 +19,10 @@ def test_prime_mismatch_rejected():
 
 
 def test_not_prime_rejected():
-    with pytest.raises(ScalarMismatchError):
-        PadicInt(4, 2, 1)
+    # is_prime is cached; every construction still checks the prime
+    for _ in range(2):
+        with pytest.raises(ScalarMismatchError):
+            PadicInt(4, 2, 1)
 
 
 def test_ring_axioms_random():
