@@ -12,8 +12,10 @@ composition. The opposite of a bifree class is the class of the inverse
 map. realize and decompose convert between classes and explicit bisets
 with action tables.
 
-Coefficients are plain integers or PadicInt values; an element is homogeneous
-in scalar kind and carries a single (p, k) when p-adic.
+Coefficients are plain ints: a nonzero p-adic element carries one (p, k)
+and holds residues in [0, p^k), and zero is an integer element. compose, +,
+- and PadicInt scaling follow one scalar rule: an integer or zero operand
+takes its partner's (p, k), and two p-adic operands must agree in p and k.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .groups import (GroupHom, PermGroup, Subgroup, _hom_images, as_group,
                      class_rep_and_conjugator, double_cosets, inclusion_hom,
                      normalizer, subgroups_up_to_conjugacy, trivial_group)
 from .intlattice import IntegerLattice
-from .padic import PadicInt
+from .padic import PadicInt, check_scalars
 from .perms import cycle_string, gather
 
 
@@ -142,82 +144,95 @@ def basis(G: PermGroup, H: PermGroup) -> tuple[BisetClass, ...]:
 # ---------------------------------------------------------------------------
 # elements
 
-def _classify_scalars(terms: dict) -> tuple[str, tuple[int, int] | None]:
-    kind = None
-    pk = None
-    for coeff in terms.values():
-        if isinstance(coeff, PadicInt):
-            if kind == "int":
-                raise ScalarMismatchError("mixed integer and p-adic coefficients")
-            kind = "padic"
-            this = (coeff.prime, coeff.precision)
-            if pk is None:
-                pk = this
-            elif pk != this:
-                raise ScalarMismatchError(
-                    f"coefficients at {pk} and {this} in one element")
-        elif isinstance(coeff, int):
-            if kind == "padic":
-                raise ScalarMismatchError("mixed integer and p-adic coefficients")
-            kind = "int"
-        else:
-            raise ScalarMismatchError(f"unsupported coefficient {coeff!r}")
-    return kind or "int", pk
+def _scalar_rule(x, y) -> tuple[int | None, int | None]:
+    """The (p, k) of a result from the prime and precision of two operands,
+    elements or PadicInt scalars (see the module docstring)."""
+    if x.prime is None:
+        return y.prime, y.precision
+    for name in ("prime", "precision"):
+        a, b = getattr(x, name), getattr(y, name)
+        if b is not None and a != b:
+            raise ScalarMismatchError(f"{name} mismatch: {a} vs {b}")
+    return x.prime, x.precision
 
 
-def _accumulate(out: dict, c, pairs) -> None:
+def _accumulate(out: dict, c: int, pairs) -> None:
     """Add c * mult to out[b] for every (b, mult) in pairs."""
     for b, mult in pairs:
-        cur = out.get(b)
-        add = c * mult
-        out[b] = add if cur is None else cur + add
+        out[b] = out.get(b, 0) + c * mult
 
 
 class BurnsideElement:
     """A finite integer or p-adic linear combination of BisetClass values
-    over a fixed (source, target) pair. Zero coefficients are dropped."""
+    over a fixed (source, target) pair: nonzero int coefficients, and the
+    (p, k) of a p-adic element in prime and precision (None otherwise).
+    +, - and scaling follow the scalar rule of the module docstring."""
 
-    __slots__ = ("source", "target", "_terms", "kind", "prime", "precision")
+    __slots__ = ("source", "target", "_terms", "prime", "precision")
 
     def __init__(self, source: PermGroup, target: PermGroup, terms: dict):
-        self.source = source
-        self.target = target
-        cleaned = {}
+        scalars, ints = None, {}  # scalars: (p, k), or (None, None) for int
         for b, c in terms.items():
             if b.source != source or b.target != target:
                 raise BisetError(
                     f"term {b!r} does not live over ({source.label}, {target.label})")
             if isinstance(c, PadicInt):
-                if not c.is_zero:
-                    cleaned[b] = c
-            elif c != 0:
-                cleaned[b] = c
-        kind, pk = _classify_scalars(cleaned)
-        self._terms = cleaned
-        self.kind = kind
-        self.prime, self.precision = pk if pk else (None, None)
+                this, c = (c.prime, c.precision), c.residue
+            elif isinstance(c, int) or c == 0:
+                this = (None, None)
+            else:
+                raise ScalarMismatchError(f"unsupported coefficient {c!r}")
+            if not c:
+                continue
+            if scalars not in (None, this):
+                raise ScalarMismatchError(
+                    "mixed integer and p-adic coefficients"
+                    if (None, None) in (scalars, this)
+                    else f"coefficients at {scalars} and {this} in one element")
+            scalars, ints[b] = this, int(c)  # a bool is stored as 0 or 1
+        self.source, self.target, self._terms = source, target, ints
+        self.prime, self.precision = scalars or (None, None)
+
+    @classmethod
+    def _from_ints(cls, source: PermGroup, target: PermGroup, terms: dict,
+                   prime: int | None = None,
+                   precision: int | None = None) -> "BurnsideElement":
+        """The element with int coefficients terms, reduced mod p^k when a
+        prime is given. The caller guarantees that the classes live over
+        (source, target) and that (p, k) is valid; nothing is checked."""
+        self = cls.__new__(cls)
+        self.source, self.target = source, target
+        if prime is None:
+            self._terms = {b: c for b, c in terms.items() if c}
+        else:
+            mod = prime ** precision
+            self._terms = {b: r for b, c in terms.items() if (r := c % mod)}
+        self.prime, self.precision = ((prime, precision) if self._terms
+                                      else (None, None))
+        return self
+
+    def _scalar(self, c: int):
+        return c if self.prime is None else PadicInt(self.prime, self.precision, c)
 
     @property
     def is_padic(self) -> bool:
-        return self.kind == "padic"
+        return self.prime is not None
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self):
+    def _items(self) -> list[tuple[BisetClass, int]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key)
+
+    def terms(self):
+        return [(b, self._scalar(c)) for b, c in self._items()]
 
     def support(self):
         return sorted(self._terms, key=lambda b: b.sort_key)
 
     def coefficient(self, b: BisetClass):
-        c = self._terms.get(b)
-        if c is not None:
-            return c
-        if self.is_padic:
-            return PadicInt(self.prime, self.precision, 0)
-        return 0
+        return self._scalar(self._terms.get(b, 0))
 
     def lift(self, p: int, k: int) -> "BurnsideElement":
         """Coerce to p-adic coefficients at precision k."""
@@ -225,20 +240,22 @@ class BurnsideElement:
             if self.prime != p:
                 raise ScalarMismatchError(
                     f"cannot lift prime {self.prime} element to prime {p}")
-            if k > self.precision:
-                raise ScalarMismatchError(
-                    f"cannot raise precision {self.precision} to {k}")
             return self.reduce_to(k)
-        return BurnsideElement(self.source, self.target, {
-            b: PadicInt(p, k, c) for b, c in self._terms.items()})
+        check_scalars(p, k)
+        return BurnsideElement._from_ints(self.source, self.target,
+                                          self._terms, p, k)
 
     def reduce_to(self, k: int) -> "BurnsideElement":
         if self.is_zero:
             return self
         if not self.is_padic:
             raise ScalarMismatchError("only p-adic elements carry a precision")
-        return BurnsideElement(self.source, self.target, {
-            b: c.reduce_to(k) for b, c in self._terms.items()})
+        if k > self.precision:
+            raise ScalarMismatchError(
+                f"cannot raise precision {self.precision} to {k}")
+        check_scalars(self.prime, k)
+        return BurnsideElement._from_ints(self.source, self.target,
+                                          self._terms, self.prime, k)
 
     def _binop(self, other, sign: int) -> "BurnsideElement":
         if not isinstance(other, BurnsideElement):
@@ -247,7 +264,8 @@ class BurnsideElement:
             raise BisetError("cannot add elements over different group pairs")
         out = dict(self._terms)
         _accumulate(out, sign, other._terms.items())
-        return BurnsideElement(self.source, self.target, out)
+        return BurnsideElement._from_ints(self.source, self.target, out,
+                                          *_scalar_rule(self, other))
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -256,12 +274,17 @@ class BurnsideElement:
         return self._binop(other, -1)
 
     def __neg__(self):
-        return BurnsideElement(self.source, self.target,
-                               {b: -c for b, c in self._terms.items()})
+        return self.scaled(-1)
 
     def scaled(self, scalar) -> "BurnsideElement":
-        return BurnsideElement(self.source, self.target,
-                               {b: scalar * c for b, c in self._terms.items()})
+        if isinstance(scalar, PadicInt):
+            pk, scalar = _scalar_rule(self, scalar), scalar.residue
+        elif isinstance(scalar, int):
+            pk = self.prime, self.precision
+        else:
+            raise ScalarMismatchError(f"unsupported coefficient {scalar!r}")
+        return BurnsideElement._from_ints(self.source, self.target, {
+            b: scalar * c for b, c in self._terms.items()}, *pk)
 
     def __rmul__(self, scalar):
         if isinstance(scalar, (int, PadicInt)):
@@ -271,20 +294,13 @@ class BurnsideElement:
     def __eq__(self, other):
         if not isinstance(other, BurnsideElement):
             return NotImplemented
-        if self.source != other.source or self.target != other.target:
+        if (self.source != other.source or self.target != other.target
+                or self.prime != other.prime):
             return False
-        if self.is_zero and other.is_zero:
-            return True
-        if self.is_padic != other.is_padic:
-            return False
-        if not self.is_padic:
-            return self._terms == other._terms
-        if self.prime != other.prime:
-            return False
-        k = min(self.precision, other.precision)
-        a = {b: c.reduce_to(k).residue for b, c in self._terms.items()}
-        bb = {b: c.reduce_to(k).residue for b, c in other._terms.items()}
-        return a == bb
+        if self.precision != other.precision:  # compare at the lower one
+            k = min(self.precision, other.precision)
+            return self.reduce_to(k) == other.reduce_to(k)
+        return self._terms == other._terms
 
     def __hash__(self):
         raise TypeError("BurnsideElement is not hashable")
@@ -292,13 +308,8 @@ class BurnsideElement:
     def __str__(self):
         if self.is_zero:
             return "0"
-        parts = []
-        for b, c in self.terms():
-            if isinstance(c, PadicInt):
-                parts.append(f"({c}) {b.label()}")
-            else:
-                parts.append(f"{c} {b.label()}")
-        return " + ".join(parts)
+        fmt = "({}) {}" if self.is_padic else "{} {}"
+        return " + ".join(fmt.format(c, b.label()) for b, c in self.terms())
 
     def __repr__(self):
         return f"BurnsideElement({self})"
@@ -328,7 +339,7 @@ def identity_element(G: PermGroup) -> BurnsideElement:
 
 def cardinality(x: BurnsideElement):
     """Total point count of the virtual biset."""
-    return sum(c * b.size for b, c in x._terms.items())
+    return x._scalar(sum(c * b.size for b, c in x._terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +449,7 @@ def decompose(X: ConcreteBiset) -> BurnsideElement:
     for x0 in range(n):
         if seen[x0]:
             continue
-        to_h = {}
-        for hi, row in enumerate(X.right):
-            y = row[x0]
-            if y in to_h:
-                raise BisetError("right action is not free on an orbit")
-            to_h[y] = hi
+        to_h = {row[x0]: hi for hi, row in enumerate(X.right)}
         members = []
         images = []
         for gi, row in enumerate(X.left):
@@ -461,7 +467,7 @@ def decompose(X: ConcreteBiset) -> BurnsideElement:
     total = sum(b.size * c for b, c in terms.items())
     if total != n:
         raise AssertionError("orbit decomposition lost points")
-    return BurnsideElement(G, H, terms)
+    return BurnsideElement._from_ints(G, H, terms)
 
 
 @functools.lru_cache(maxsize=None)
@@ -490,31 +496,18 @@ def _compose_basis(b1: BisetClass, b2: BisetClass) -> tuple[tuple[BisetClass, in
 
 
 def compose(x: BurnsideElement, y: BurnsideElement) -> BurnsideElement:
-    """Composition over (G,H) x (H,K) -> (G,K), bilinear in both arguments.
-
-    Integer elements compose with either kind (integers are lifted to the
-    partner's precision); two p-adic elements must agree in (p, k).
-    """
+    """Composition over (G,H) x (H,K) -> (G,K), bilinear in both arguments,
+    with the scalars of `_scalar_rule`."""
     if x.target != y.source:
         raise BisetError(
             f"cannot compose ({x.source.label},{x.target.label}) with "
             f"({y.source.label},{y.target.label})")
-    if x.is_padic and y.is_padic:
-        if x.prime != y.prime:
-            raise ScalarMismatchError(
-                f"prime mismatch: {x.prime} vs {y.prime}")
-        if x.precision != y.precision:
-            raise ScalarMismatchError(
-                f"precision mismatch: {x.precision} vs {y.precision}")
-    elif x.is_padic:
-        y = y.lift(x.prime, x.precision)
-    elif y.is_padic:
-        x = x.lift(y.prime, y.precision)
-    out: dict[BisetClass, object] = {}
+    pk = _scalar_rule(x, y)
+    out: dict[BisetClass, int] = {}
     for b1, c1 in x._terms.items():
         for b2, c2 in y._terms.items():
             _accumulate(out, c1 * c2, _compose_basis(b1, b2))
-    return BurnsideElement(x.source, y.target, out)
+    return BurnsideElement._from_ints(x.source, y.target, out, *pk)
 
 
 def power(x: BurnsideElement, n: int) -> BurnsideElement:
@@ -579,10 +572,10 @@ def restrict_along(x: BurnsideElement, left_hom: GroupHom | None = None,
         raise SubgroupError("right map does not land in the target group")
     src = as_group(left_hom.domain) if left_hom is not None else x.source
     tgt = as_group(right_hom.domain) if right_hom is not None else x.target
-    out: dict[BisetClass, object] = {}
+    out: dict[BisetClass, int] = {}
     for b, c in x._terms.items():
         _accumulate(out, c, _restrict_basis(b, left_hom, right_hom))
-    return BurnsideElement(src, tgt, out)
+    return BurnsideElement._from_ints(src, tgt, out, x.prime, x.precision)
 
 
 def restrict(x: BurnsideElement, S: Subgroup, T: Subgroup) -> BurnsideElement:
@@ -606,10 +599,11 @@ def _opposite_basis(b: BisetClass) -> tuple[tuple[BisetClass, int], ...]:
 def opposite(x: BurnsideElement) -> BurnsideElement:
     """Swap the two actions of a bifree element: an (H,G)-element results.
     Every class in the support must have injective phi."""
-    out: dict[BisetClass, object] = {}
+    out: dict[BisetClass, int] = {}
     for b, c in x._terms.items():
         _accumulate(out, c, _opposite_basis(b))
-    return BurnsideElement(x.target, x.source, out)
+    return BurnsideElement._from_ints(x.target, x.source, out, x.prime,
+                                      x.precision)
 
 
 TRIVIAL = trivial_group()
@@ -635,10 +629,9 @@ def semichar_embed(a: BurnsideElement) -> BurnsideElement:
     if a.target != TRIVIAL:
         raise BisetError("semichar_embed expects an element over (G, trivial)")
     G = a.source
-    out: dict[BisetClass, object] = {}
-    _accumulate(out, 1, ((_canonical_pair(G, G, b.K, b.K.indices), c)
-                         for b, c in a._terms.items()))
-    return BurnsideElement(G, G, out)
+    return BurnsideElement._from_ints(G, G, {
+        _canonical_pair(G, G, b.K, b.K.indices): c
+        for b, c in a._terms.items()}, a.prime, a.precision)
 
 
 def burnside_ring_class(G: PermGroup, K: Subgroup) -> BisetClass:

@@ -20,6 +20,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_scalars(p: int, k: int) -> None:
+    """Raise ScalarMismatchError unless p is prime and k is at least 1."""
+    if not is_prime(p):
+        raise ScalarMismatchError(f"{p} is not prime")
+    if k < 1:
+        raise ScalarMismatchError("precision must be at least 1")
+
+
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (x, y, g) with x*a + y*b == g == gcd(a, b)."""
     x, next_x = 1, 0
@@ -49,19 +57,9 @@ class PadicInt:
     residue: int
 
     def __post_init__(self):
-        if not is_prime(self.prime):
-            raise ScalarMismatchError(f"{self.prime} is not prime")
-        if self.precision < 1:
-            raise ScalarMismatchError("precision must be at least 1")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
-
-    @property
-    def modulus(self) -> int:
-        return self.prime ** self.precision
-
-    @property
-    def is_unit(self) -> bool:
-        return self.residue % self.prime != 0
+        check_scalars(self.prime, self.precision)
+        object.__setattr__(self, "residue",
+                           self.residue % self.prime ** self.precision)
 
     @property
     def is_zero(self) -> bool:

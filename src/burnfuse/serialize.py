@@ -17,16 +17,16 @@ from .burnside import BisetClass, BurnsideElement, _canonical_pair
 from .errors import InputError
 from .fusion import StableElement
 from .groups import PermGroup, Subgroup, mulclose, parse_group
-from .padic import PadicInt
+from .padic import check_scalars
 from .perms import cycle_string, parse_cycles
 
 
-def _term_to_json(b: BisetClass, coeff) -> dict:
+def _term_to_json(b: BisetClass, coeff: int) -> dict:
     gens = b.K.generators()
     return {
         "K": [cycle_string(g) for g in gens],
         "phi": [[cycle_string(g), cycle_string(b.phi(g))] for g in gens],
-        "coeff": str(coeff.residue if isinstance(coeff, PadicInt) else coeff),
+        "coeff": str(coeff),
     }
 
 
@@ -36,7 +36,7 @@ def element_to_json(x: BurnsideElement) -> dict:
         "source": x.source.label,
         "target": x.target.label,
         "scalars": scalars,
-        "terms": [_term_to_json(b, c) for b, c in x.terms()],
+        "terms": [_term_to_json(b, c) for b, c in x._items()],
     }
 
 
@@ -97,17 +97,15 @@ def element_from_json(data: dict) -> BurnsideElement:
     source = parse_group(data["source"])
     target = parse_group(data["target"])
     scalars = data["scalars"]
-    padic = scalars != "int"
-    if padic:
+    p = k = None
+    if scalars != "int":
         p, k = _integer(scalars["p"]), _integer(scalars["k"])
-    terms: dict[BisetClass, object] = {}
+        check_scalars(p, k)
+    terms: dict[BisetClass, int] = {}
     for term in data["terms"]:
         b = _term_from_json(term, source, target)
-        c = _integer(term["coeff"])
-        coeff = PadicInt(p, k, c) if padic else c
-        prev = terms.get(b)
-        terms[b] = coeff if prev is None else prev + coeff
-    return BurnsideElement(source, target, terms)
+        terms[b] = terms.get(b, 0) + _integer(term["coeff"])
+    return BurnsideElement._from_ints(source, target, terms, p, k)
 
 
 def stable_to_json(x: StableElement) -> dict:

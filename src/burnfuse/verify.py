@@ -8,6 +8,7 @@ command line and the test suite always agree.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -115,7 +116,6 @@ def criterion_ideal_topology(seed: int = DEFAULT_SEED) -> VerdictResult:
                 o //= p
                 n += 1
             gens = augmentation_ideal_generators(S)
-            import itertools
             count = 0
             for combo in itertools.product(gens, repeat=n + 1):
                 prod = combo[0]

@@ -7,7 +7,7 @@ from burnfuse.burnside import (BisetClass, BurnsideElement, ConcreteBiset,
                                TRIVIAL, augment, augmentation_ideal_generators,
                                basis, burnside_ring_class,
                                burnside_ring_element, canonical_class,
-                               cardinality, compose, decompose,
+                               cardinality, compose, decompose, element,
                                ideal_power_membership, identity_class,
                                identity_element, in_kernel, opposite,
                                power, realize, restrict, ring_product,
@@ -18,6 +18,7 @@ from burnfuse.groups import (GroupHom, Subgroup, as_group, double_cosets,
                              subgroups_up_to_conjugacy)
 from burnfuse.padic import PadicInt
 from burnfuse.perms import p_inv, p_mul
+from burnfuse.serialize import element_from_json, element_to_json
 
 S3 = parse_group("S3")
 S4 = parse_group("S4")
@@ -153,15 +154,15 @@ def test_decompose_rejects_bad_bisets():
     left = [[0, 1], [0, 1]]
     right = [[0, 1], [0, 1]]
     X = ConcreteBiset(C2, C2, 2, left, right)
-    with pytest.raises(BisetError):
+    with pytest.raises(BisetError, match="^right action is not free$"):
         decompose(X)
-    # non-commuting actions on 4 points
-    swap, ident = [1, 0, 3, 2], [0, 1, 2, 3]
+    # a left 4-cycle on 4 points is not an action of C2
+    ident = [0, 1, 2, 3]
     other = [2, 3, 0, 1]
     bad = ConcreteBiset(C2, C2, 4,
                         [ident, [1, 2, 3, 0]],
                         [ident, other])
-    with pytest.raises(BisetError):
+    with pytest.raises(BisetError, match="^left table is not an action$"):
         decompose(bad)
 
 
@@ -200,6 +201,13 @@ def test_validate_rejects(source, target, size, left, right, message):
     X = ConcreteBiset(source, target, size, left, right)
     with pytest.raises(BisetError, match=f"^{message}$"):
         X.validate()
+
+
+def test_decompose_of_non_free_biset_raises_validate_message():
+    # every orbit check in decompose comes after validate's freeness check
+    X = ConcreteBiset(E, C4, 2, [_I2], _c4_on_two_points())
+    with pytest.raises(BisetError, match="^right action is not free$"):
+        decompose(X)
 
 
 def test_compose_examples():
@@ -598,6 +606,108 @@ def test_element_equality_min_precision():
     z = x - x
     assert z == zero(S3, S3)
     assert z.is_zero
+
+
+def test_element_equality_ignores_classes_vanishing_at_lower_precision():
+    a, b = basis(S3, S3)[:2]
+    x = element(S3, S3, {a: 1, b: 2}).lift(2, 4)
+    assert x == single(a).lift(2, 1)
+    assert single(a).lift(2, 1) == x
+    assert x != single(a).lift(2, 2)
+
+
+def test_constructor_checks_coefficients():
+    a, b = basis(S3, S3)[:2]
+    with pytest.raises(ScalarMismatchError,
+                       match="^mixed integer and p-adic coefficients$"):
+        element(S3, S3, {a: 1, b: PadicInt(2, 4, 1)})
+    with pytest.raises(ScalarMismatchError,
+                       match=r"^coefficients at \(2, 4\) and \(2, 5\) in one element$"):
+        element(S3, S3, {a: PadicInt(2, 4, 1), b: PadicInt(2, 5, 1)})
+    with pytest.raises(ScalarMismatchError, match="^unsupported coefficient 1.5$"):
+        element(S3, S3, {a: 1.5})
+    with pytest.raises(BisetError, match="does not live over"):
+        element(S3, C2, {a: 1})
+    # zero coefficients are dropped before the kinds are compared
+    x = element(S3, S3, {a: 0, b: PadicInt(2, 4, 17)})
+    assert (x.prime, x.precision, x.coefficient(b)) == (2, 4, PadicInt(2, 4, 1))
+    assert not element(S3, S3, {a: PadicInt(2, 4, 16)}).is_padic
+    # a bool coefficient is stored as a plain int, so it prints and
+    # serializes as one
+    x = element(S3, S3, {a: True})
+    assert str(x) == f"1 {a.label()}"
+    assert element_from_json(element_to_json(x)) == single(a)
+
+
+@pytest.mark.parametrize("x", [zero(S3, S3), identity_element(S3)],
+                         ids=["zero", "identity"])
+def test_lift_validates_scalars(x):
+    with pytest.raises(ScalarMismatchError, match="^4 is not prime$"):
+        x.lift(4, 2)
+    with pytest.raises(ScalarMismatchError,
+                       match="^precision must be at least 1$"):
+        x.lift(2, 0)
+
+
+def test_sum_does_not_depend_on_supports():
+    a, b = basis(S3, S3)[:2]
+    xa, xb = single(a), single(b)
+    assert xb + xa.lift(2, 4) == (xb + xa).lift(2, 4)
+    assert xa.lift(2, 4) + xb == (xa + xb).lift(2, 4)
+    assert xb - xa.lift(2, 4) == (xb - xa).lift(2, 4)
+    assert (xb + xa.lift(2, 4)).precision == 4
+    assert xa + xa.lift(2, 4) == (2 * xa).lift(2, 4)
+    assert zero(S3, S3) + xa.lift(2, 4) == xa.lift(2, 4)
+
+
+@pytest.mark.parametrize("overlap", [False, True], ids=["disjoint", "overlap"])
+def test_unequal_scalars_raise_whatever_the_supports(overlap):
+    a, b = basis(S3, S3)[:2]
+    x = single(a).lift(2, 6)
+    other = a if overlap else b
+    for y, message in [(single(other).lift(2, 3), "precision mismatch: 6 vs 3"),
+                       (single(other).lift(3, 6), "prime mismatch: 2 vs 3")]:
+        with pytest.raises(ScalarMismatchError, match=f"^{message}$"):
+            x + y
+        with pytest.raises(ScalarMismatchError, match=f"^{message}$"):
+            x - y
+    with pytest.raises(ScalarMismatchError,
+                       match="^precision mismatch: 6 vs 3$"):
+        PadicInt(2, 3, 1) * x
+    with pytest.raises(ScalarMismatchError, match="^prime mismatch: 2 vs 3$"):
+        x.scaled(PadicInt(3, 6, 1))
+
+
+def test_padic_scaling_takes_the_scalar_rule():
+    a = basis(S3, S3)[0]
+    assert PadicInt(2, 4, 3) * single(a) == (3 * single(a)).lift(2, 4)
+    assert PadicInt(2, 4, 3) * single(a).lift(2, 4) == \
+        (3 * single(a)).lift(2, 4)
+    assert (PadicInt(2, 4, 16) * single(a)).is_zero
+
+
+def test_padic_difference_with_itself_is_integer_zero():
+    x = identity_element(S3).lift(2, 4)
+    d = x - x
+    assert d.is_zero and not d.is_padic
+    assert (d.prime, d.precision) == (None, None)
+    assert element_to_json(d)["scalars"] == "int"
+
+
+def test_padic_file_with_repeated_term_loads_as_sum():
+    b = basis(S3, S3)[1]
+    term = element_to_json(single(b))["terms"][0]
+    data = {"source": S3.label, "target": S3.label,
+            "scalars": {"p": 2, "k": 4},
+            "terms": [dict(term, coeff="13"), dict(term, coeff="7")]}
+    x = element_from_json(data)
+    assert x.coefficient(b) == PadicInt(2, 4, 4)
+    assert x == single(b).lift(2, 4).scaled(20)
+    data["terms"][1]["coeff"] = "3"
+    assert not element_from_json(data).is_padic
+    data["scalars"] = {"p": 4, "k": 4}
+    with pytest.raises(ScalarMismatchError, match="^4 is not prime$"):
+        element_from_json(data)
 
 
 def test_cardinality():

@@ -620,8 +620,7 @@ def dense_residues(elt, ordinary, p, k):
         raise ScalarMismatchError(
             f"cannot raise precision {elt.precision} to {k}")
     mod = p ** k
-    terms = {b: c.residue if elt.is_padic else c
-             for b, c in elt._terms.items()}
+    terms = {b: c.residue if elt.is_padic else c for b, c in elt.terms()}
     return [terms.get(b, 0) % mod for b in ordinary]
 
 
