@@ -26,7 +26,6 @@ from .errors import BisetError, ScalarMismatchError, SubgroupError
 from .groups import (GroupHom, PermGroup, Subgroup, _hom_images, as_group,
                      class_rep_and_conjugator, double_cosets, inclusion_hom,
                      normalizer, subgroups_up_to_conjugacy, trivial_group)
-from .intlattice import IntegerLattice
 from .padic import PadicInt, check_scalars
 from .perms import cycle_string, gather
 
@@ -715,6 +714,7 @@ def kernel_basis_elements(G: PermGroup, H: PermGroup) -> tuple[BurnsideElement, 
 @functools.lru_cache(maxsize=None)
 def _ideal_power_lattice(G: PermGroup, H: PermGroup, m: int,
                          kernel_only: bool, scale: int) -> IntegerLattice:
+    from .intlattice import IntegerLattice
     basis_list = basis(G, H)
     lat = IntegerLattice(len(basis_list))
     if kernel_only:

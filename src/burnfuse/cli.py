@@ -9,38 +9,37 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
-from dataclasses import dataclass
 
 from .burnside import basis, compose, restrict, single
-from .completion import (complete, complete_functor_check,
-                         completion_unit_inverse, splitting_idempotent_approx,
-                         transfer_counterexample_check, verify_splitting_sum)
 from .errors import BurnfuseError, InputError
-from .fusion import characteristic_idempotent, fusion_system, stable_basis
-from .groups import ENUM_CAP, check_cap, enumeration_cap, parse_group, sylow
+from .groups import (DEFAULT_SEED, ENUM_CAP, check_cap, enumeration_cap,
+                     parse_group, sylow)
 from .padic import is_prime
-from .serialize import (dump_json, element_to_json, load_element,
-                        stable_to_json)
-from .verify import DEFAULT_SEED, run_all
+
+# Every command needs the modules imported above. Each handler imports the
+# layers it runs (fusion, completion, serialize, verify) in its own body, so
+# a cold command loads only those: `basis` in text form loads none of them.
 
 CONFIG_FILE = "burnfuse.toml"
 
 
-@dataclass
 class Config:
-    precision: int = 8
-    order_cap: int = ENUM_CAP
-    schedule_cap: int = 8
-    seed: int = DEFAULT_SEED
-    format: str = "text"
+    """The settings of one command: defaults, then the config file, then
+    the command-line options."""
 
-    def __post_init__(self):
-        if self.precision < 1:
+    def __init__(self, precision: int = 8, order_cap: int = ENUM_CAP,
+                 schedule_cap: int = 8, seed: int = DEFAULT_SEED,
+                 format: str = "text"):
+        if precision < 1:
             raise InputError("precision must be at least 1")
-        if self.order_cap < 2:
+        if order_cap < 2:
             raise InputError("order_cap must cover the smallest examples")
+        self.precision = precision
+        self.order_cap = order_cap
+        self.schedule_cap = schedule_cap
+        self.seed = seed
+        self.format = format
 
 
 def read_config_file(path: str | None = None) -> dict:
@@ -82,12 +81,18 @@ def _element_lines(x, suffix: str = "") -> list[str]:
     return out
 
 
+def _print_json(data: dict) -> None:
+    from .serialize import dump_json
+    print(dump_json(data))
+
+
 def _emit_element(x, cfg: Config, fusion_context=None) -> None:
     if cfg.format == "json":
+        from .serialize import element_to_json, stable_to_json
         if fusion_context is not None:
-            print(dump_json(stable_to_json(fusion_context)))
+            _print_json(stable_to_json(fusion_context))
         else:
-            print(dump_json(element_to_json(x)))
+            _print_json(element_to_json(x))
         return
     if fusion_context is not None:
         left, right = fusion_context.left_fusion, fusion_context.right_fusion
@@ -110,6 +115,7 @@ def _groups(*specs: str):
 
 def _element(path: str):
     """Load an element file and check its groups against the cap."""
+    from .serialize import load_element
     x = load_element(path)
     check_cap(x.source)
     check_cap(x.target)
@@ -134,6 +140,7 @@ def cmd_basis(args, cfg: Config) -> int:
     G, H = _groups(args.G, args.H)
     classes = basis(G, H)
     if cfg.format == "json":
+        from .serialize import element_to_json
         payload = {
             "source": G.label, "target": H.label,
             "classes": [element_to_json(single(b))["terms"][0] | {"size": b.size}
@@ -141,7 +148,7 @@ def cmd_basis(args, cfg: Config) -> int:
         }
         for entry in payload["classes"]:
             del entry["coeff"]
-        print(dump_json(payload))
+        _print_json(payload)
     else:
         print(f"basis of ({G.label}, {H.label})")
         for i, b in enumerate(classes, 1):
@@ -166,6 +173,7 @@ def cmd_restrict(args, cfg: Config) -> int:
 
 
 def cmd_idempotent(args, cfg: Config) -> int:
+    from .fusion import characteristic_idempotent, fusion_system
     [G] = _groups(args.G)
     p = _require_prime(args.p)
     k = _precision(args, cfg.precision)
@@ -175,6 +183,7 @@ def cmd_idempotent(args, cfg: Config) -> int:
 
 
 def cmd_invert_unit(args, cfg: Config) -> int:
+    from .completion import completion_unit_inverse
     [H] = _groups(args.H)
     p = _require_prime(args.p)
     k = _precision(args, cfg.precision)
@@ -184,6 +193,7 @@ def cmd_invert_unit(args, cfg: Config) -> int:
 
 
 def cmd_complete(args, cfg: Config) -> int:
+    from .completion import complete
     x = _element(args.element)
     p = _require_prime(args.p)
     k = _precision(args, cfg.precision)
@@ -193,15 +203,17 @@ def cmd_complete(args, cfg: Config) -> int:
 
 
 def cmd_stable_basis(args, cfg: Config) -> int:
+    from .fusion import fusion_system, stable_basis
     G, H = _groups(args.G, args.H)
     p = _require_prime(args.p)
     k = _precision(args, cfg.precision)
     F1, F2 = fusion_system(G, p), fusion_system(H, p)
     sb = stable_basis(F1, F2, k)
     if cfg.format == "json":
-        print(dump_json({"leftFusion": {"group": G.label, "p": p},
-                         "rightFusion": {"group": H.label, "p": p},
-                         "elements": [stable_to_json(s) for s in sb]}))
+        from .serialize import stable_to_json
+        _print_json({"leftFusion": {"group": G.label, "p": p},
+                     "rightFusion": {"group": H.label, "p": p},
+                     "elements": [stable_to_json(s) for s in sb]})
     else:
         print(f"stable basis for ({F1.label}, {F2.label}), {len(sb)} elements")
         for i, s in enumerate(sb, 1):
@@ -212,6 +224,7 @@ def cmd_stable_basis(args, cfg: Config) -> int:
 
 
 def cmd_splitting(args, cfg: Config) -> int:
+    from .completion import splitting_idempotent_approx
     [G] = _groups(args.G)
     p = _require_prime(args.p)
     x = splitting_idempotent_approx(G, p, args.n)
@@ -221,19 +234,23 @@ def cmd_splitting(args, cfg: Config) -> int:
 
 def _finish_report(report, cfg: Config) -> int:
     if cfg.format == "json":
-        print(dump_json(report.to_json()))
+        _print_json(report.to_json())
     else:
         print(report.to_text())
     return 0 if report.passed else 1
 
 
 def cmd_verify_sum(args, cfg: Config) -> int:
+    from .completion import verify_splitting_sum
     [G] = _groups(args.G)
     report = verify_splitting_sum(G, args.kmax, schedule_cap=cfg.schedule_cap)
     return _finish_report(report, cfg)
 
 
 def cmd_verify_functor(args, cfg: Config) -> int:
+    import random
+
+    from .completion import complete_functor_check
     G, H, K = _groups(args.G, args.H, args.K)
     p = _require_prime(args.p)
     k = _precision(args, 4)
@@ -249,9 +266,9 @@ def cmd_verify_functor(args, cfg: Config) -> int:
         ok = ok and rep.passed
         lines.append(f"  {'PASS' if rep.passed else 'FAIL'}  pair {i + 1}")
     if cfg.format == "json":
-        print(dump_json({"title": "functoriality sample",
-                         "groups": [G.label, H.label, K.label],
-                         "p": p, "k": k, "passed": ok}))
+        _print_json({"title": "functoriality sample",
+                     "groups": [G.label, H.label, K.label],
+                     "p": p, "k": k, "passed": ok})
     else:
         print(f"functoriality over ({G.label},{H.label},{K.label}) p={p} k={k}")
         print("\n".join(lines))
@@ -260,6 +277,7 @@ def cmd_verify_functor(args, cfg: Config) -> int:
 
 
 def cmd_verify_counterexample(args, cfg: Config) -> int:
+    from .completion import transfer_counterexample_check
     [H] = _groups(args.H)
     p = _require_prime(args.p)
     k = _precision(args, cfg.precision)
@@ -268,12 +286,13 @@ def cmd_verify_counterexample(args, cfg: Config) -> int:
 
 
 def cmd_verify_all(args, cfg: Config) -> int:
+    from .verify import run_all
     results = run_all(cfg.seed)
     if cfg.format == "json":
-        print(dump_json({"criteria": [
+        _print_json({"criteria": [
             {"number": r.number, "name": r.name, "passed": r.passed,
              "elapsed": round(r.elapsed, 2), "details": r.details}
-            for r in results]}))
+            for r in results]})
     else:
         for r in results:
             print(r.line())

@@ -41,6 +41,10 @@ from .perms import (Perm, cycle_string, gather, identity_perm,
 
 CLOSURE_CAP = 100_000
 ENUM_CAP = 200
+# The seed of the sampled checks (`verify all`, `verify functor`). It sits
+# with the other command defaults, so the command line reads it without
+# loading `verify`.
+DEFAULT_SEED = 20260808
 # The enumeration cap in force; `enumeration_cap` sets it for one block.
 _enum_cap = contextvars.ContextVar("enum_cap", default=ENUM_CAP)
 
@@ -456,27 +460,43 @@ def _quaternion() -> list[Perm]:
     return [i, j]
 
 
-def _parse_atom(token: str) -> tuple[int, list[Perm]]:
+def _parse_atom(token: str) -> tuple[str, int]:
+    """The family letter and index of a named factor; Q8 is ("Q", 8)."""
     if token == "Q8":
-        return 8, _quaternion()
+        return "Q", 8
     m = _ATOM_RE.match(token)
     if not m:
         raise GroupParseError(f"unrecognized group token {token!r}")
     family, n = m.group(1), int(m.group(2))
     if n < 1:
         raise GroupParseError(f"bad index in {token!r}")
-    if family == "C":
-        return max(n, 1), _cyclic(n)
-    if family == "S":
-        return max(n, 1), _symmetric(n)
-    if family == "A":
-        return max(n, 1), _alternating(n)
+    if family == "D" and n % 2 != 0:
+        raise GroupParseError(
+            f"dihedral token {token!r} must carry an even order >= 2")
+    return family, n
+
+
+def _atom_order(family: str, n: int, cap: int) -> int:
+    """The order of a named factor, or cap + 1 once it provably exceeds cap.
+    S<n> has order n! and A<n> order n!/2 (1 for n <= 2); the product stops
+    as soon as it passes cap, so a huge n costs no more than a small one."""
+    if family in "CDQ":
+        return min(n, cap + 1)
+    order = 1
+    for i in range(3 if family == "A" else 2, n + 1):
+        order *= i
+        if order > cap:
+            return cap + 1
+    return order
+
+
+def _atom_generators(family: str, n: int) -> tuple[int, list[Perm]]:
+    """The (degree, generators) of a named factor."""
+    if family == "Q":
+        return 8, _quaternion()
     if family == "D":
-        if n % 2 != 0 or n < 2:
-            raise GroupParseError(
-                f"dihedral token {token!r} must carry an even order >= 2")
         return _dihedral(n)
-    raise GroupParseError(f"unrecognized group token {token!r}")
+    return n, {"C": _cyclic, "S": _symmetric, "A": _alternating}[family](n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -495,6 +515,9 @@ def parse_group(spec: str) -> PermGroup:
         degree = int(m.group(1))
         if degree < 1:
             raise GroupParseError("degree must be positive")
+        if degree > CLOSURE_CAP:
+            raise CapExceededError(
+                f"degree {degree} exceeds the closure cap {CLOSURE_CAP}")
         body = m.group(2).strip()
         gens = []
         if body:
@@ -503,11 +526,21 @@ def parse_group(spec: str) -> PermGroup:
         label = f"perm {degree}: " + (", ".join(cycle_string(g) for g in gens)
                                       if gens else "()")
         return PermGroup(degree, gens, label)
+    tokens = [t.strip() for t in text.split("x")]
+    atoms = [_parse_atom(token) for token in tokens]
+    # check the order before building a generator: C<n> alone is a tuple of
+    # length n, so a huge n would exhaust memory before closure hit its cap
+    order = 1
+    for family, n in atoms:
+        order = min(order * _atom_order(family, n, CLOSURE_CAP),
+                    CLOSURE_CAP + 1)
+    if order > CLOSURE_CAP:
+        raise CapExceededError(
+            f"|{text}| exceeds the closure cap {CLOSURE_CAP}")
     degree = 0
     gens: list[Perm] = []
-    tokens = [t.strip() for t in text.split("x")]
-    for token in tokens:
-        d, part_gens = _parse_atom(token)
+    for family, n in atoms:
+        d, part_gens = _atom_generators(family, n)
         gens = [g + tuple(range(len(g), len(g) + d)) for g in gens]
         pad = tuple(range(degree))
         gens.extend(pad + tuple(degree + i for i in g) for g in part_gens)

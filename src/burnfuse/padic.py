@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .errors import ScalarMismatchError
 
@@ -43,23 +42,55 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-@dataclass(frozen=True)
 class PadicInt:
     """A p-adic integer truncated at precision p^k.
 
     Arithmetic between operands requires equal primes; the result carries
     the minimum of the operand precisions. Integers mix freely and are
-    lifted to the partner's precision.
+    lifted to the partner's precision. Instances are immutable values:
+    equal and hashed by (prime, precision, residue), never equal to an int.
     """
 
-    prime: int
-    precision: int
-    residue: int
+    __slots__ = ("prime", "precision", "residue")
+
+    def __init__(self, prime: int, precision: int, residue: int):
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "residue", residue)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Validate the scalars and reduce the residue; every construction
+        runs this hook."""
         check_scalars(self.prime, self.precision)
         object.__setattr__(self, "residue",
                            self.residue % self.prime ** self.precision)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuild through the constructor: slots with a raising __setattr__
+        # cannot be restored field by field by pickle or copy
+        return type(self), (self.prime, self.precision, self.residue)
+
+    def _key(self) -> tuple[int, int, int]:
+        return self.prime, self.precision, self.residue
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"PadicInt(prime={self.prime!r}, precision={self.precision!r}, "
+                f"residue={self.residue!r})")
 
     @property
     def is_zero(self) -> bool:

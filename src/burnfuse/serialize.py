@@ -15,7 +15,6 @@ import json
 
 from .burnside import BisetClass, BurnsideElement, _canonical_pair
 from .errors import InputError
-from .fusion import StableElement
 from .groups import PermGroup, Subgroup, mulclose, parse_group
 from .padic import check_scalars
 from .perms import cycle_string, parse_cycles
@@ -108,7 +107,9 @@ def element_from_json(data: dict) -> BurnsideElement:
     return BurnsideElement._from_ints(source, target, terms, p, k)
 
 
-def stable_to_json(x: StableElement) -> dict:
+def stable_to_json(x) -> dict:
+    """The JSON of a fusion.StableElement: its underlying element and the
+    group and prime of each side."""
     data = element_to_json(x.underlying)
     data["leftFusion"] = {"group": x.left_fusion.ambient.label,
                           "p": x.left_fusion.prime}

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 
 from .burnside import (augmentation_ideal_generators, basis, compose,
                        decompose, identity_element, ideal_power_membership,
@@ -21,7 +20,7 @@ from .completion import (complete_functor_check, completion_defining_identity,
                          hom_class_check, stable_rank_check,
                          transfer_counterexample_check, verify_splitting_sum)
 from .fusion import characteristic_idempotent, fusion_system, is_stable
-from .groups import homomorphisms, parse_group, sylow
+from .groups import DEFAULT_SEED, homomorphisms, parse_group, sylow
 
 ROUND_TRIP_ROSTER = ("C1", "C2", "C3", "C4", "C5", "C2xC2", "C6", "S3",
                      "D8", "Q8", "C3xC3", "A4", "D12", "C12")
@@ -32,17 +31,19 @@ COMPLETION_PAIRS = (("S3", "S3"), ("S3", "S4"), ("C6", "S3"))
 RANK_CASES = (("S3", "S3", 2), ("S3", "S3", 3), ("S4", "S3", 2))
 TOPOLOGY_GROUPS = ("C2", "C4", "C2xC2", "C3", "C3xC3")
 HOM_FUNCTOR_GROUPS = ("C2", "C3", "S3", "C6")
-DEFAULT_SEED = 20260808
 
 
-@dataclass
 class VerdictResult:
-    number: int
-    name: str
-    budget_seconds: float
-    passed: bool = True
-    elapsed: float = 0.0
-    details: list[str] = field(default_factory=list)
+    """The outcome of one criterion: pass or fail, time taken, and the
+    detail lines it recorded."""
+
+    def __init__(self, number: int, name: str, budget_seconds: float):
+        self.number = number
+        self.name = name
+        self.budget_seconds = budget_seconds
+        self.passed = True
+        self.elapsed = 0.0
+        self.details: list[str] = []
 
     def fail(self, message: str) -> None:
         self.passed = False

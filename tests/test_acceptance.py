@@ -21,3 +21,14 @@ def test_criterion(criterion):
 
 def test_gate_is_complete():
     assert len(verify.ALL_CRITERIA) == 10
+
+
+def test_verdict_result_defaults_and_own_details():
+    a = verify.VerdictResult(1, "first", 5)
+    b = verify.VerdictResult(2, "second", 5)
+    assert (a.passed, a.elapsed, a.details) == (True, 0.0, [])
+    a.fail("broken")
+    b.note("fine")
+    assert (a.passed, a.details) == (False, ["broken"])
+    assert (b.passed, b.details) == (True, ["fine"])
+    assert a.line() == "[FAIL] criterion 1: first (0.0s / budget 5s)"

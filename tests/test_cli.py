@@ -2,12 +2,13 @@ import json
 
 import pytest
 
+from burnfuse import verify
 from burnfuse.burnside import basis, single
 from burnfuse.cli import Config, read_config_file, run
 from burnfuse.completion import (splitting_idempotent_approx,
                                  verify_splitting_sum)
 from burnfuse.errors import InputError
-from burnfuse.groups import parse_group
+from burnfuse.groups import DEFAULT_SEED, ENUM_CAP, parse_group
 from burnfuse.serialize import dump_json, element_to_json
 
 
@@ -221,10 +222,21 @@ def test_negative_splitting_index_exits_two(capsys):
 
 
 def test_config_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="precision"):
         Config(precision=0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="order_cap"):
         Config(order_cap=1)
+
+
+def test_config_defaults_and_keywords():
+    cfg = Config()
+    assert (cfg.precision, cfg.order_cap, cfg.schedule_cap, cfg.seed,
+            cfg.format) == (8, ENUM_CAP, 8, DEFAULT_SEED, "text")
+    cfg = Config(format="json", seed=3, schedule_cap=0, order_cap=2,
+                 precision=1)
+    assert (cfg.precision, cfg.order_cap, cfg.schedule_cap, cfg.seed,
+            cfg.format) == (1, 2, 0, 3, "json")
+    assert verify.DEFAULT_SEED == DEFAULT_SEED
 
 
 def test_invert_unit_command(capsys):

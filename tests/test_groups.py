@@ -1,13 +1,16 @@
 import itertools
+import math
 
 import pytest
 
+from burnfuse import groups
 from burnfuse.burnside import basis, canonical_class, restrict, single
 from burnfuse.errors import (CapExceededError, GroupParseError,
                              HomomorphismError, SubgroupError)
 from burnfuse.groups import (GroupHom, Subgroup, as_group, double_cosets,
                              homomorphisms, mulclose, parse_group, sylow,
                              subgroups_up_to_conjugacy, trivial_group)
+from burnfuse.cli import run
 from burnfuse.perms import (cycle_string, gather, identity_perm, p_inv,
                             p_mul, parse_cycles)
 
@@ -95,6 +98,57 @@ def test_parse_errors():
 def test_order_cap():
     with pytest.raises(CapExceededError):
         parse_group("S9")
+
+
+def _refuse_to_build(monkeypatch):
+    """Make every generator builder fail, so that a spec which reaches one
+    fails the test at once instead of allocating."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built generators of an oversized group")
+    for name in ("_cyclic", "_symmetric", "_alternating", "_dihedral",
+                 "_quaternion", "parse_cycles", "PermGroup"):
+        monkeypatch.setattr(groups, name, refuse)
+
+
+@pytest.mark.parametrize("spec", [
+    "C99999999999999999999", "S99999999999999999999", "A99999999999999999999",
+    "D99999999999999999998", "S9", "A9", "C400xC400", "S8xC3",
+    "Q8xC2xC99999999999999999999", "C100001",
+    "perm 99999999999999999999: ()", "perm 100001: (1 2)",
+])
+def test_oversized_spec_fails_before_building(monkeypatch, spec):
+    _refuse_to_build(monkeypatch)
+    with pytest.raises(CapExceededError):
+        parse_group(spec)
+
+
+def test_oversized_spec_exits_two(monkeypatch, capsys):
+    _refuse_to_build(monkeypatch)
+    assert run(["basis", "C99999999999999999999", "C1"]) == 2
+    assert "exceeds the closure cap" in capsys.readouterr().err
+
+
+def test_closure_cap_boundary(monkeypatch):
+    # an order at the cap builds, one past it fails before building
+    monkeypatch.setattr(groups, "CLOSURE_CAP", 24)
+    build = parse_group.__wrapped__  # bypass the cache of full-cap groups
+    assert build("S4").order == 24
+    assert build("A4xC2").order == 24
+    assert build("perm 24: (1 2)").order == 2
+    _refuse_to_build(monkeypatch)
+    for spec in ("S4xC2", "A5", "C25", "D26", "Q8xC2xC2", "perm 25: ()"):
+        with pytest.raises(CapExceededError):
+            build(spec)
+
+
+def test_named_factor_orders():
+    cap = 10 ** 6
+    for n in range(1, 12):
+        assert groups._atom_order("S", n, cap) == min(math.factorial(n), cap + 1)
+        assert groups._atom_order("A", n, cap) == \
+            min(max(math.factorial(n) // 2, 1), cap + 1)
+        assert groups._atom_order("C", n, cap) == n
+    assert groups._atom_order("S", 10 ** 30, cap) == cap + 1
 
 
 def two_generated_subgroups(G):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -66,3 +68,50 @@ def test_xgcd_and_primality():
         x, y, g = xgcd(a, b)
         assert x * a + y * b == g
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_value_semantics():
+    a = PadicInt(2, 3, 13)
+    assert a == PadicInt(2, 3, 5) and hash(a) == hash(PadicInt(2, 3, 5))
+    assert a != PadicInt(2, 4, 5) and a != PadicInt(3, 3, 5)
+    # never equal to an int or any other type, from either side
+    assert a != 5 and 5 != a and a != "5" and a != (2, 3, 5)
+    assert len({a, PadicInt(2, 3, 5), PadicInt(2, 4, 5)}) == 2
+    assert repr(a) == "PadicInt(prime=2, precision=3, residue=5)"
+
+
+def test_immutable():
+    a = PadicInt(2, 3, 5)
+    for name in ("prime", "precision", "residue", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+    with pytest.raises(AttributeError):
+        del a.residue
+    assert a == PadicInt(2, 3, 5)
+
+
+def test_copy_and_pickle_round_trip():
+    a = PadicInt(5, 2, 7)
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert b == a and repr(b) == repr(a)
+    nested = copy.deepcopy({a: [a]})
+    assert nested == {a: [a]}
+    with pytest.raises(AttributeError):
+        pickle.loads(pickle.dumps(a)).residue = 0
+
+
+def test_post_init_sees_every_construction(monkeypatch):
+    seen = []
+    original = PadicInt.__post_init__
+
+    def hook(self):
+        seen.append((self.prime, self.precision, self.residue))
+        original(self)
+
+    monkeypatch.setattr(PadicInt, "__post_init__", hook)
+    a = PadicInt(3, 2, 10)
+    b = a + 1          # the lifted 1 and the sum
+    c = -b             # the negation
+    d = c.reduce_to(1)
+    assert seen == [(3, 2, 10), (3, 2, 1), (3, 2, 2), (3, 2, -2), (3, 1, 7)]
+    assert d == PadicInt(3, 1, 1)
