@@ -29,19 +29,7 @@ _HOMES = {
 # exported name -> the submodule that defines it
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "BisetClass", "BurnsideElement", "BurnfuseError", "CompletionReport",
-    "ConcreteBiset", "FusionSystem", "GroupHom", "PadicInt", "PermGroup",
-    "StableElement", "Subgroup",
-    "a_fus", "augment", "basis", "characteristic_idempotent", "complete",
-    "complete_functor_check", "compose", "decompose", "double_cosets",
-    "fusion_system", "homomorphisms", "ideal_power_membership",
-    "identity_element", "invert_stable", "is_fusion_preserving", "is_stable",
-    "opposite", "parse_group", "realize", "restrict", "ring_product",
-    "semichar_embed", "splitting_idempotent_approx", "stable_basis",
-    "stable_rank_check", "stabilize", "subgroups_up_to_conjugacy", "sylow",
-    "transfer_counterexample_check", "trivial_group", "verify_splitting_sum",
-]
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
 

@@ -23,9 +23,10 @@ from __future__ import annotations
 import functools
 
 from .errors import BisetError, ScalarMismatchError, SubgroupError
-from .groups import (GroupHom, PermGroup, Subgroup, _hom_images, as_group,
-                     class_rep_and_conjugator, double_cosets, inclusion_hom,
-                     normalizer, subgroups_up_to_conjugacy, trivial_group)
+from .groups import (GroupHom, PermGroup, Subgroup, _double_cosets,
+                     _hom_images, as_group, class_rep_and_conjugator,
+                     inclusion_hom, normalizer, subgroups_up_to_conjugacy,
+                     trivial_group)
 from .padic import PadicInt, check_scalars
 from .perms import cycle_string, gather
 
@@ -80,12 +81,14 @@ class BisetClass:
 
 
 @functools.lru_cache(maxsize=None)
-def _canonical_pair(source: PermGroup, target: PermGroup, K: Subgroup,
-                    images: tuple[int, ...]) -> BisetClass:
-    """Canonicalize a (subgroup, homomorphism) pair given on indices: images
-    holds the target indices of the images of K.indices. K moves to its
-    conjugacy class representative, then the image tuple is minimized over
-    pre-conjugation by the normalizer and post-conjugation by the target.
+def _canonical_pair(source: PermGroup, target: PermGroup, members: tuple,
+                    images: tuple) -> BisetClass:
+    """Canonicalize [K, phi] given by its graph {(k, phi(k))} as two aligned
+    index tuples: K's members in increasing order, so that equal pairs share
+    a cache entry, and their images in the target. K, named by its bitmask,
+    moves to its class representative (`class_rep_and_conjugator`), then
+    the image tuple is minimized over pre-conjugation by the normalizer and
+    post-conjugation by the target.
 
     The minimum is found by refinement (Linton's minimal images): the
     candidates are every (target conjugation row, twist) pair, and position
@@ -93,9 +96,9 @@ def _canonical_pair(source: PermGroup, target: PermGroup, K: Subgroup,
     kept, until one is left or the positions run out. Lexicographic order
     makes the survivors exactly the minimizers, so only the winning image
     tuple is ever built."""
-    K0, g0 = class_rep_and_conjugator(source, K)
+    K0, g0 = class_rep_and_conjugator(source, members)
     conj, inv = source.conj, source.inv
-    imap = dict(zip(K.indices, images))
+    imap = dict(zip(members, images))
     # base(x) = phi(g0^-1 x g0) on K0 = g0 K g0^-1
     pre = conj[inv[g0]]
     base = {x: imap[pre[x]] for x in K0.indices}
@@ -119,7 +122,7 @@ def canonical_class(source: PermGroup, target: PermGroup, K: Subgroup,
     """The class [K, phi] of a GroupHom, or of a dict checked as one."""
     if not isinstance(phi, GroupHom):
         phi = GroupHom(K, target, phi)
-    return _canonical_pair(source, target, K, phi.image_indices)
+    return _canonical_pair(source, target, K.indices, phi.image_indices)
 
 
 @functools.lru_cache(maxsize=None)
@@ -132,7 +135,7 @@ def basis(G: PermGroup, H: PermGroup) -> tuple[BisetClass, ...]:
         # every H-orbit of maps meets this list, and _canonical_pair
         # minimizes over post-conjugation by H
         for images in _hom_images(K, H, up_to_conjugacy=True):
-            b = _canonical_pair(G, H, K, images)
+            b = _canonical_pair(G, H, K.indices, images)
             if b not in seen:
                 seen.add(b)
                 out.append(b)
@@ -328,8 +331,8 @@ def single(b: BisetClass, coeff=1) -> BurnsideElement:
 
 @functools.lru_cache(maxsize=None)
 def identity_class(G: PermGroup) -> BisetClass:
-    full = G.full_subgroup()
-    return _canonical_pair(G, G, full, full.indices)
+    full = G.full_subgroup().indices
+    return _canonical_pair(G, G, full, full)
 
 
 def identity_element(G: PermGroup) -> BurnsideElement:
@@ -460,8 +463,7 @@ def decompose(X: ConcreteBiset) -> BurnsideElement:
             if not seen[y]:
                 for hrow in X.right:
                     seen[hrow[y]] = True
-        K = Subgroup.from_indices(G, members)
-        b = _canonical_pair(G, H, K, tuple(images))
+        b = _canonical_pair(G, H, tuple(members), tuple(images))
         terms[b] = terms.get(b, 0) + 1
     total = sum(b.size * c for b, c in terms.items())
     if total != n:
@@ -478,18 +480,16 @@ def _compose_basis(b1: BisetClass, b2: BisetClass) -> tuple[tuple[BisetClass, in
     K, phi_idx = b1.K, b1.phi.image_indices
     L = b2.K
     psi = dict(zip(L.indices, b2.phi.image_indices))
-    phiK = Subgroup.from_indices(H, phi_idx)
     terms: dict[BisetClass, int] = {}
-    for x, _ in double_cosets(H, phiK, L):
-        row = H.conj[H.inv[H.index(x)]]  # t -> x^-1 t x
+    for x, _ in _double_cosets(H, frozenset(phi_idx), L.indices):
+        row = H.conj[H.inv[x]]  # t -> x^-1 t x
         members, images = [], []
         for k, t in zip(K.indices, phi_idx):
             img = psi.get(row[t])
             if img is not None:
                 members.append(k)
                 images.append(img)
-        Kx = Subgroup.from_indices(G, members)
-        b = _canonical_pair(G, M, Kx, tuple(images))
+        b = _canonical_pair(G, M, tuple(members), tuple(images))
         terms[b] = terms.get(b, 0) + 1
     return tuple(sorted(terms.items(), key=lambda kv: kv[0].sort_key))
 
@@ -535,10 +535,7 @@ def _inverse_class(f: GroupHom, target: PermGroup) -> BisetClass:
     (`as_group`), whose i-th element is D's i-th element."""
     H, D = f.codomain, f.domain
     dom = D.indices if target == D.parent else range(D.order)
-    back = dict(zip(f.image_indices, dom))
-    image = Subgroup.from_indices(H, f.image_indices)
-    return _canonical_pair(H, target, image,
-                           tuple(map(back.__getitem__, image.indices)))
+    return _canonical_pair(H, target, *zip(*sorted(zip(f.image_indices, dom))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -552,8 +549,9 @@ def _restrict_basis(b: BisetClass, left_hom: GroupHom | None,
     x = single(b)
     if left_hom is not None:
         src = as_group(left_hom.domain)
-        x = compose(single(_canonical_pair(src, b.source, src.full_subgroup(),
-                                           left_hom.image_indices)), x)
+        x = compose(single(_canonical_pair(
+            src, b.source, src.full_subgroup().indices,
+            left_hom.image_indices)), x)
     if right_hom is not None:
         x = compose(x, single(_inverse_class(right_hom,
                                              as_group(right_hom.domain))))
@@ -629,13 +627,13 @@ def semichar_embed(a: BurnsideElement) -> BurnsideElement:
         raise BisetError("semichar_embed expects an element over (G, trivial)")
     G = a.source
     return BurnsideElement._from_ints(G, G, {
-        _canonical_pair(G, G, b.K, b.K.indices): c
+        _canonical_pair(G, G, b.K.indices, b.K.indices): c
         for b, c in a._terms.items()}, a.prime, a.precision)
 
 
 def burnside_ring_class(G: PermGroup, K: Subgroup) -> BisetClass:
     """The class of the G-set G/K in the Burnside ring A(G)."""
-    return _canonical_pair(G, TRIVIAL, K, (0,) * K.order)
+    return _canonical_pair(G, TRIVIAL, K.indices, (0,) * K.order)
 
 
 def burnside_ring_element(G: PermGroup, terms) -> BurnsideElement:

@@ -141,8 +141,8 @@ def hom_class_check(phi: GroupHom, p: int, k: int) -> bool:
     if not all(T.mask >> f[s] & 1 for s in S.indices):
         raise FusionError("the homomorphism does not carry S into T")
     F1, F2 = fusion_system(G, p), fusion_system(H, p)
-    via_completion = complete(single(_canonical_pair(G, H, phi.domain, f)),
-                              p, k)
+    via_completion = complete(
+        single(_canonical_pair(G, H, phi.domain.indices, f)), p, k)
     # ambient index T.indices[j] is index j of the Sylow group T
     local = {t: j for j, t in enumerate(T.indices)}
     restricted = GroupHom.from_indices(
@@ -157,8 +157,8 @@ def hom_class_check(phi: GroupHom, p: int, k: int) -> bool:
 
 def _sylow_classes(G: PermGroup, p: int):
     S = sylow(G, p)
-    return (_canonical_pair(G, G, S, S.indices),
-            _canonical_pair(G, G, S, (0,) * S.order))
+    return (_canonical_pair(G, G, S.indices, S.indices),
+            _canonical_pair(G, G, S.indices, (0,) * S.order))
 
 
 def splitting_idempotent_approx(G: PermGroup, p: int, n: int) -> BurnsideElement:
@@ -174,7 +174,7 @@ def splitting_idempotent_approx(G: PermGroup, p: int, n: int) -> BurnsideElement
 
 def unit_minus_trivial(G: PermGroup) -> BurnsideElement:
     """The idempotent [G, i_G] - [G, 0] over (G, G)."""
-    zero = _canonical_pair(G, G, G.full_subgroup(), (0,) * G.order)
+    zero = _canonical_pair(G, G, G.full_subgroup().indices, (0,) * G.order)
     return identity_element(G) - single(zero)
 
 

@@ -16,7 +16,8 @@ from .errors import (ConvergenceError, FormulaMismatchError, FusionError,
                      NonUnitError, NotSemicharacteristicError,
                      ScalarMismatchError)
 from .groups import (GroupHom, PermGroup, Subgroup, all_subgroups, as_group,
-                     inclusion_hom, subgroups_up_to_conjugacy, sylow)
+                     class_rep_and_conjugator, inclusion_hom,
+                     subgroups_up_to_conjugacy, sylow)
 from .padic import PadicInt, is_prime
 from .perms import gather
 
@@ -283,18 +284,18 @@ def stable_pair_classes(F1: FusionSystem, F2: FusionSystem) \
     for b in basis(S1, S2):
         if b in seen:
             continue
+        # the fusion maps beta on phi(K) are those on its class representative
+        # R after conjugating by g; beta_phis lists each beta . phi along K
         phi = b.phi.image_indices
-        imgK = Subgroup.from_indices(S2, phi)
-        betas = [dict(zip(imgK.indices, beta.image_indices))
-                 for beta in F2.morphisms_to_sylow(imgK)]
+        R, g = class_rep_and_conjugator(S2, set(phi))
+        to_R = gather(S2.conj[g], phi)
+        beta_phis = [gather(dict(zip(R.indices, rho.image_indices)), to_R)
+                     for rho in F2.morphisms_to_sylow(R)]
         members = set()
         for alpha in F1.morphisms_to_sylow(b.K):
-            newK = Subgroup.from_indices(S1, alpha.image_indices)
-            # phi . alpha^-1 on newK's indices
-            moved = dict(zip(alpha.image_indices, phi))
-            pre = gather(moved, newK.indices)
-            members.update(_canonical_pair(S1, S2, newK, gather(beta, pre))
-                           for beta in betas)
+            for beta_phi in beta_phis:  # the graph of beta . phi . alpha^-1
+                graph = sorted(zip(alpha.image_indices, beta_phi))
+                members.add(_canonical_pair(S1, S2, *zip(*graph)))
         seen |= members
         out.append(tuple(sorted(members, key=lambda m: m.sort_key)))
     return tuple(out)
@@ -379,7 +380,7 @@ def _semichar_classes(F1: FusionSystem, F2: FusionSystem) -> frozenset:
     """The fusion pair classes that contain an inclusion-type pair [K, i_K];
     only defined for F1 == F2."""
     S = F1.sylow_group
-    incl = {_canonical_pair(S, S, K, K.indices)
+    incl = {_canonical_pair(S, S, K.indices, K.indices)
             for K in subgroups_up_to_conjugacy(S)}
     return frozenset(grp for grp in stable_pair_classes(F1, F2)
                      if any(b in incl for b in grp))
@@ -455,7 +456,8 @@ def a_fus(phi: GroupHom, F1: FusionSystem, F2: FusionSystem,
         raise FusionError("the map is not fusion preserving")
     S1, S2 = F1.sylow_group, F2.sylow_group
     p = F1.prime
-    cls = _canonical_pair(S1, S2, S1.full_subgroup(), phi.image_indices)
+    cls = _canonical_pair(S1, S2, S1.full_subgroup().indices,
+                          phi.image_indices)
     base = single(cls).lift(p, k)
     w2 = characteristic_idempotent(F2, k).underlying
     out = compose(base, w2)

@@ -14,7 +14,10 @@ first use, a multiplication table, an inverse table and a conjugation table
 on indices; every read of a table checks the group's order against the
 enumeration cap in force (`enumeration_cap`). Subgroups carry their
 sorted index tuple and an int bitmask; the bitmask serves membership,
-subset tests, hashing and deduplication, never ordering. Permutation tuples
+subset tests, hashing, deduplication and as the key of the group's class
+table, never ordering: `class_rep_and_conjugator` reads a subgroup's class
+representative there, also for a subgroup known only as the members of a
+graph {(k, phi(k))} that `burnside` canonicalizes. Permutation tuples
 remain at the edges: parsing, labels, JSON and the public `elements` and
 `images` fields.
 
@@ -22,7 +25,7 @@ Validation happens once, where permutations enter: `Subgroup(parent,
 elements)`, `PermGroup.subgroup` and `GroupHom` from a dict check their
 input. `Subgroup.from_indices` and `GroupHom.from_indices` check nothing;
 their callers build subgroups and homomorphisms by construction (joins,
-conjugates, Mackey preimages, propagated generator images), and tuple
+conjugates, normalizers, propagated generator images), and tuple
 oracles in the tests check those constructions.
 """
 
@@ -135,7 +138,7 @@ class PermGroup:
 
     __slots__ = ("degree", "generators", "elements", "label",
                  "_index", "_gen_idx", "_hash", "_mul", "_inv", "_conj",
-                 "_full")
+                 "_full", "_classes")
 
     def __init__(self, degree: int, generators, label: str = "?", *,
                  _elements=None):
@@ -149,12 +152,15 @@ class PermGroup:
         if _elements is not None:
             self.elements = tuple(sorted(_elements))
         else:
-            self.elements = tuple(sorted(mulclose(gens, degree, CLOSURE_CAP)))
+            # the element table holds order x degree ints; bound both
+            cap = min(CLOSURE_CAP, 10 * CLOSURE_CAP // degree)
+            self.elements = tuple(sorted(mulclose(gens, degree, cap)))
         self.label = label
         self._index = {p: i for i, p in enumerate(self.elements)}
         self._gen_idx = tuple(self._index[g] for g in dict.fromkeys(gens))
         self._hash = hash((degree, self.elements))
         self._mul = self._inv = self._conj = self._full = None
+        self._classes: dict[int, tuple[Subgroup, int]] = {}
 
     @property
     def order(self) -> int:
@@ -441,16 +447,16 @@ def _alternating(n: int) -> list[Perm]:
     return gens
 
 
-def _dihedral(order: int) -> tuple[int, list[Perm]]:
-    """Dihedral group of the given even order; returns (degree, gens)."""
+def _dihedral(order: int) -> list[Perm]:
+    """Dihedral group of the given even order."""
     n = order // 2
     if n == 1:
-        return 2, [(1, 0)]
+        return [(1, 0)]
     if n == 2:
-        return 4, [(1, 0, 2, 3), (0, 1, 3, 2)]
+        return [(1, 0, 2, 3), (0, 1, 3, 2)]
     rot = tuple((i + 1) % n for i in range(n))
     ref = tuple((n - i) % n for i in range(n))
-    return n, [rot, ref]
+    return [rot, ref]
 
 
 def _quaternion() -> list[Perm]:
@@ -460,10 +466,11 @@ def _quaternion() -> list[Perm]:
     return [i, j]
 
 
-def _parse_atom(token: str) -> tuple[str, int]:
-    """The family letter and index of a named factor; Q8 is ("Q", 8)."""
+def _parse_atom(token: str) -> tuple[str, int, int]:
+    """The family letter, index and degree of a named factor: Q8 is
+    ("Q", 8, 8), and D<n> acts on n/2 points from n = 6."""
     if token == "Q8":
-        return "Q", 8
+        return "Q", 8, 8
     m = _ATOM_RE.match(token)
     if not m:
         raise GroupParseError(f"unrecognized group token {token!r}")
@@ -473,7 +480,7 @@ def _parse_atom(token: str) -> tuple[str, int]:
     if family == "D" and n % 2 != 0:
         raise GroupParseError(
             f"dihedral token {token!r} must carry an even order >= 2")
-    return family, n
+    return family, n, n // 2 if family == "D" and n > 4 else n
 
 
 def _atom_order(family: str, n: int, cap: int) -> int:
@@ -490,13 +497,12 @@ def _atom_order(family: str, n: int, cap: int) -> int:
     return order
 
 
-def _atom_generators(family: str, n: int) -> tuple[int, list[Perm]]:
-    """The (degree, generators) of a named factor."""
+def _atom_generators(family: str, n: int) -> list[Perm]:
+    """The generators of a named factor."""
     if family == "Q":
-        return 8, _quaternion()
-    if family == "D":
-        return _dihedral(n)
-    return n, {"C": _cyclic, "S": _symmetric, "A": _alternating}[family](n)
+        return _quaternion()
+    return {"C": _cyclic, "S": _symmetric, "A": _alternating,
+            "D": _dihedral}[family](n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -528,22 +534,27 @@ def parse_group(spec: str) -> PermGroup:
         return PermGroup(degree, gens, label)
     tokens = [t.strip() for t in text.split("x")]
     atoms = [_parse_atom(token) for token in tokens]
-    # check the order before building a generator: C<n> alone is a tuple of
-    # length n, so a huge n would exhaust memory before closure hit its cap
+    # check the order and the element table (order x degree ints) before
+    # building a generator: C<n> alone is a tuple of length n, so a huge n
+    # would exhaust memory before closure hit its cap
     order = 1
-    for family, n in atoms:
+    for family, n, _ in atoms:
         order = min(order * _atom_order(family, n, CLOSURE_CAP),
                     CLOSURE_CAP + 1)
     if order > CLOSURE_CAP:
         raise CapExceededError(
             f"|{text}| exceeds the closure cap {CLOSURE_CAP}")
+    size = order * sum(d for _, _, d in atoms)  # entries of the element table
+    if size > 10 * CLOSURE_CAP:
+        raise CapExceededError(f"{text} needs {size} element table entries, "
+                               f"past the cap {10 * CLOSURE_CAP}")
     degree = 0
     gens: list[Perm] = []
-    for family, n in atoms:
-        d, part_gens = _atom_generators(family, n)
+    for family, n, d in atoms:
         gens = [g + tuple(range(len(g), len(g) + d)) for g in gens]
         pad = tuple(range(degree))
-        gens.extend(pad + tuple(degree + i for i in g) for g in part_gens)
+        gens.extend(pad + tuple(degree + i for i in g)
+                    for g in _atom_generators(family, n))
         degree += d
     label = "x".join(tokens)
     return PermGroup(degree, gens, label)
@@ -589,38 +600,33 @@ def all_subgroups(G: PermGroup) -> tuple[Subgroup, ...]:
     return tuple(subs)
 
 
-def _conjugate_indices(G: PermGroup, g: int, H: Subgroup) -> list[int]:
-    """The indices of g H g^-1, unsorted."""
-    return list(map(G.conj[g].__getitem__, H.indices))
-
-
-@functools.lru_cache(maxsize=None)
-def class_rep_and_conjugator(G: PermGroup, H: Subgroup) -> tuple[Subgroup, int]:
-    """The canonical representative of H's conjugacy class together with
-    the index of a group element g such that g H g^-1 is that
-    representative."""
-    best = None
-    best_g = None
-    for g in range(G.order):
-        conj = sorted(_conjugate_indices(G, g, H))
-        if best is None or conj < best:
-            best, best_g = conj, g
-    return Subgroup.from_indices(G, best), best_g
+def class_rep_and_conjugator(G: PermGroup, members) -> tuple[Subgroup, int]:
+    """The canonical representative R of the class of the subgroup H with
+    element indices `members` (any order), and the least index g with
+    g H g^-1 = R. Both are read from G's class table, keyed
+    by bitmask; the first lookup in a class fills in the whole class: if T
+    is the set conjugating H onto R, T a^-1 is the set for a H a^-1."""
+    conj = G.conj  # as every table read, this checks the enumeration cap
+    found = G._classes.get(_mask(members))
+    if found is None:
+        mul, inv = G.mul, G.inv
+        masks = [_mask(gather(row, members)) for row in conj]
+        reach = {m: g for g, m in enumerate(masks)}  # some g reaching each
+        R = Subgroup.from_indices(G, min(sorted(gather(conj[g], members))
+                                         for g in reach.values()))
+        to_rep = [h for h, m in enumerate(masks) if m == R.mask]
+        for m, a in reach.items():
+            G._classes[m] = (R, min(mul[h][inv[a]] for h in to_rep))
+        found = G._classes[_mask(members)]
+    return found
 
 
 @functools.lru_cache(maxsize=None)
 def subgroups_up_to_conjugacy(G: PermGroup) -> tuple[Subgroup, ...]:
     """One canonical representative per conjugacy class of subgroups,
     sorted by (order, elements)."""
-    reps = []
-    claimed: set[int] = set()
-    for H in all_subgroups(G):
-        if H.mask in claimed:
-            continue
-        reps.append(H)
-        claimed.update(_mask(_conjugate_indices(G, g, H))
-                       for g in range(G.order))
-    return tuple(reps)
+    return tuple(H for H in all_subgroups(G)
+                 if class_rep_and_conjugator(G, H.indices)[0] == H)
 
 
 @functools.lru_cache(maxsize=None)
@@ -664,16 +670,21 @@ def sylow(G: PermGroup, p: int) -> Subgroup:
                 break
         else:
             raise AssertionError("Sylow growth step failed")
-    rep, _ = class_rep_and_conjugator(G, P)
-    return rep
+    return class_rep_and_conjugator(G, P.indices)[0]
 
 
-@functools.lru_cache(maxsize=None)
 def double_cosets(G: PermGroup, A: Subgroup, B: Subgroup) -> tuple[tuple[Perm, int], ...]:
     """The partition of G into A\\G/B double cosets as (representative, size)
     pairs; representatives are minimal in element order."""
     if A.parent != G or B.parent != G:
         raise SubgroupError("arguments must be subgroups of G")
+    return tuple((G.elements[g], size)
+                 for g, size in _double_cosets(G, A.indices, B.indices))
+
+
+@functools.lru_cache(maxsize=None)
+def _double_cosets(G: PermGroup, a, b) -> tuple[tuple[int, int], ...]:
+    """`double_cosets` on element indices a and b, as (least index, size)."""
     mul = G.mul
     seen: set[int] = set()
     out = []
@@ -681,10 +692,10 @@ def double_cosets(G: PermGroup, A: Subgroup, B: Subgroup) -> tuple[tuple[Perm, i
         if g in seen:
             continue
         coset: set[int] = set()
-        for a in A.indices:
-            coset.update(map(mul[mul[a][g]].__getitem__, B.indices))
+        for x in a:
+            coset.update(map(mul[mul[x][g]].__getitem__, b))
         seen.update(coset)
-        out.append((G.elements[g], len(coset)))
+        out.append((g, len(coset)))
     assert sum(size for _, size in out) == G.order
     return tuple(out)
 

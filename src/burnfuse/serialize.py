@@ -15,7 +15,7 @@ import json
 
 from .burnside import BisetClass, BurnsideElement, _canonical_pair
 from .errors import InputError
-from .groups import PermGroup, Subgroup, mulclose, parse_group
+from .groups import PermGroup, Subgroup, _propagate, mulclose, parse_group
 from .padic import check_scalars
 from .perms import cycle_string, parse_cycles
 
@@ -62,12 +62,11 @@ def _term_from_json(term: dict, source: PermGroup,
             raise InputError(f"phi image {img_s} is not in the target group")
         images[dom] = img
     # extend generator images over K; reject non-homomorphisms
-    from .groups import _propagate
     full = _propagate(K, [source.index(g) for g in images],
                       [target.index(h) for h in images.values()], target)
     if full is None or len(full) != K.order:
         raise InputError("the phi generator images do not define a homomorphism")
-    return _canonical_pair(source, target, K,
+    return _canonical_pair(source, target, K.indices,
                            tuple(map(full.__getitem__, K.indices)))
 
 

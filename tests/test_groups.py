@@ -113,7 +113,7 @@ def _refuse_to_build(monkeypatch):
 @pytest.mark.parametrize("spec", [
     "C99999999999999999999", "S99999999999999999999", "A99999999999999999999",
     "D99999999999999999998", "S9", "A9", "C400xC400", "S8xC3",
-    "Q8xC2xC99999999999999999999", "C100001",
+    "Q8xC2xC99999999999999999999", "C100001", "C100000",
     "perm 99999999999999999999: ()", "perm 100001: (1 2)",
 ])
 def test_oversized_spec_fails_before_building(monkeypatch, spec):
@@ -137,6 +137,23 @@ def test_closure_cap_boundary(monkeypatch):
     assert build("perm 24: (1 2)").order == 2
     _refuse_to_build(monkeypatch)
     for spec in ("S4xC2", "A5", "C25", "D26", "Q8xC2xC2", "perm 25: ()"):
+        with pytest.raises(CapExceededError):
+            build(spec)
+
+
+def test_element_table_cap(monkeypatch):
+    # order x degree is at most ten times the closure cap: named specs fail
+    # before building, perm specs when closure passes 10 * cap // degree
+    monkeypatch.setattr(groups, "CLOSURE_CAP", 24)
+    build = parse_group.__wrapped__
+    assert build("C15").order == 15
+    assert build("perm 20: (1 2 3)(4 5 6 7)").order == 12
+    with pytest.raises(CapExceededError):
+        build("perm 100: (1 2 3)(4 5 6 7)")
+    with pytest.raises(CapExceededError):
+        build("perm 21: (1 2 3)(4 5 6 7)")
+    _refuse_to_build(monkeypatch)
+    for spec in ("C20", "C16", "D24", "C12xC2"):
         with pytest.raises(CapExceededError):
             build(spec)
 

@@ -6,6 +6,7 @@ table, a conjugation table or a bitmask.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -112,7 +113,7 @@ def test_basis_matches_tuple_canonicalization(gs, hs):
     expected = set()
     for K in subgroups_up_to_conjugacy(G):
         for hom in homomorphisms(K, H):
-            b = _canonical_pair(G, H, K, hom.image_indices)
+            b = _canonical_pair(G, H, K.indices, hom.image_indices)
             want = oracle(K.elements, hom.images)
             assert (b.K.elements, b.phi.images) == want
             expected.add(want)
@@ -138,9 +139,11 @@ def test_filtered_homs_meet_every_target_orbit(gs, hs):
 
 
 def test_canonical_pair_on_conjugated_inputs():
-    # decompose hands over subgroups that are not class representatives
+    # decompose hands over subgroups that are not class representatives;
+    # the graph of [K, phi] may also come in any order
     G, H = parse_group("S4"), parse_group("S3")
     oracle = TupleCanonicalizer(G, H)
+    rng = random.Random(5)
     for b in basis(G, H):
         for g in G.elements[::5]:
             K = tuple(sorted(_conj(g, x) for x in b.K.elements))
@@ -149,9 +152,13 @@ def test_canonical_pair_on_conjugated_inputs():
                 images = tuple(_conj(h, b.phi(p_mul(p_mul(gi, x), g)))
                                for x in K)
                 sub = G.subgroup(K)
-                got = _canonical_pair(G, H, sub, tuple(map(H.index, images)))
+                img = tuple(map(H.index, images))
+                got = _canonical_pair(G, H, sub.indices, img)
                 assert got == b
                 assert (got.K.elements, got.phi.images) == oracle(K, images)
+                graph = list(zip(sub.indices, img))
+                rng.shuffle(graph)
+                assert _canonical_pair(G, H, *zip(*graph)) == b
 
 
 @pytest.mark.parametrize("spec", ["S4", "A4", "D12", "A5"])
@@ -166,9 +173,20 @@ def test_class_reps_and_normalizers_match_tuples(spec):
     G = parse_group(spec)
     oracle = TupleCanonicalizer(G, G)
     for H in all_subgroups(G):
-        rep, g = class_rep_and_conjugator(G, H)
+        rep, g = class_rep_and_conjugator(G, H.indices)
         assert (rep.elements, G.elements[g]) == oracle.class_rep(H.elements)
         assert normalizer(G, H).elements == tuple(oracle.normalizer(H.elements))
+
+
+@pytest.mark.parametrize("spec", ["S4", "D12", "A5"])
+def test_class_table_ignores_fill_and_member_order(spec):
+    # a fresh group fills its class table in reverse lattice order, from
+    # members listed backwards
+    G = parse_group.__wrapped__(spec)
+    oracle = TupleCanonicalizer(G, G)
+    for H in reversed(all_subgroups(G)):
+        rep, g = class_rep_and_conjugator(G, H.indices[::-1])
+        assert (rep.elements, G.elements[g]) == oracle.class_rep(H.elements)
 
 
 def test_s5_subgroup_lattice():
