@@ -21,6 +21,7 @@ takes its partner's (p, k), and two p-adic operands must agree in p and k.
 from __future__ import annotations
 
 import functools
+import operator
 
 from .errors import BisetError, ScalarMismatchError, SubgroupError
 from .groups import (GroupHom, PermGroup, Subgroup, _double_cosets,
@@ -81,6 +82,32 @@ class BisetClass:
 
 
 @functools.lru_cache(maxsize=None)
+def _outer_twists(G: PermGroup, K0: Subgroup) -> tuple[tuple[int, ...], ...]:
+    """The twists of maps K0 -> H by N_G(K0), one per coset of K0 C_G(K0):
+    the position permutation sending position i of K0.indices to the
+    position of n^-1 k_i n, so that a map given as a tuple aligned with
+    K0.indices twists to gather(tuple, twist). A twist by c in C_G(K0) is
+    the identity, and one by k in K0 is post-conjugation by phi(k)^-1, so
+    the twists by a coset differ only by post-conjugation in the target."""
+    conj, mul, inv = G.conj, G.mul, G.inv
+    gens = K0.generator_indices()
+    centralizer = [c for c, row in enumerate(conj)
+                   if all(row[x] == x for x in gens)]
+    inner: set[int] = set()  # K0 C_G(K0), as a union of cosets k C_G(K0)
+    for k in K0.indices:
+        if k not in inner:
+            inner.update(gather(mul[k], centralizer))
+    position = {x: i for i, x in enumerate(K0.indices)}
+    covered: set[int] = set()
+    out = []
+    for n in normalizer(G, K0).indices:
+        if n not in covered:
+            covered.update(mul[n][x] for x in inner)
+            out.append(gather(position, gather(conj[inv[n]], K0.indices)))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
 def _canonical_pair(source: PermGroup, target: PermGroup, members: tuple,
                     images: tuple) -> BisetClass:
     """Canonicalize [K, phi] given by its graph {(k, phi(k))} as two aligned
@@ -91,20 +118,19 @@ def _canonical_pair(source: PermGroup, target: PermGroup, members: tuple,
     post-conjugation by the target.
 
     The minimum is found by refinement (Linton's minimal images): the
-    candidates are every (target conjugation row, twist) pair, and position
-    by position along K0.indices only those whose image there is least are
-    kept, until one is left or the positions run out. Lexicographic order
-    makes the survivors exactly the minimizers, so only the winning image
-    tuple is ever built."""
+    candidates are every (target conjugation row, outer twist) pair, with
+    one twist per coset of K0 C_G(K0) in N_G(K0) (`_outer_twists`); the
+    other twists add only target conjugates of these candidates. Position
+    by position along K0.indices only the candidates whose image there is
+    least are kept, until one is left or the positions run out.
+    Lexicographic order makes the survivors exactly the minimizers, so only
+    the winning image tuple is ever built."""
     K0, g0 = class_rep_and_conjugator(source, members)
     conj, inv = source.conj, source.inv
-    imap = dict(zip(members, images))
-    # base(x) = phi(g0^-1 x g0) on K0 = g0 K g0^-1
-    pre = conj[inv[g0]]
-    base = {x: imap[pre[x]] for x in K0.indices}
-    # distinct n-twists x -> base(n^-1 x n) for n in N(K0)
-    twisted = {gather(base, gather(conj[inv[n]], K0.indices))
-               for n in normalizer(source, K0).indices}
+    # base, aligned with K0.indices: x -> phi(g0^-1 x g0) on K0 = g0 K g0^-1
+    base = gather(dict(zip(members, images)),
+                  gather(conj[inv[g0]], K0.indices))
+    twisted = {gather(base, tw) for tw in _outer_twists(source, K0)}
     cands = [(row, tw) for row in target.conj for tw in twisted]
     # position 0 is the identity, which every candidate fixes
     for i in range(1, len(K0.indices)):
@@ -367,9 +393,9 @@ class ConcreteBiset:
 
         Homomorphy of the tables is checked on (generator, element) pairs,
         and commutation on generator pairs, which suffices. Freeness is
-        checked last, as injectivity of every column h -> x.h of the right
-        table: given the action axioms, x.h1 = x.h2 with h1 != h2 holds
-        exactly when x is a fixed point of h2 h1^-1.
+        checked last: no row right[h] with h not the identity has a fixed
+        point, which, given the action axioms, is what a free right action
+        means.
         """
         G, H, n = self.source, self.target, self.size
         left, right = self.left, self.right
@@ -397,12 +423,12 @@ class ConcreteBiset:
                 hrow = right[hi]
                 if gather(grow, hrow) != gather(hrow, grow):
                     raise BisetError("left and right actions do not commute")
-        if any(len(set(col)) < H.order for col in zip(*right)):
+        if any(any(map(operator.eq, row, ident)) for row in right[1:]):
             raise BisetError("right action is not free")
 
 
 # maxsize=0 stores no biset; cache_info() still counts the calls, which the
-# benchmark tracer reads. ROADMAP item 4 removes it.
+# benchmark tracer reads. ROADMAP item 5, step 3, removes it.
 @functools.lru_cache(maxsize=0)
 def realize(b: BisetClass) -> ConcreteBiset:
     """The transitive biset (G x H) / (g k, h) ~ (g, phi(k) h) with left and

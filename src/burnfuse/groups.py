@@ -567,19 +567,27 @@ def trivial_group() -> PermGroup:
 # ---------------------------------------------------------------------------
 # subgroup machinery
 
+def _cyclic_masks(mul) -> list[int]:
+    """The bitmask of <g> for each element index g of a Cayley table."""
+    out = []
+    for g in range(len(mul)):
+        powers = [0]
+        x = g
+        while x:
+            powers.append(x)
+            x = mul[x][g]
+        out.append(_mask(powers))
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def all_subgroups(G: PermGroup) -> tuple[Subgroup, ...]:
     """Every subgroup of G, sorted by (order, elements). Built bottom-up as
     joins with cyclic subgroups, which generate every subgroup."""
     mul = G.mul
     cyclic: dict[int, int] = {}  # bitmask of <g> -> its first generator g
-    for g in range(1, G.order):
-        powers = [0]
-        x = g
-        while x:
-            powers.append(x)
-            x = mul[x][g]
-        cyclic.setdefault(_mask(powers), g)
+    for g, cmask in enumerate(_cyclic_masks(mul)[1:], 1):
+        cyclic.setdefault(cmask, g)
     found: dict[int, tuple[list[int], tuple[int, ...]]] = {1: ([0], ())}
     frontier = [1]
     while frontier:
@@ -624,9 +632,35 @@ def class_rep_and_conjugator(G: PermGroup, members) -> tuple[Subgroup, int]:
 @functools.lru_cache(maxsize=None)
 def subgroups_up_to_conjugacy(G: PermGroup) -> tuple[Subgroup, ...]:
     """One canonical representative per conjugacy class of subgroups,
-    sorted by (order, elements)."""
-    return tuple(H for H in all_subgroups(G)
-                 if class_rep_and_conjugator(G, H.indices)[0] == H)
+    sorted by (order, elements).
+
+    Built by cyclic extension of class representatives only (Neubüser):
+    starting from the trivial class, each new representative H is joined
+    with one cyclic subgroup <g> outside H per N_G(H)-orbit, and the join
+    is mapped to its class through the class table. Every class is
+    reached: every subgroup is a chain of joins with cyclic subgroups,
+    x^-1 <J, C> x = <x^-1 J x, x^-1 C x> moves such a chain onto one
+    through the representative, and n <H, C> n^-1 = <H, n C n^-1> for n in
+    N_G(H)."""
+    mul, conj = G.mul, G.conj
+    cyclic = _cyclic_masks(mul)
+    reps = [class_rep_and_conjugator(G, (0,))[0]]
+    found = {reps[0].mask}
+    for H in reps:
+        gens = H.generator_indices()
+        normal_rows = gather(conj, normalizer(G, H).indices)
+        done: set[int] = set()  # bitmasks of <g> in the orbits joined so far
+        for g, cmask in enumerate(cyclic):
+            if H.mask >> g & 1 or cmask in done:
+                continue
+            done.update(cyclic[row[g]] for row in normal_rows)
+            joined, _ = _join(mul, H.indices, H.mask, gens, g)
+            R = class_rep_and_conjugator(G, joined)[0]
+            if R.mask not in found:
+                found.add(R.mask)
+                reps.append(R)
+    reps.sort(key=lambda s: (s.order, s.indices))
+    return tuple(reps)
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,6 +10,9 @@ coequalizer, so they pin that the double-coset formulas give the same
 output. The `verify sum` digests were recorded from the implementation that
 multiplied in the Burnside ring by decomposing G/K x G/L into orbits, so
 they pin that ring products by Mackey composition give the same output.
+The `basis A6 C1` digest was recorded from the implementation that found
+subgroup classes by filtering the whole subgroup lattice, so it pins that
+cyclic extension finds the same class representatives.
 """
 
 import hashlib
@@ -83,6 +86,8 @@ GOLDEN_COMMANDS = {
         "cd90da01a629d54345dd38e5cc354377f3ba05de936e1f1f7a5da977ff43dec6",
     ("--format", "json", "verify", "sum", "S3", "--kmax", "3"):
         "d1e19be2bc8a4d5fd73b064e5fe703a33e05fc86c3fdccfc3e73411b32a30f5b",
+    ("--order-cap", "360", "basis", "A6", "C1"):
+        "b2a22dd075fac144367e65fc4a7d6f19346010e7b94cddf10df4d083c1d568d7",
 }
 
 

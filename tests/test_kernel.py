@@ -10,8 +10,9 @@ import random
 
 import pytest
 
-from burnfuse import cli
-from burnfuse.burnside import _canonical_pair, _compose_basis, basis
+from burnfuse import cli, groups
+from burnfuse.burnside import (_canonical_pair, _compose_basis, _outer_twists,
+                               basis)
 from burnfuse.fusion import fusion_system
 from burnfuse.groups import (_hom_images, all_subgroups,
                              class_rep_and_conjugator, homomorphisms, mulclose,
@@ -42,8 +43,22 @@ def oracle_all_subgroups(G):
                   key=lambda s: (len(s), s))
 
 
+def oracle_subgroup_classes(G):
+    """The class representatives of G's subgroups as the route that
+    preceded cyclic extension found them: every subgroup of G that is its
+    own class representative, in lattice order."""
+    return tuple(H for H in all_subgroups(G)
+                 if class_rep_and_conjugator(G, H.indices)[0] == H)
+
+
 def _conj(g, x):
     return p_mul(p_mul(g, x), p_inv(g))
+
+
+def _centralizer(elements, subset):
+    """The members of `elements` that commute with every member of
+    `subset`, on permutation tuples."""
+    return [g for g in elements if all(_conj(g, x) == x for x in subset)]
 
 
 class TupleCanonicalizer:
@@ -187,6 +202,36 @@ def test_class_table_ignores_fill_and_member_order(spec):
     for H in reversed(all_subgroups(G)):
         rep, g = class_rep_and_conjugator(G, H.indices[::-1])
         assert (rep.elements, G.elements[g]) == oracle.class_rep(H.elements)
+
+
+@pytest.mark.parametrize("spec", ["S3", "S4", "A4", "A5", "D8", "Q8", "D12",
+                                  "C12", "C2xC2xC2", "C3xC3", "S3xC3", "S5",
+                                  "S4xC2", "D8xC2"])
+def test_subgroup_classes_match_all_subgroups_route(spec):
+    G = parse_group(spec)
+    got = subgroups_up_to_conjugacy(G)
+    want = oracle_subgroup_classes(G)
+    assert [H.elements for H in got] == [H.elements for H in want]
+
+
+def test_subgroup_classes_build_no_lattice(monkeypatch):
+    def lattice(G):
+        raise AssertionError("built the whole subgroup lattice")
+    monkeypatch.setattr(groups, "all_subgroups", lattice)
+    assert len(subgroups_up_to_conjugacy(parse_group.__wrapped__("S4"))) == 11
+
+
+@pytest.mark.parametrize("spec", ["S4", "A5", "D12", "S4xC2"])
+def test_outer_twists_count_cosets_of_k_times_centralizer(spec):
+    # |N_G(K) : K C_G(K)| = |N_G(K)| |Z(K)| / (|K| |C_G(K)|), since
+    # K meets C_G(K) in Z(K)
+    G = parse_group(spec)
+    oracle = TupleCanonicalizer(G, G)
+    for K in subgroups_up_to_conjugacy(G):
+        n = len(oracle.normalizer(K.elements))
+        c = len(_centralizer(G.elements, K.elements))
+        z = len(_centralizer(K.elements, K.elements))
+        assert len(_outer_twists(G, K)) * K.order * c == n * z
 
 
 def test_s5_subgroup_lattice():
