@@ -580,34 +580,6 @@ def _cyclic_masks(mul) -> list[int]:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def all_subgroups(G: PermGroup) -> tuple[Subgroup, ...]:
-    """Every subgroup of G, sorted by (order, elements). Built bottom-up as
-    joins with cyclic subgroups, which generate every subgroup."""
-    mul = G.mul
-    cyclic: dict[int, int] = {}  # bitmask of <g> -> its first generator g
-    for g, cmask in enumerate(_cyclic_masks(mul)[1:], 1):
-        cyclic.setdefault(cmask, g)
-    found: dict[int, tuple[list[int], tuple[int, ...]]] = {1: ([0], ())}
-    frontier = [1]
-    while frontier:
-        new = []
-        for hmask in frontier:
-            elems, gens = found[hmask]
-            outside = ~hmask
-            for cmask, g in cyclic.items():
-                if not cmask & outside:
-                    continue
-                joined, jmask = _join(mul, elems, hmask, gens, g)
-                if jmask not in found:
-                    found[jmask] = (joined, (*gens, g))
-                    new.append(jmask)
-        frontier = new
-    subs = [Subgroup.from_indices(G, elems) for elems, _ in found.values()]
-    subs.sort(key=lambda s: (s.order, s.indices))
-    return tuple(subs)
-
-
 def class_rep_and_conjugator(G: PermGroup, members) -> tuple[Subgroup, int]:
     """The canonical representative R of the class of the subgroup H with
     element indices `members` (any order), and the least index g with
@@ -661,6 +633,20 @@ def subgroups_up_to_conjugacy(G: PermGroup) -> tuple[Subgroup, ...]:
                 reps.append(R)
     reps.sort(key=lambda s: (s.order, s.indices))
     return tuple(reps)
+
+
+@functools.lru_cache(maxsize=None)
+def all_subgroups(G: PermGroup) -> tuple[Subgroup, ...]:
+    """Every subgroup of G, sorted by (order, elements): the conjugates of
+    the class representatives."""
+    found: dict[int, Subgroup] = {}
+    for R in subgroups_up_to_conjugacy(G):
+        for row in G.conj:
+            members = gather(row, R.indices)
+            mask = _mask(members)
+            if mask not in found:
+                found[mask] = Subgroup.from_indices(G, members)
+    return tuple(sorted(found.values(), key=lambda s: (s.order, s.indices)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -19,6 +19,8 @@ from burnfuse.groups import (GroupHom, all_subgroups, as_group, homomorphisms,
 from burnfuse.padic import PadicInt
 from burnfuse.perms import p_inv, p_mul
 
+from test_kernel import oracle_all_subgroups
+
 S3 = parse_group("S3")
 S4 = parse_group("S4")
 A4 = parse_group("A4")
@@ -320,10 +322,10 @@ def oracle_overgroup_restrictions(F, P):
     S = F.sylow_group
     pset = set(P.elements)
     out = set()
-    for R in all_subgroups(S):
-        if R.order == F.prime * P.order and pset <= set(R.elements):
-            for psi in oracle_morphisms(F, R, S):
-                at = dict(zip(R.elements, psi))
+    for R in oracle_all_subgroups(S):
+        if len(R) == F.prime * P.order and pset <= set(R):
+            for psi in oracle_morphisms(F, S.subgroup(R), S):
+                at = dict(zip(R, psi))
                 out.add(tuple(at[x] for x in P.elements))
     return out
 

@@ -1,8 +1,11 @@
 """The integer-indexed group kernel against the permutation-tuple
 implementations it replaced, which live on here as oracles.
 
-The oracles multiply image tuples with perms.p_mul and never touch a Cayley
-table, a conjugation table or a bitmask.
+The tuple oracles multiply image tuples with perms.p_mul and never touch a
+Cayley table, a conjugation table or a bitmask. The exception is
+`oracle_lattice_by_joins`, the join-by-join lattice that `all_subgroups`
+and the subgroup classes were once read from: it runs on the Cayley table,
+but it reaches every subgroup without the class representatives.
 """
 
 import itertools
@@ -14,8 +17,9 @@ from burnfuse import cli, groups
 from burnfuse.burnside import (_canonical_pair, _compose_basis, _outer_twists,
                                basis)
 from burnfuse.fusion import fusion_system
-from burnfuse.groups import (_hom_images, all_subgroups,
-                             class_rep_and_conjugator, homomorphisms, mulclose,
+from burnfuse.groups import (Subgroup, _cyclic_masks, _hom_images, _join,
+                             all_subgroups, class_rep_and_conjugator,
+                             enumeration_cap, homomorphisms, mulclose,
                              normalizer, parse_group, subgroups_up_to_conjugacy)
 from burnfuse.perms import p_inv, p_mul
 
@@ -43,11 +47,39 @@ def oracle_all_subgroups(G):
                   key=lambda s: (len(s), s))
 
 
+def oracle_lattice_by_joins(G):
+    """Every subgroup of G, sorted by (order, elements), built bottom-up
+    on the Cayley table as joins with cyclic subgroups, which generate
+    every subgroup: the route that `all_subgroups` took before it became
+    the conjugates of the class representatives."""
+    mul = G.mul
+    cyclic = {}  # bitmask of <g> -> its first generator g
+    for g, cmask in enumerate(_cyclic_masks(mul)[1:], 1):
+        cyclic.setdefault(cmask, g)
+    found = {1: ([0], ())}
+    frontier = [1]
+    while frontier:
+        new = []
+        for hmask in frontier:
+            elems, gens = found[hmask]
+            for cmask, g in cyclic.items():
+                if not cmask & ~hmask:
+                    continue
+                joined, jmask = _join(mul, elems, hmask, gens, g)
+                if jmask not in found:
+                    found[jmask] = (joined, (*gens, g))
+                    new.append(jmask)
+        frontier = new
+    subs = [Subgroup.from_indices(G, elems) for elems, _ in found.values()]
+    subs.sort(key=lambda s: (s.order, s.indices))
+    return tuple(subs)
+
+
 def oracle_subgroup_classes(G):
     """The class representatives of G's subgroups as the route that
-    preceded cyclic extension found them: every subgroup of G that is its
-    own class representative, in lattice order."""
-    return tuple(H for H in all_subgroups(G)
+    preceded cyclic extension found them: every subgroup of the join
+    lattice that is its own class representative, in lattice order."""
+    return tuple(H for H in oracle_lattice_by_joins(G)
                  if class_rep_and_conjugator(G, H.indices)[0] == H)
 
 
@@ -176,11 +208,13 @@ def test_canonical_pair_on_conjugated_inputs():
                 assert _canonical_pair(G, H, *zip(*graph)) == b
 
 
-@pytest.mark.parametrize("spec", ["S4", "A4", "D12", "A5"])
+@pytest.mark.parametrize("spec", ["S4", "A4", "D12", "A5", "Q8", "C2xC2xC2",
+                                  "D8xC2", "S3xC3"])
 def test_all_subgroups_match_one_element_extensions(spec):
     G = parse_group(spec)
-    subs = all_subgroups(G)
-    assert [s.elements for s in subs] == oracle_all_subgroups(G)
+    want = oracle_all_subgroups(G)
+    assert [s.elements for s in all_subgroups(G)] == want
+    assert [s.elements for s in oracle_lattice_by_joins(G)] == want
 
 
 @pytest.mark.parametrize("spec", ["S4", "D12", "A5"])
@@ -196,10 +230,13 @@ def test_class_reps_and_normalizers_match_tuples(spec):
 @pytest.mark.parametrize("spec", ["S4", "D12", "A5"])
 def test_class_table_ignores_fill_and_member_order(spec):
     # a fresh group fills its class table in reverse lattice order, from
-    # members listed backwards
+    # members listed backwards; the lattice comes from the cached group,
+    # since listing it on the fresh one would fill the table first
+    lattice = all_subgroups(parse_group(spec))
     G = parse_group.__wrapped__(spec)
     oracle = TupleCanonicalizer(G, G)
-    for H in reversed(all_subgroups(G)):
+    assert not G._classes
+    for H in reversed(lattice):
         rep, g = class_rep_and_conjugator(G, H.indices[::-1])
         assert (rep.elements, G.elements[g]) == oracle.class_rep(H.elements)
 
@@ -238,6 +275,10 @@ def test_s5_subgroup_lattice():
     S5 = parse_group("S5")
     assert len(all_subgroups(S5)) == 156
     assert len(subgroups_up_to_conjugacy(S5)) == 19
+    with enumeration_cap(360):
+        A6 = parse_group("A6")
+        assert len(all_subgroups(A6)) == 501
+        assert len(subgroups_up_to_conjugacy(A6)) == 22
 
 
 def test_tables_are_lazy_and_capped(capsys):
