@@ -26,8 +26,8 @@ import operator
 from .errors import BisetError, ScalarMismatchError, SubgroupError
 from .groups import (GroupHom, PermGroup, Subgroup, _double_cosets,
                      _hom_images, as_group, class_rep_and_conjugator,
-                     inclusion_hom, normalizer, subgroups_up_to_conjugacy,
-                     trivial_group)
+                     inclusion_hom, least_conjugates, normalizer,
+                     subgroups_up_to_conjugacy, trivial_group)
 from .padic import PadicInt, check_scalars
 from .perms import cycle_string, gather
 
@@ -117,30 +117,32 @@ def _canonical_pair(source: PermGroup, target: PermGroup, members: tuple,
     the image tuple is minimized over pre-conjugation by the normalizer and
     post-conjugation by the target.
 
-    The minimum is found by refinement (Linton's minimal images): the
-    candidates are every (target conjugation row, outer twist) pair, with
-    one twist per coset of K0 C_G(K0) in N_G(K0) (`_outer_twists`); the
-    other twists add only target conjugates of these candidates. Position
-    by position along K0.indices only the candidates whose image there is
-    least are kept, until one is left or the positions run out.
-    Lexicographic order makes the survivors exactly the minimizers, so only
-    the winning image tuple is ever built."""
+    The pre-conjugations are one twist per coset of K0 C_G(K0) in N_G(K0)
+    (`_outer_twists`); the other twists add only target conjugates of
+    these. Conjugation fixes the identity, so the least image tuple comes
+    from the twisted tuples whose first image other than the identity, at
+    position j, comes last, and among those from the ones whose image at j
+    has the least conjugate m. Only the conjugation rows taking that image
+    to m can then win: `least_conjugates` lists them, one per coset of
+    Z(H). The least of the tuples they give is the canonical image."""
     K0, g0 = class_rep_and_conjugator(source, members)
     conj, inv = source.conj, source.inv
     # base, aligned with K0.indices: x -> phi(g0^-1 x g0) on K0 = g0 K g0^-1
     base = gather(dict(zip(members, images)),
                   gather(conj[inv[g0]], K0.indices))
-    twisted = {gather(base, tw) for tw in _outer_twists(source, K0)}
-    cands = [(row, tw) for row in target.conj for tw in twisted]
-    # position 0 is the identity, which every candidate fixes
-    for i in range(1, len(K0.indices)):
-        if len(cands) == 1:
-            break
-        least = min(row[tw[i]] for row, tw in cands)
-        cands = [(row, tw) for row, tw in cands if row[tw[i]] == least]
-    row, tw = cands[0]
-    return BisetClass(source, target, K0, GroupHom.from_indices(
-        K0, target, gather(row, tw)))
+    rows = target.conj  # as every table read, this checks the cap
+    image = base  # the trivial map is its own canonical image
+    if any(base):
+        least, reach = least_conjugates(target)
+        by_key: dict = {}  # (-j, least conjugate at j) -> twisted tuples
+        for t in {gather(base, tw) for tw in _outer_twists(source, K0)}:
+            j = next(i for i, x in enumerate(t) if x)
+            by_key.setdefault((-j, least[t[j]]), []).append(t)
+        key, seeds = min(by_key.items())
+        j = -key[0]
+        image = min(gather(rows[h], t) for t in seeds for h in reach[t[j]])
+    return BisetClass(source, target, K0,
+                      GroupHom.from_indices(K0, target, image))
 
 
 def canonical_class(source: PermGroup, target: PermGroup, K: Subgroup,

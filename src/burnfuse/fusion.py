@@ -301,56 +301,75 @@ def stable_pair_classes(F1: FusionSystem, F2: FusionSystem) \
     return tuple(out)
 
 
+def _stable_element(F1: FusionSystem, F2: FusionSystem, k: int,
+                    i: int) -> StableElement:
+    """The stable basis element of fusion class i of `stable_pair_classes`:
+    the class's least member composed with the idempotents on both sides."""
+    return stabilize(single(stable_pair_classes(F1, F2)[i][0]), F1, F2, k)
+
+
 @functools.lru_cache(maxsize=None)
 def stable_basis(F1: FusionSystem, F2: FusionSystem, k: int) \
         -> tuple[StableElement, ...]:
-    """One stable basis element per fusion-conjugacy class of pairs:
-    the class representative composed with the idempotents on both sides."""
-    return tuple(stabilize(single(group[0]), F1, F2, k)
-                 for group in stable_pair_classes(F1, F2))
+    """One stable basis element per fusion-conjugacy class of pairs, in the
+    order of `stable_pair_classes` (`_stable_element`)."""
+    return tuple(_stable_element(F1, F2, k, i)
+                 for i in range(len(stable_pair_classes(F1, F2))))
 
 
 @functools.lru_cache(maxsize=None)
-def _stable_columns(F1: FusionSystem, F2: FusionSystem, k: int) \
-        -> tuple[tuple[tuple[tuple[BisetClass, int], ...], BisetClass, int], ...]:
-    """Per fusion class, in the order of `stable_pair_classes`: the stable
-    basis element as a sparse residue column ((class, residue), ...) mod
-    p^k, a member of the fusion class whose coefficient is a unit mod p,
-    and that coefficient's inverse mod p^k.
+def _column_table(F1: FusionSystem, F2: FusionSystem, k: int) \
+        -> tuple[dict[BisetClass, int], list]:
+    """The index of each basis class's fusion class, and one slot per
+    fusion class for its stable column mod p^k, empty until
+    `_stable_column` fills it. A slot's content depends only on
+    (F1, F2, k, i), so the order in which slots fill changes nothing."""
+    classes = stable_pair_classes(F1, F2)
+    where = {b: i for i, cls in enumerate(classes) for b in cls}
+    return where, [None] * len(classes)
+
+
+def _stable_column(F1: FusionSystem, F2: FusionSystem, k: int, i: int) \
+        -> tuple[tuple[tuple[BisetClass, int], ...], BisetClass, int]:
+    """The stable column of fusion class i, built and checked on first use
+    and kept in its `_column_table` slot: the stable basis element
+    (`_stable_element`) as a sparse residue column ((class, residue), ...)
+    mod p^k, a member of the fusion class whose coefficient is a unit mod
+    p, and that coefficient's inverse mod p^k.
 
     The columns are block-triangular over the fusion classes ordered by
     descending |K|: omega is bifree, so by Mackey composing with it never
     raises |K|, and at equal |K| it stays inside the fusion class. A column
     with support on another class of the same or larger |K|, or without a
     unit on its own class, raises FormulaMismatchError."""
+    where, slots = _column_table(F1, F2, k)
+    if slots[i] is not None:
+        return slots[i]
     p = F1.prime
-    mod = p ** k
-    classes = stable_pair_classes(F1, F2)
-    where = {b: i for i, cls in enumerate(classes) for b in cls}
-    out = []
-    for i, (cls, s) in enumerate(zip(classes, stable_basis(F1, F2, k))):
-        column = tuple(s.underlying._items())
-        if any(where[b] != i and b.K.order >= cls[0].K.order
-               for b, _ in column):
-            raise FormulaMismatchError(
-                "stable basis columns are not triangular over the fusion classes")
-        pivot = next(((b, c) for b, c in column if where[b] == i and c % p),
-                     None)
-        if pivot is None:
-            raise FormulaMismatchError(
-                "stable basis columns are not independent mod p")
-        out.append((column, pivot[0], pow(pivot[1], -1, mod)))
-    return tuple(out)
+    order = stable_pair_classes(F1, F2)[i][0].K.order
+    column = tuple(_stable_element(F1, F2, k, i).underlying._items())
+    if any(where[b] != i and b.K.order >= order for b, _ in column):
+        raise FormulaMismatchError(
+            "stable basis columns are not triangular over the fusion classes")
+    pivot = next(((b, c) for b, c in column if where[b] == i and c % p),
+                 None)
+    if pivot is None:
+        raise FormulaMismatchError(
+            "stable basis columns are not independent mod p")
+    slots[i] = (column, pivot[0], pow(pivot[1], -1, p ** k))
+    return slots[i]
 
 
 def stable_coordinates(x: StableElement, k: int | None = None) \
         -> list[tuple[tuple[BisetClass, ...], PadicInt]]:
     """Coordinates of a stable element in the stable basis, as pairs
-    (fusion class of (K, phi), coefficient). The columns of
-    `_stable_columns` are triangular, so the classes are solved one at a
-    time in order of descending |K|: the coefficient is read at the
-    class's pivot, the column is subtracted, and every member of the class
-    must then be zero mod p^k."""
+    (fusion class of (K, phi), coefficient). The stable columns are
+    triangular, so the classes are solved one at a time in order of
+    descending |K|: a class on which the rest of the element is zero has
+    coefficient zero, and its column is never built; otherwise the
+    coefficient is read at the pivot of the class's column
+    (`_stable_column`, built on first use), the column is subtracted, and
+    every member of the class must then be zero mod p^k."""
     F1, F2 = x.left_fusion, x.right_fusion
     elt = x.underlying
     p = F1.prime
@@ -361,16 +380,22 @@ def stable_coordinates(x: StableElement, k: int | None = None) \
         raise ScalarMismatchError(
             f"cannot raise precision {elt.precision} to {k}")
     mod = p ** k
+    slots = _column_table(F1, F2, k)[1]
     rest = {b: c % mod for b, c in elt._terms.items()}
+    zero = PadicInt(p, k, 0)  # PadicInt is immutable: one zero serves all
     out = []
-    for cls, (column, pivot, inv) in zip(stable_pair_classes(F1, F2),
-                                         _stable_columns(F1, F2, k)):
+    for i, cls in enumerate(stable_pair_classes(F1, F2)):
+        if not any(map(rest.get, cls)):
+            out.append((cls, zero))
+            continue
+        column, pivot, inv = slots[i] or _stable_column(F1, F2, k, i)
         a = rest.get(pivot, 0) * inv % mod
         if a:
             for b, c in column:
                 rest[b] = (rest.get(b, 0) - a * c) % mod
-        if any(rest.get(b) for b in cls):
-            raise FusionError("stable element failed to solve in the stable basis")
+        if any(map(rest.get, cls)):
+            raise FusionError(
+                "stable element failed to solve in the stable basis")
         out.append((cls, PadicInt(p, k, a)))
     return out
 

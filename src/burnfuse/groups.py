@@ -745,16 +745,51 @@ def _propagate(domain: Subgroup, gens, images, codomain: PermGroup):
     return phi
 
 
+@functools.lru_cache(maxsize=None)
+def least_conjugates(H: PermGroup) -> tuple[tuple[int, ...],
+                                            tuple[tuple[int, ...], ...]]:
+    """For each element index t of H: the least index m in its conjugacy
+    class, and the h with h t h^-1 = m, one per coset of the centre Z(H)
+    (conjugation by hz is conjugation by h). If a conjugates t to m, those
+    h are the coset C_H(m) a."""
+    mul, inv, conj = H.mul, H.inv, H.conj
+    n = len(mul)
+    centre = [z for z, row in enumerate(conj) if row == tuple(range(n))]
+    least, reach = [-1] * n, [()] * n
+    for m in range(n):
+        if least[m] >= 0:
+            continue  # a smaller element of m's class came first
+        reps: list[int] = []  # C_H(m), one element per coset of Z(H)
+        covered: set[int] = set()
+        for c, row in enumerate(conj):
+            if row[m] == m and c not in covered:
+                covered.update(gather(mul[c], centre))
+                reps.append(c)
+        for h, row in enumerate(conj):
+            t = row[m]  # h m h^-1 = t, so h^-1 conjugates t to m
+            if least[t] < 0:
+                least[t] = m
+                reach[t] = tuple(mul[c][inv[h]] for c in reps)
+    return tuple(least), tuple(reach)
+
+
 def _hom_images(K: Subgroup, H: PermGroup, up_to_conjugacy: bool = False):
     """The homomorphisms K -> H as image-index tuples aligned with
-    K.indices, enumerated by generator images in index order.
+    K.indices, in lexicographic order of the generator images.
 
-    With up_to_conjugacy, the first generator only maps to elements that
-    are least in their H-conjugacy class (the minimum of their column of
-    H.conj). Every H-orbit of homomorphisms under post-conjugation still
-    has a member here: conjugate phi by an h that moves phi(g_1) to the
-    least element of its class. The later generators are not filtered,
-    because the centralizer of phi(g_1) may still move their images."""
+    Backtracking, depth first in index order: the image of generator i is
+    chosen only when the images of generators 1..i are consistent on the
+    subgroup those generators span (`_propagate`), since a map that is not
+    a homomorphism there extends to none on K. The order is that of
+    itertools.product over the candidate images.
+
+    With up_to_conjugacy, image i is kept only when it is least in its
+    orbit under C, the common centralizer in H of images 1..i-1 (C = H
+    for the first generator), and C then shrinks to the centralizer of
+    image i in C. Every H-orbit of homomorphisms under post-conjugation
+    still has a member here: conjugate phi so that phi(g_1) is least in
+    its class, then by an element of C_H(phi(g_1)) so that phi(g_2) is
+    least in its orbit, and so on."""
     hmul, kmul = H.mul, K.parent.mul
     gens = K.generator_indices()
     if not gens:
@@ -764,21 +799,31 @@ def _hom_images(K: Subgroup, H: PermGroup, up_to_conjugacy: bool = False):
     for g in gens:
         n = _element_order(kmul, g)
         candidates.append([h for h in range(H.order) if n % h_orders[h] == 0])
-    if up_to_conjugacy:
-        least = list(map(min, zip(*H.conj)))
-        candidates[0] = [h for h in candidates[0] if least[h] == h]
+    last = len(gens) - 1
+    images: list[int] = []
     out = []
-    for images in itertools.product(*candidates):
-        phi = _propagate(K, gens, images, H)
-        if phi is not None:
-            out.append(gather(phi, K.indices))
+
+    def extend(i: int, rows) -> None:
+        # rows: the conjugation rows of C, or None without up_to_conjugacy
+        for h in candidates[i]:
+            if rows is not None and any(row[h] < h for row in rows):
+                continue
+            images.append(h)
+            phi = _propagate(K, gens[:i + 1], images, H)
+            if phi is not None and i == last:
+                out.append(gather(phi, K.indices))
+            elif phi is not None:
+                extend(i + 1, None if rows is None
+                       else [row for row in rows if row[h] == h])
+            images.pop()
+
+    extend(0, list(H.conj) if up_to_conjugacy else None)
     return out
 
 
 @functools.lru_cache(maxsize=None)
 def homomorphisms(K: Subgroup, H: PermGroup) -> tuple[GroupHom, ...]:
-    """All group homomorphisms K -> H, enumerated by generator images.
-    `burnside.basis` enumerates only the maps whose first generator image
-    is least in its H-conjugacy class (see `_hom_images`); this is the full
-    list."""
+    """All group homomorphisms K -> H, in lexicographic order of the
+    generator images. `burnside.basis` enumerates them only up to
+    conjugacy in H (see `_hom_images`); this is the full list."""
     return tuple(GroupHom.from_indices(K, H, img) for img in _hom_images(K, H))

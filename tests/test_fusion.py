@@ -6,6 +6,7 @@ from burnfuse import fusion
 from burnfuse.burnside import (basis, canonical_class, compose, decompose,
                                identity_class, identity_element, realize,
                                restrict, restrict_along, single)
+from burnfuse.completion import completion_unit_inverse
 from burnfuse.errors import (FormulaMismatchError, FusionError, NonUnitError,
                              NotSemicharacteristicError, ScalarMismatchError)
 from burnfuse.fusion import (StableElement, _twists, a_fus,
@@ -680,33 +681,100 @@ def test_stable_coordinates_match_dense_oracle(G, H, p):
         assert [c for _, c in got] == coeffs
 
 
-def reversed_basis(sb):
+def reversed_basis(element, n):
     """Each column on a foreign fusion class: a class gets no unit pivot or
     support on a class of larger or equal |K|."""
-    return sb[::-1]
+    return lambda F1, F2, k, i: element(F1, F2, k, n - 1 - i)
 
 
-def skewed_basis(sb):
+def skewed_basis(element, n):
     """p times the first element added to the second: the second keeps its
     unit pivot but gains support on a class of larger or equal |K|."""
-    first, second = sb[0], sb[1]
-    bent = StableElement(second.underlying + first.prime * first.underlying,
-                         first.left_fusion, first.right_fusion)
-    return (first, bent, *sb[2:])
+    def skewed(F1, F2, k, i):
+        if i != 1:
+            return element(F1, F2, k, i)
+        first, second = element(F1, F2, k, 0), element(F1, F2, k, 1)
+        return StableElement(second.underlying + F1.prime * first.underlying,
+                             F1, F2)
+    return skewed
+
+
+def stable_sum(F1, F2, k):
+    """The sum of the stable basis elements, whose support meets every
+    fusion class, so solving it builds every column."""
+    sb = stable_basis(F1, F2, k)
+    total = sum((s.underlying for s in sb[1:]), sb[0].underlying)
+    support = set(total.support())
+    assert all(support.intersection(cls)
+               for cls in stable_pair_classes(F1, F2))
+    return StableElement(total, F1, F2)
 
 
 @pytest.mark.parametrize("misalign", [reversed_basis, skewed_basis])
 def test_stable_columns_reject_misaligned_basis(monkeypatch, misalign):
+    # the columns and stable_basis are built through one per-class
+    # function; misaligned there, the first column built off its class
+    # must raise
     F = fusion_system(S4, 2)
-    original = fusion.stable_basis
-    monkeypatch.setattr(fusion, "stable_basis",
-                        lambda F1, F2, k: misalign(original(F1, F2, k)))
-    fusion._stable_columns.cache_clear()
+    x = stable_sum(F, F, 3)
+    n = len(stable_pair_classes(F, F))
+    monkeypatch.setattr(fusion, "_stable_element",
+                        misalign(fusion._stable_element, n))
+    fusion._column_table.cache_clear()
     try:
         with pytest.raises(FormulaMismatchError):
-            stable_coordinates(characteristic_idempotent(F, 3))
+            stable_coordinates(x)
     finally:
-        fusion._stable_columns.cache_clear()
+        fusion._column_table.cache_clear()
+
+
+@pytest.mark.parametrize("G,H,p", [(S4, S4, 2), (S5, S4, 3), (S5, S5, 2),
+                                   (D8xC2, D8xC2, 2), (D8xC2, S4, 2)],
+                         ids=lambda v: v.label if hasattr(v, "label") else str(v))
+def test_lazy_columns_match_stable_basis(G, H, p):
+    # each column, built on first use, holds the residues of the matching
+    # stable basis element, with a unit pivot inside its own fusion class
+    k = 3
+    F1, F2 = fusion_system(G, p), fusion_system(H, p)
+    classes = stable_pair_classes(F1, F2)
+    for i, (cls, s) in enumerate(zip(classes, stable_basis(F1, F2, k))):
+        column, pivot, inv = fusion._stable_column(F1, F2, k, i)
+        assert column == tuple(s.underlying._items())
+        assert pivot in cls
+        assert dict(column)[pivot] * inv % p ** k == 1
+
+
+def test_coordinates_do_not_depend_on_solve_order():
+    # slots fill in the order elements meet their classes; the coordinates
+    # must come out the same either way
+    F1, F2 = fusion_system(S4, 2), fusion_system(D8xC2, 2)
+    k = 3
+    sb = stable_basis(F1, F2, k)
+    rng = random.Random(11)
+    elements = []
+    for _ in range(2):
+        picks = rng.sample(range(len(sb)), 3)
+        total = sum((PadicInt(2, k, rng.randrange(1, 8)) * sb[i].underlying
+                     for i in picks[1:]), sb[picks[0]].underlying)
+        elements.append(StableElement(total, F1, F2))
+    results = []
+    for order in (elements, elements[::-1]):
+        fusion._column_table.cache_clear()
+        got = {id(x): stable_coordinates(x) for x in order}
+        results.append([got[id(x)] for x in elements])
+    assert results[0] == results[1]
+    assert [stable_coordinates(x) for x in elements] == results[0]
+
+
+def test_unit_inverse_builds_few_columns():
+    # is_unit_semichar solves one element with support on few classes:
+    # only the columns of those classes are built
+    F = fusion_system(S4xC2, 2)
+    fusion._column_table.cache_clear()
+    completion_unit_inverse.__wrapped__(S4xC2, 2, 4)
+    slots = fusion._column_table(F, F, 4)[1]
+    filled = sum(slot is not None for slot in slots)
+    assert 0 < filled and 100 * filled < len(slots)
 
 
 def test_stable_coordinates_round_trip():

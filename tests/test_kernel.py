@@ -21,7 +21,7 @@ from burnfuse.groups import (Subgroup, _cyclic_masks, _hom_images, _join,
                              all_subgroups, class_rep_and_conjugator,
                              enumeration_cap, homomorphisms, mulclose,
                              normalizer, parse_group, subgroups_up_to_conjugacy)
-from burnfuse.perms import p_inv, p_mul
+from burnfuse.perms import gather, p_inv, p_mul
 
 
 def oracle_all_subgroups(G):
@@ -169,20 +169,72 @@ def test_basis_matches_tuple_canonicalization(gs, hs):
     assert got == sorted(got, key=lambda kp: (-len(kp[0]), kp))
 
 
-@pytest.mark.parametrize("gs,hs", list(itertools.product(ROSTER, ROSTER)))
+@pytest.mark.parametrize("spec", ["S4", "D8xC2", "Q8", "C6", "A5"])
+def test_least_conjugates_match_tuples(spec):
+    # per element: the least conjugate, and the conjugators reaching it,
+    # one per coset of the centre, all on permutation tuples
+    G = parse_group(spec)
+    els = G.elements
+    centre = _centralizer(els, els)
+    least, reach = groups.least_conjugates(G)
+    for t, x in enumerate(els):
+        m = min(_conj(h, x) for h in els)
+        assert els[least[t]] == m
+        cosets = [frozenset(p_mul(els[h], z) for z in centre)
+                  for h in reach[t]]
+        assert len(set(cosets)) == len(cosets)
+        assert set().union(*cosets) == {h for h in els if _conj(h, x) == m}
+
+
+def oracle_hom_images(K, H):
+    """Hom(K, H) as image-index tuples aligned with K.indices: every tuple
+    of generator images whose orders fit, in itertools.product order, kept
+    when `_propagate` extends it over K."""
+    gens = K.generator_indices()
+    if not gens:
+        return [(0,)]
+    orders = [groups._element_order(H.mul, h) for h in range(H.order)]
+    candidates = [[h for h in range(H.order)
+                   if groups._element_order(K.parent.mul, g) % orders[h] == 0]
+                  for g in gens]
+    out = []
+    for images in itertools.product(*candidates):
+        phi = groups._propagate(K, gens, images, H)
+        if phi is not None:
+            out.append(gather(phi, K.indices))
+    return out
+
+
+@pytest.mark.parametrize("gs,hs", [("S4", "S4"), ("S4", "S3"), ("D8", "Q8"),
+                                   ("A4", "S4"), ("C2xC2xC2", "D8"),
+                                   ("Q8", "S4"), ("S3", "S5"), ("D12", "S4")])
+def test_backtracking_homs_match_product_order(gs, hs):
+    # backtracking prunes inconsistent prefixes but must return the list,
+    # in the order, of the full product over generator images
+    G, H = parse_group(gs), parse_group(hs)
+    for K in subgroups_up_to_conjugacy(G):
+        assert [hom.image_indices for hom in homomorphisms(K, H)] == \
+            oracle_hom_images(K, H)
+
+
+@pytest.mark.parametrize("gs,hs", list(itertools.product(ROSTER, ROSTER))
+                         + [("A5", "S5"), ("S4", "S5")])
 def test_filtered_homs_meet_every_target_orbit(gs, hs):
     # basis enumerates Hom(K, H) only up to post-conjugation by H: the
     # filtered maps must be homomorphisms, and every homomorphism must be
-    # H-conjugate to one of them
+    # H-conjugate to one of them, so both lists have the same least
+    # conjugates (read on H's conjugation table)
     G, H = parse_group(gs), parse_group(hs)
+    rows = H.conj
+
+    def least(images):
+        return min(gather(row, images) for row in rows)
+
     for K in subgroups_up_to_conjugacy(G):
-        full = {hom.images for hom in homomorphisms(K, H)}
-        filtered = {tuple(map(H.elements.__getitem__, images))
-                    for images in _hom_images(K, H, up_to_conjugacy=True)}
-        assert filtered <= full
-        for images in full:
-            assert any(tuple(_conj(h, y) for y in images) in filtered
-                       for h in H.elements)
+        full = [hom.image_indices for hom in homomorphisms(K, H)]
+        filtered = _hom_images(K, H, up_to_conjugacy=True)
+        assert set(filtered) <= set(full)
+        assert set(map(least, full)) == set(map(least, filtered))
 
 
 def test_canonical_pair_on_conjugated_inputs():
