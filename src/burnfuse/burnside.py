@@ -130,7 +130,6 @@ def _canonical_pair(source: PermGroup, target: PermGroup, members: tuple,
     # base, aligned with K0.indices: x -> phi(g0^-1 x g0) on K0 = g0 K g0^-1
     base = gather(dict(zip(members, images)),
                   gather(conj[inv[g0]], K0.indices))
-    rows = target.conj  # as every table read, this checks the cap
     image = base  # the trivial map is its own canonical image
     if any(base):
         least, reach = least_conjugates(target)
@@ -140,6 +139,7 @@ def _canonical_pair(source: PermGroup, target: PermGroup, members: tuple,
             by_key.setdefault((-j, least[t[j]]), []).append(t)
         key, seeds = min(by_key.items())
         j = -key[0]
+        rows = target.conj
         image = min(gather(rows[h], t) for t in seeds for h in reach[t[j]])
     return BisetClass(source, target, K0,
                       GroupHom.from_indices(K0, target, image))

@@ -13,8 +13,7 @@ import sys
 
 from .burnside import basis, compose, restrict, single
 from .errors import BurnfuseError, InputError
-from .groups import (DEFAULT_SEED, ENUM_CAP, check_cap, enumeration_cap,
-                     parse_group, sylow)
+from .groups import DEFAULT_SEED, ENUM_CAP, enumeration_cap, parse_group, sylow
 from .padic import is_prime
 
 # Every command needs the modules imported above. Each handler imports the
@@ -105,23 +104,6 @@ def _emit_element(x, cfg: Config, fusion_context=None) -> None:
             print(line)
 
 
-def _groups(*specs: str):
-    """Parse the groups a command is given and check them against the cap."""
-    out = tuple(map(parse_group, specs))
-    for G in out:
-        check_cap(G)
-    return out
-
-
-def _element(path: str):
-    """Load an element file and check its groups against the cap."""
-    from .serialize import load_element
-    x = load_element(path)
-    check_cap(x.source)
-    check_cap(x.target)
-    return x
-
-
 def _require_prime(p: int) -> int:
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
@@ -137,7 +119,7 @@ def _precision(args, default: int) -> int:
 
 
 def cmd_basis(args, cfg: Config) -> int:
-    G, H = _groups(args.G, args.H)
+    G, H = parse_group(args.G), parse_group(args.H)
     classes = basis(G, H)
     if cfg.format == "json":
         from .serialize import element_to_json
@@ -158,14 +140,16 @@ def cmd_basis(args, cfg: Config) -> int:
 
 
 def cmd_compose(args, cfg: Config) -> int:
-    x = _element(args.left)
-    y = _element(args.right)
+    from .serialize import load_element
+    x = load_element(args.left)
+    y = load_element(args.right)
     _emit_element(compose(x, y), cfg)
     return 0
 
 
 def cmd_restrict(args, cfg: Config) -> int:
-    x = _element(args.element)
+    from .serialize import load_element
+    x = load_element(args.element)
     p = _require_prime(args.p)
     S, T = sylow(x.source, p), sylow(x.target, p)
     _emit_element(restrict(x, S, T), cfg)
@@ -174,7 +158,7 @@ def cmd_restrict(args, cfg: Config) -> int:
 
 def cmd_idempotent(args, cfg: Config) -> int:
     from .fusion import characteristic_idempotent, fusion_system
-    [G] = _groups(args.G)
+    G = parse_group(args.G)
     p = _require_prime(args.p)
     k = _precision(args, cfg.precision)
     w = characteristic_idempotent(fusion_system(G, p), k)
@@ -184,7 +168,7 @@ def cmd_idempotent(args, cfg: Config) -> int:
 
 def cmd_invert_unit(args, cfg: Config) -> int:
     from .completion import completion_unit_inverse
-    [H] = _groups(args.H)
+    H = parse_group(args.H)
     p = _require_prime(args.p)
     k = _precision(args, cfg.precision)
     inv = completion_unit_inverse(H, p, k)
@@ -194,7 +178,8 @@ def cmd_invert_unit(args, cfg: Config) -> int:
 
 def cmd_complete(args, cfg: Config) -> int:
     from .completion import complete
-    x = _element(args.element)
+    from .serialize import load_element
+    x = load_element(args.element)
     p = _require_prime(args.p)
     k = _precision(args, cfg.precision)
     c = complete(x, p, k)
@@ -204,7 +189,7 @@ def cmd_complete(args, cfg: Config) -> int:
 
 def cmd_stable_basis(args, cfg: Config) -> int:
     from .fusion import fusion_system, stable_basis
-    G, H = _groups(args.G, args.H)
+    G, H = parse_group(args.G), parse_group(args.H)
     p = _require_prime(args.p)
     k = _precision(args, cfg.precision)
     F1, F2 = fusion_system(G, p), fusion_system(H, p)
@@ -225,7 +210,7 @@ def cmd_stable_basis(args, cfg: Config) -> int:
 
 def cmd_splitting(args, cfg: Config) -> int:
     from .completion import splitting_idempotent_approx
-    [G] = _groups(args.G)
+    G = parse_group(args.G)
     p = _require_prime(args.p)
     x = splitting_idempotent_approx(G, p, args.n)
     _emit_element(x, cfg)
@@ -242,7 +227,7 @@ def _finish_report(report, cfg: Config) -> int:
 
 def cmd_verify_sum(args, cfg: Config) -> int:
     from .completion import verify_splitting_sum
-    [G] = _groups(args.G)
+    G = parse_group(args.G)
     report = verify_splitting_sum(G, args.kmax, schedule_cap=cfg.schedule_cap)
     return _finish_report(report, cfg)
 
@@ -251,7 +236,7 @@ def cmd_verify_functor(args, cfg: Config) -> int:
     import random
 
     from .completion import complete_functor_check
-    G, H, K = _groups(args.G, args.H, args.K)
+    G, H, K = map(parse_group, (args.G, args.H, args.K))
     p = _require_prime(args.p)
     k = _precision(args, 4)
     if args.pairs < 1:
@@ -278,7 +263,7 @@ def cmd_verify_functor(args, cfg: Config) -> int:
 
 def cmd_verify_counterexample(args, cfg: Config) -> int:
     from .completion import transfer_counterexample_check
-    [H] = _groups(args.H)
+    H = parse_group(args.H)
     p = _require_prime(args.p)
     k = _precision(args, cfg.precision)
     report = transfer_counterexample_check(H, p, k)

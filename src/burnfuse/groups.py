@@ -11,9 +11,10 @@ tuple, so index order equals tuple order and a lexicographic minimum over
 index tuples picks the same representative as one over permutation tuples;
 the identity, the smallest permutation, has index 0. Each group builds, on
 first use, a multiplication table, an inverse table and a conjugation table
-on indices; every read of a table checks the group's order against the
-enumeration cap in force (`enumeration_cap`). Subgroups carry their
-sorted index tuple and an int bitmask; the bitmask serves membership,
+on indices. The enumeration cap in force (`enumeration_cap`) is read in
+one place, `parse_group`, on every call; nothing below parsing reads it,
+so no cache depends on it. Subgroups carry their sorted index tuple and
+an int bitmask; the bitmask serves membership,
 subset tests, hashing, deduplication and as the key of the group's class
 table, never ordering: `class_rep_and_conjugator` reads a subgroup's class
 representative there, also for a subgroup known only as the members of a
@@ -25,8 +26,9 @@ Validation happens once, where permutations enter: `Subgroup(parent,
 elements)`, `PermGroup.subgroup` and `GroupHom` from a dict check their
 input. `Subgroup.from_indices` and `GroupHom.from_indices` check nothing;
 their callers build subgroups and homomorphisms by construction (joins,
-conjugates, normalizers, propagated generator images), and tuple
-oracles in the tests check those constructions.
+conjugates, normalizers, propagated generator images, the closure of
+checked generators), and tuple oracles in the tests check those
+constructions.
 """
 
 from __future__ import annotations
@@ -61,16 +63,6 @@ def enumeration_cap(cap: int):
         yield
     finally:
         _enum_cap.reset(token)
-
-
-def check_cap(G: "PermGroup") -> None:
-    """Raise CapExceededError if |G| exceeds the enumeration cap in force.
-    Runs on every table read and on every group a command is given, outside
-    every cache, so no cached result answers under a cap that forbids it."""
-    cap = _enum_cap.get()
-    if len(G.elements) > cap:
-        raise CapExceededError(
-            f"|G| = {len(G.elements)} exceeds the enumeration cap {cap}")
 
 
 def mulclose(gens, degree: int, cap: int) -> set[Perm]:
@@ -180,7 +172,6 @@ class PermGroup:
     def mul(self) -> tuple[tuple[int, ...], ...]:
         """The Cayley table on indices: mul[a][b] is the index of
         elements[a] * elements[b], applying elements[b] first."""
-        check_cap(self)
         if self._mul is None:
             index, els = self._index, self.elements
             self._mul = tuple(
@@ -191,7 +182,6 @@ class PermGroup:
     @property
     def inv(self) -> tuple[int, ...]:
         """inv[a] is the index of the inverse of elements[a]."""
-        check_cap(self)
         if self._inv is None:
             self._inv = tuple(row.index(0) for row in self.mul)
         return self._inv
@@ -199,7 +189,6 @@ class PermGroup:
     @property
     def conj(self) -> tuple[tuple[int, ...], ...]:
         """The conjugation table: conj[h][t] is the index of h t h^-1."""
-        check_cap(self)
         if self._conj is None:
             mul, inv = self.mul, self.inv
             cols = tuple(zip(*mul))  # cols[b][a] is the index of a * b
@@ -505,14 +494,28 @@ def _atom_generators(family: str, n: int) -> list[Perm]:
             "D": _dihedral}[family](n)
 
 
-@functools.lru_cache(maxsize=None)
 def parse_group(spec: str) -> PermGroup:
-    """Build a group from a spec string.
+    """The group of a spec string, built once per spec and refused with
+    CapExceededError, on every call, when its order passes the enumeration
+    cap in force. Nothing else reads the cap: a group once returned runs
+    its operations under any cap, and `as_group` and a PermGroup built
+    directly are not capped.
 
     Grammar: named families C<n>, D<2n>, S<n>, A<n>, Q8, products joined
     with 'x' (e.g. C2xC2), or the explicit form
     'perm <degree>: <cycles>, <cycles>, ...' with 1-based disjoint cycles.
     """
+    G = _build_group(spec)
+    cap = _enum_cap.get()
+    if G.order > cap:
+        raise CapExceededError(
+            f"|G| = {G.order} exceeds the enumeration cap {cap}")
+    return G
+
+
+@functools.lru_cache(maxsize=None)
+def _build_group(spec: str) -> PermGroup:
+    """The group of a spec string (see `parse_group`), with no cap check."""
     text = spec.strip()
     if not text:
         raise GroupParseError("empty group spec")
@@ -561,7 +564,7 @@ def parse_group(spec: str) -> PermGroup:
 
 
 def trivial_group() -> PermGroup:
-    return parse_group("C1")
+    return _build_group("C1")  # not an input, so not capped
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +589,9 @@ def class_rep_and_conjugator(G: PermGroup, members) -> tuple[Subgroup, int]:
     g H g^-1 = R. Both are read from G's class table, keyed
     by bitmask; the first lookup in a class fills in the whole class: if T
     is the set conjugating H onto R, T a^-1 is the set for a H a^-1."""
-    conj = G.conj  # as every table read, this checks the enumeration cap
     found = G._classes.get(_mask(members))
     if found is None:
-        mul, inv = G.mul, G.inv
+        mul, inv, conj = G.mul, G.inv, G.conj
         masks = [_mask(gather(row, members)) for row in conj]
         reach = {m: g for g, m in enumerate(masks)}  # some g reaching each
         R = Subgroup.from_indices(G, min(sorted(gather(conj[g], members))

@@ -47,8 +47,9 @@ def _term_from_json(term: dict, source: PermGroup,
         if g not in source:
             raise InputError(f"generator {cycle_string(g)} is not in the "
                              f"source group {source.label}")
-    elements = mulclose(gens, source.degree, source.order)
-    K = Subgroup(source, elements)
+    # closed by construction, and every generator is in the source group
+    K = Subgroup.from_indices(
+        source, map(source.index, mulclose(gens, source.degree, source.order)))
     phi_pairs = term.get("phi", [])
     if len(phi_pairs) != len(gen_strings):
         raise InputError("phi must give exactly one image per K generator")
@@ -60,7 +61,8 @@ def _term_from_json(term: dict, source: PermGroup,
             raise InputError(f"phi domain generator {dom_s} is not in K")
         if img not in target:
             raise InputError(f"phi image {img_s} is not in the target group")
-        images[dom] = img
+        if images.setdefault(dom, img) != img:
+            raise InputError(f"phi domain generator {dom_s} has two images")
     # extend generator images over K; reject non-homomorphisms
     full = _propagate(K, [source.index(g) for g in images],
                       [target.index(h) for h in images.values()], target)

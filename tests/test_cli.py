@@ -290,6 +290,9 @@ GOOD_TERM = {"K": ["(1 2)"], "phi": [["(1 2)", "(1 2)"]], "coeff": "1"}
     # an order-3 generator sent to a transposition is no homomorphism
     {"terms": [{"K": ["(1 2 3)"], "phi": [["(1 2 3)", "(1 2)"]],
                 "coeff": "1"}]},
+    # a domain generator given two different images
+    {"terms": [{"K": ["(1 2)", "(1 2)"],
+                "phi": [["(1 2)", "(1 2)"], ["(1 2)", "()"]], "coeff": "1"}]},
 ])
 def test_malformed_element_file_exits_two(tmp_path, capsys, change):
     data = {"source": "S3", "target": "S3", "scalars": "int",

@@ -7,7 +7,8 @@ from burnfuse import groups
 from burnfuse.burnside import basis, canonical_class, restrict, single
 from burnfuse.errors import (CapExceededError, GroupParseError,
                              HomomorphismError, SubgroupError)
-from burnfuse.groups import (GroupHom, Subgroup, as_group, double_cosets,
+from burnfuse.groups import (GroupHom, PermGroup, Subgroup, all_subgroups,
+                             as_group, double_cosets, enumeration_cap,
                              homomorphisms, mulclose, parse_group, sylow,
                              subgroups_up_to_conjugacy, trivial_group)
 from burnfuse.cli import run
@@ -100,6 +101,41 @@ def test_order_cap():
         parse_group("S9")
 
 
+def test_parse_group_checks_the_cap_on_every_call():
+    # "S4" is parsed by other tests too; the perm spec, by no other test,
+    # reaches the uncached builder here. Either is refused under a cap
+    # below 24 whether or not it was parsed before, and answers otherwise.
+    for spec in ("S4", "perm 4: (1 2 3 4), (1 2)"):
+        for _ in range(2):
+            with enumeration_cap(10), pytest.raises(CapExceededError):
+                parse_group(spec)
+            assert parse_group(spec).order == 24
+    with pytest.raises(CapExceededError, match="enumeration cap 200"):
+        parse_group("S8")
+
+
+def test_results_do_not_depend_on_cache_state_under_a_cap():
+    # nothing below parse_group reads the cap, so a group in hand answers
+    # the same under any cap, whatever is cached: cold on an equal group
+    # that has built no table yet, and warm on the parsed one
+    S4 = parse_group("S4")
+    fresh = PermGroup(S4.degree, S4.generators, S4.label)
+    steps = (basis, subgroups_up_to_conjugacy, sylow, homomorphisms,
+             all_subgroups)
+
+    def results(G):
+        return (basis(G, G), subgroups_up_to_conjugacy(G), sylow(G, 2),
+                homomorphisms(G.full_subgroup(), G), all_subgroups(G))
+
+    for step in steps:
+        step.cache_clear()
+    with enumeration_cap(2):
+        cold = results(fresh)
+        warm = results(S4)
+    assert cold == warm == results(S4)
+    assert fresh._mul is not None
+
+
 def _refuse_to_build(monkeypatch):
     """Make every generator builder fail, so that a spec which reaches one
     fails the test at once instead of allocating."""
@@ -131,7 +167,7 @@ def test_oversized_spec_exits_two(monkeypatch, capsys):
 def test_closure_cap_boundary(monkeypatch):
     # an order at the cap builds, one past it fails before building
     monkeypatch.setattr(groups, "CLOSURE_CAP", 24)
-    build = parse_group.__wrapped__  # bypass the cache of full-cap groups
+    build = groups._build_group.__wrapped__  # bypass the cache of full-cap groups
     assert build("S4").order == 24
     assert build("A4xC2").order == 24
     assert build("perm 24: (1 2)").order == 2
@@ -145,7 +181,7 @@ def test_element_table_cap(monkeypatch):
     # order x degree is at most ten times the closure cap: named specs fail
     # before building, perm specs when closure passes 10 * cap // degree
     monkeypatch.setattr(groups, "CLOSURE_CAP", 24)
-    build = parse_group.__wrapped__
+    build = groups._build_group.__wrapped__
     assert build("C15").order == 15
     assert build("perm 20: (1 2 3)(4 5 6 7)").order == 12
     with pytest.raises(CapExceededError):

@@ -58,6 +58,15 @@ def test_loader_rejects_non_homomorphism():
         element_from_json(data)
 
 
+def test_loader_accepts_a_generator_repeated_with_one_image():
+    # a repeat is malformed only when its images differ (test_cli)
+    once = {"K": ["(1 2)"], "phi": [["(1 2)", "(1 2)"]], "coeff": "1"}
+    twice = {"K": ["(1 2)"] * 2, "phi": once["phi"] * 2, "coeff": "1"}
+    data = {"source": "S3", "target": "S3", "scalars": "int"}
+    assert element_from_json(data | {"terms": [twice]}) == \
+        element_from_json(data | {"terms": [once]})
+
+
 def test_loader_rejects_malformed():
     with pytest.raises(InputError):
         element_from_json({"source": "S3"})
