@@ -21,6 +21,7 @@ takes its partner's (p, k), and two p-adic operands must agree in p and k.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
 from .errors import BisetError, ScalarMismatchError, SubgroupError
@@ -387,8 +388,8 @@ class ConcreteBiset:
         self.source = source
         self.target = target
         self.size = size
-        self.left = tuple(tuple(row) for row in left)
-        self.right = tuple(tuple(row) for row in right)
+        self.left = tuple(map(tuple, left))
+        self.right = tuple(map(tuple, right))
 
     def validate(self) -> None:
         """Check the biset axioms; raises BisetError on failure.
@@ -429,6 +430,43 @@ class ConcreteBiset:
             raise BisetError("right action is not free")
 
 
+@functools.lru_cache(maxsize=None)
+def _cosets(G: PermGroup, K: Subgroup) -> tuple[tuple[int, ...], ...]:
+    """The left cosets xK of K in G as (minima, pos, u): the least element
+    of each coset in increasing order, pos[x] the position of the coset of
+    x among them, and u[x] = x^-1 min(xK), an element of K.
+
+    Walking G in index order, the first element of each unseen coset is its
+    minimum m; the coset is mK, and u[m k] = k^-1.
+    """
+    kidx = K.indices
+    kinv = gather(G.inv, kidx)
+    pos = [-1] * G.order
+    u = [0] * G.order
+    minima = []
+    for x, row in enumerate(G.mul):
+        if pos[x] < 0:
+            i = len(minima)
+            minima.append(x)
+            for y, k in zip(gather(row, kidx), kinv):
+                pos[y] = i
+                u[y] = k
+    return tuple(minima), tuple(pos), tuple(u)
+
+
+@functools.lru_cache(maxsize=None)
+def _blocks(H: PermGroup, m: int) -> tuple[tuple, tuple]:
+    """(blocks, right) for m blocks of |H| points, point (i, h) numbered
+    i*|H| + h: blocks[i][t] lists the points (i, t h) for h in H, and right
+    is the right multiplication table (i, h).h0 = (i, h h0)."""
+    n = H.order
+    blocks = tuple(tuple(tuple([i * n + v for v in row]) for row in H.mul)
+                   for i in range(m))
+    right = tuple(tuple([base + v for base in range(0, m * n, n) for v in col])
+                  for col in zip(*H.mul))
+    return blocks, right
+
+
 # maxsize=0 stores no biset; cache_info() still counts the calls, which the
 # benchmark tracer reads. ROADMAP item 5, step 3, removes it.
 @functools.lru_cache(maxsize=0)
@@ -440,26 +478,31 @@ def realize(b: BisetClass) -> ConcreteBiset:
     their first entries run once over the coset gK. So each class has exactly
     one member (m, h) with m = min(gK), and these pairs are the points: m runs
     over the coset minima in increasing order, h over H, and (m, h) is point
-    pos(m)*|H| + h. The right action is (m, h).h0 = (m, h h0). The left action
-    is g.(m, h) = (m', t h) with x = g m, m' = min(xK), t = phi(x^-1 m')^-1.
+    pos(m)*|H| + h. The right action is (m, h).h0 = (m, h h0). The class of
+    (x, h) is the point (min(xK), phi(u)^-1 h) with u = x^-1 min(xK), so the
+    left action is g.(m, h) = the class of (g m, h).
+
+    The coset table of (G, K) and the blocks and right table of (H, |G:K|)
+    are cached (`_cosets`, `_blocks`) and shared by every class with the
+    same K or the same H and index; the biset itself is not kept.
     """
-    G, H, K, phi = b.source, b.target, b.K, b.phi
-    gmul, hmul, ginv = G.mul, H.mul, G.inv
-    coset_min = [min(gather(row, K.indices)) for row in gmul]
-    minima = sorted(set(coset_min))
+    G, H, K = b.source, b.target, b.K
+    minima, pos, u = _cosets(G, K)
     size = len(minima) * H.order
     if size != b.size:
         raise AssertionError("realized biset has the wrong cardinality")
-    offset = {m: i * H.order for i, m in enumerate(minima)}
-    phi_inv = dict(zip(K.indices, map(H.inv.__getitem__, phi.image_indices)))
-    # points_of[x][h] is the point of the class of (x, h)
-    points_of = []
-    for x, m in enumerate(coset_min):
-        base = offset[m]
-        points_of.append([base + v for v in hmul[phi_inv[gmul[ginv[x]][m]]]])
-    left = [[y for m in minima for y in points_of[row[m]]] for row in gmul]
-    right = [[base + v for base in offset.values() for v in col]
-             for col in zip(*hmul)]
+    blocks, right = _blocks(H, len(minima))
+    # twist[k] is the index of phi(k)^-1, for k in K
+    twist = dict(zip(K.indices, gather(H.inv, b.phi.image_indices)))
+    # points_of[x] lists the points of the classes of (x, h) for h in H
+    points_of = list(map(operator.getitem, gather(blocks, pos),
+                         gather(twist, u)))
+    if len(minima) == 1:  # K = G: the one minimum is the identity, g.1 = g
+        left = points_of
+    else:
+        pick, from_x = operator.itemgetter(*minima), points_of.__getitem__
+        left = [tuple(itertools.chain.from_iterable(map(from_x, gm)))
+                for gm in map(pick, G.mul)]
     return ConcreteBiset(G, H, size, left, right)
 
 

@@ -171,12 +171,28 @@ class PermGroup:
     @property
     def mul(self) -> tuple[tuple[int, ...], ...]:
         """The Cayley table on indices: mul[a][b] is the index of
-        elements[a] * elements[b], applying elements[b] first."""
+        elements[a] * elements[b], applying elements[b] first.
+
+        Only the generators' rows are computed from permutation products.
+        The other rows are filled breadth first from the identity's, since
+        mul[a*g][b] = mul[a][mul[g][b]]: the row of a*g is the row of a
+        gathered at the row of g. The generators generate the group, so
+        every row is reached."""
         if self._mul is None:
             index, els = self._index, self.elements
-            self._mul = tuple(
-                tuple([index[tuple(map(a.__getitem__, b))] for b in els])
-                for a in els)
+            gen_rows = [tuple([index[tuple(map(els[g].__getitem__, b))]
+                               for b in els]) for g in self._gen_idx]
+            rows = [None] * len(els)
+            rows[0] = tuple(range(len(els)))
+            reached = [0]
+            for a in reached:
+                row = rows[a]
+                for g, grow in zip(self._gen_idx, gen_rows):
+                    c = row[g]
+                    if rows[c] is None:
+                        rows[c] = gather(row, grow)
+                        reached.append(c)
+            self._mul = tuple(rows)
         return self._mul
 
     @property

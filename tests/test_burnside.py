@@ -17,8 +17,9 @@ from burnfuse.groups import (GroupHom, Subgroup, as_group, double_cosets,
                              homomorphisms, mulclose, parse_group, sylow,
                              subgroups_up_to_conjugacy)
 from burnfuse.padic import PadicInt
-from burnfuse.perms import p_inv, p_mul
+from burnfuse.perms import gather, p_inv, p_mul
 from burnfuse.serialize import element_from_json, element_to_json
+from burnfuse.verify import ROUND_TRIP_ROSTER
 
 S3 = parse_group("S3")
 S4 = parse_group("S4")
@@ -127,6 +128,43 @@ def test_round_trip_beyond_small_groups(G, H):
         assert decompose(realize(b)) == single(b)
 
 
+def oracle_realize(b):
+    """The closed formula `realize` used before its coset and block tables
+    were cached: coset minima by a min over each gathered coset, and every
+    point of x's classes by a product x^-1 m in G."""
+    G, H, K, phi = b.source, b.target, b.K, b.phi
+    gmul, hmul, ginv = G.mul, H.mul, G.inv
+    coset_min = [min(gather(row, K.indices)) for row in gmul]
+    minima = sorted(set(coset_min))
+    offset = {m: i * H.order for i, m in enumerate(minima)}
+    phi_inv = dict(zip(K.indices, map(H.inv.__getitem__, phi.image_indices)))
+    # points_of[x][h] is the point of the class of (x, h)
+    points_of = []
+    for x, m in enumerate(coset_min):
+        base = offset[m]
+        points_of.append([base + v for v in hmul[phi_inv[gmul[ginv[x]][m]]]])
+    left = [[y for m in minima for y in points_of[row[m]]] for row in gmul]
+    right = [[base + v for base in offset.values() for v in col]
+             for col in zip(*hmul)]
+    return ConcreteBiset(G, H, len(minima) * H.order, left, right)
+
+
+# every tenth of the 196 ordered pairs of the round-trip roster
+_ROSTER_PAIRS = list(itertools.product(ROUND_TRIP_ROSTER, repeat=2))[::10]
+
+
+@pytest.mark.parametrize("G,H", [
+    (S4, S4), (A5, C2), (parse_group("D8"), parse_group("Q8")), (E, C2),
+    (as_group(sylow(S4, 2)), as_group(sylow(A5, 2))),
+    *[(parse_group(g), parse_group(h)) for g, h in _ROSTER_PAIRS],
+], ids=["S4,S4", "A5,C2", "D8,Q8", "C1,C2", "Syl2(S4),Syl2(A5)",
+        *[f"{g},{h}" for g, h in _ROSTER_PAIRS]])
+def test_realize_matches_closed_formula_oracle(G, H):
+    for b in basis(G, H):
+        X, Y = realize(b), oracle_realize(b)
+        assert (X.size, X.left, X.right) == (Y.size, Y.left, Y.right)
+
+
 def test_decompose_group_bisets():
     # independent construction from multiplication tables
     S = sylow(S3, 2)
@@ -177,6 +215,15 @@ def _c4_on_two_points():
     return [_S2 if p_mul(h, h) != C4.identity else _I2 for h in C4.elements]
 
 
+def _c4_with_trivial_square():
+    """C4 acting on its 4 points, except that g^2, for g the generator, acts
+    trivially: the generator's row is right, and the table is no action."""
+    g = C4.generator_indices()[0]
+    rows = [list(p) for p in C4.elements]
+    rows[C4.mul[g][g]] = _I4
+    return rows
+
+
 @pytest.mark.parametrize("source,target,size,left,right,message", [
     (C2, C2, 2, [_I2], [_I2, _S2],
      "action table shape does not match group orders"),
@@ -189,6 +236,11 @@ def _c4_on_two_points():
      "left table is not an action"),
     (C2, C2, 4, [_I4, [1, 0, 3, 2]], [_I4, [1, 2, 3, 0]],
      "right table is not an action"),
+    # the generator rows alone are no evidence: the row of g^2 is checked too
+    (C4, E, 4, _c4_with_trivial_square(), [_I4],
+     "left table is not an action"),
+    (E, C4, 4, [_I4], _c4_with_trivial_square(),
+     "right table is not an action"),
     # (2 3) on the left and the free (1 2)(3 4) on the right
     (C2, C2, 4, [_I4, [0, 2, 1, 3]], [_I4, [1, 0, 3, 2]],
      "left and right actions do not commute"),
@@ -196,7 +248,8 @@ def _c4_on_two_points():
     (C2, C2, 2, [_I2, _I2], [_I2, _I2], "right action is not free"),
     (E, C4, 2, [_I2], _c4_on_two_points(), "right action is not free"),
 ], ids=["left-shape", "right-shape", "left-identity", "right-identity",
-        "left-action", "right-action", "commute", "free-trivial", "free-C4"])
+        "left-action", "right-action", "left-action-C4-square",
+        "right-action-C4-square", "commute", "free-trivial", "free-C4"])
 def test_validate_rejects(source, target, size, left, right, message):
     X = ConcreteBiset(source, target, size, left, right)
     with pytest.raises(BisetError, match=f"^{message}$"):

@@ -2,10 +2,12 @@
 implementations it replaced, which live on here as oracles.
 
 The tuple oracles multiply image tuples with perms.p_mul and never touch a
-Cayley table, a conjugation table or a bitmask. The exception is
-`oracle_lattice_by_joins`, the join-by-join lattice that `all_subgroups`
-and the subgroup classes were once read from: it runs on the Cayley table,
-but it reaches every subgroup without the class representatives.
+Cayley table, a conjugation table or a bitmask; `oracle_mul` builds the
+Cayley table itself that way, one product per pair of elements. The
+exception is `oracle_lattice_by_joins`, the join-by-join lattice that
+`all_subgroups` and the subgroup classes were once read from: it runs on
+the Cayley table, but it reaches every subgroup without the class
+representatives.
 """
 
 import itertools
@@ -18,10 +20,28 @@ from burnfuse.burnside import (_canonical_pair, _compose_basis, _outer_twists,
                                basis)
 from burnfuse.fusion import fusion_system
 from burnfuse.groups import (Subgroup, _cyclic_masks, _hom_images, _join,
-                             all_subgroups, class_rep_and_conjugator,
+                             all_subgroups, as_group, class_rep_and_conjugator,
                              enumeration_cap, homomorphisms, mulclose,
-                             normalizer, parse_group, subgroups_up_to_conjugacy)
+                             normalizer, parse_group, subgroups_up_to_conjugacy,
+                             sylow)
 from burnfuse.perms import gather, p_inv, p_mul
+
+
+def oracle_mul(G):
+    """The Cayley table by multiplying every pair of image tuples, as
+    `PermGroup.mul` did before it filled rows from the generators' rows."""
+    return tuple(tuple(G.index(p_mul(a, b)) for b in G.elements)
+                 for a in G.elements)
+
+
+@pytest.mark.parametrize("G", [
+    parse_group("C1"), parse_group("S3"), parse_group("Q8"),
+    parse_group("A5"), parse_group("S4xC2"),
+    as_group(sylow(parse_group("S4"), 2)),
+    parse_group("perm 4: (1 2 3 4), (1 2), (1 2 3 4)"),
+], ids=["C1", "S3", "Q8", "A5", "S4xC2", "Syl2(S4)", "perm-repeated"])
+def test_mul_matches_product_oracle(G):
+    assert G.mul == oracle_mul(G)
 
 
 def oracle_all_subgroups(G):
