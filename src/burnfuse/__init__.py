@@ -21,9 +21,9 @@ _HOMES = {
                "characteristic_idempotent", "fusion_system",
                "is_fusion_preserving", "is_stable", "invert_stable",
                "stable_basis", "stabilize"),
-    "groups": ("GroupHom", "PermGroup", "Subgroup", "double_cosets",
-               "homomorphisms", "parse_group", "subgroups_up_to_conjugacy",
-               "sylow", "trivial_group"),
+    "groups": ("GroupHom", "PermGroup", "Subgroup", "homomorphisms",
+               "parse_group", "subgroups_up_to_conjugacy", "sylow",
+               "trivial_group"),
     "padic": ("PadicInt",),
 }
 # exported name -> the submodule that defines it

@@ -209,7 +209,7 @@ class BurnsideElement:
                     f"term {b!r} does not live over ({source.label}, {target.label})")
             if isinstance(c, PadicInt):
                 this, c = (c.prime, c.precision), c.residue
-            elif isinstance(c, int) or c == 0:
+            elif isinstance(c, int):
                 this = (None, None)
             else:
                 raise ScalarMismatchError(f"unsupported coefficient {c!r}")

@@ -711,18 +711,10 @@ def sylow(G: PermGroup, p: int) -> Subgroup:
     return class_rep_and_conjugator(G, P.indices)[0]
 
 
-def double_cosets(G: PermGroup, A: Subgroup, B: Subgroup) -> tuple[tuple[Perm, int], ...]:
-    """The partition of G into A\\G/B double cosets as (representative, size)
-    pairs; representatives are minimal in element order."""
-    if A.parent != G or B.parent != G:
-        raise SubgroupError("arguments must be subgroups of G")
-    return tuple((G.elements[g], size)
-                 for g, size in _double_cosets(G, A.indices, B.indices))
-
-
 @functools.lru_cache(maxsize=None)
 def _double_cosets(G: PermGroup, a, b) -> tuple[tuple[int, int], ...]:
-    """`double_cosets` on element indices a and b, as (least index, size)."""
+    """The partition of G into a\\G/b double cosets, for subgroups given by
+    element indices a and b, as (least index, size) pairs."""
     mul = G.mul
     seen: set[int] = set()
     out = []

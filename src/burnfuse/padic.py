@@ -1,4 +1,5 @@
-"""Fixed-precision p-adic integers: residues mod p^k with exact arithmetic."""
+"""Fixed-precision p-adic integers as immutable values, a residue mod p^k
+with no arithmetic: callers compute on the plain int residues."""
 
 from __future__ import annotations
 
@@ -20,7 +21,11 @@ def is_prime(n: int) -> bool:
 
 
 def check_scalars(p: int, k: int) -> None:
-    """Raise ScalarMismatchError unless p is prime and k is at least 1."""
+    """Raise ScalarMismatchError unless p is an int prime and k an int at
+    least 1; a bool is not taken for an int."""
+    for name, value in (("prime", p), ("precision", k)):
+        if type(value) is not int:
+            raise ScalarMismatchError(f"{name} must be an integer, not {value!r}")
     if not is_prime(p):
         raise ScalarMismatchError(f"{p} is not prime")
     if k < 1:
@@ -43,17 +48,18 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 class PadicInt:
-    """A p-adic integer truncated at precision p^k.
-
-    Arithmetic between operands requires equal primes; the result carries
-    the minimum of the operand precisions. Integers mix freely and are
-    lifted to the partner's precision. Instances are immutable values:
-    equal and hashed by (prime, precision, residue), never equal to an int.
+    """A p-adic integer truncated at precision p^k: an int residue in
+    [0, p^k). Instances are immutable values with no arithmetic: equal and
+    hashed by (prime, precision, residue), never equal to an int. They scale
+    a BurnsideElement under burnside's scalar rule.
     """
 
     __slots__ = ("prime", "precision", "residue")
 
     def __init__(self, prime: int, precision: int, residue: int):
+        if not isinstance(residue, int):
+            raise ScalarMismatchError(
+                f"residue must be an integer, not {residue!r}")
         object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "residue", residue)
@@ -95,48 +101,6 @@ class PadicInt:
     @property
     def is_zero(self) -> bool:
         return self.residue == 0
-
-    def reduce_to(self, precision: int) -> "PadicInt":
-        if precision > self.precision:
-            raise ScalarMismatchError(
-                f"cannot raise precision {self.precision} to {precision}")
-        return PadicInt(self.prime, precision, self.residue)
-
-    def _coerce(self, other) -> "PadicInt":
-        if isinstance(other, PadicInt):
-            if other.prime != self.prime:
-                raise ScalarMismatchError(
-                    f"prime mismatch: {self.prime} vs {other.prime}")
-            return other
-        if isinstance(other, int):
-            return PadicInt(self.prime, self.precision, other)
-        return NotImplemented
-
-    def _binop(self, other, op):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        k = min(self.precision, other.precision)
-        return PadicInt(self.prime, k, op(self.residue, other.residue))
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PadicInt(self.prime, self.precision, -self.residue)
 
     def __str__(self) -> str:
         return f"{self.residue} mod {self.prime}^{self.precision}"

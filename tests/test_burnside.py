@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -13,13 +15,16 @@ from burnfuse.burnside import (BisetClass, BurnsideElement, ConcreteBiset,
                                power, realize, restrict, ring_product,
                                semichar_embed, single, zero)
 from burnfuse.errors import BisetError, ScalarMismatchError
-from burnfuse.groups import (GroupHom, Subgroup, as_group, double_cosets,
-                             homomorphisms, mulclose, parse_group, sylow,
+from burnfuse.groups import (GroupHom, Subgroup, as_group, homomorphisms,
+                             mulclose, parse_group, sylow,
                              subgroups_up_to_conjugacy)
 from burnfuse.padic import PadicInt
 from burnfuse.perms import gather, p_inv, p_mul
 from burnfuse.serialize import element_from_json, element_to_json
 from burnfuse.verify import ROUND_TRIP_ROSTER
+
+from test_groups import oracle_double_cosets
+from test_padic import ref_add, ref_mul, ref_sub
 
 S3 = parse_group("S3")
 S4 = parse_group("S4")
@@ -278,14 +283,15 @@ def test_compose_examples():
 
 def compose_double_coset_oracle(b1, b2):
     """Mackey-style formula for the product of two transitive classes,
-    summed over double cosets of the middle group. Fully independent of
-    the coequalizer routine."""
+    summed over double cosets of the middle group, on permutation tuples.
+    Independent of the coequalizer routine and of the index tables that
+    _compose_basis reads."""
     G, H, M = b1.source, b1.target, b2.target
     K, phi = b1.K, b1.phi
     L, psi = b2.K, b2.phi
     phiK = H.subgroup(set(phi.images))
     out = {}
-    for x, _ in double_cosets(H, phiK, L):
+    for x, _ in oracle_double_cosets(H, phiK, L):
         xi = p_inv(x)
         members, images = [], []
         for k in K.elements:
@@ -466,11 +472,12 @@ def _fixed_points(G, L, K):
 def marks(a):
     """The ring-product oracle: the vector of fixed-point counts of a
     virtual G-set, indexed by the subgroup classes of G in their canonical
-    order. Multiplication in the Burnside ring is pointwise on these
-    vectors."""
+    order, summed with the reference scalar arithmetic. Multiplication in
+    the Burnside ring is pointwise on these vectors."""
     assert a.target == TRIVIAL
     G = a.source
-    return tuple(sum(c * _fixed_points(G, L, b.K) for b, c in a.terms())
+    return tuple(functools.reduce(ref_add, (ref_mul(c, _fixed_points(G, L, b.K))
+                                            for b, c in a.terms()), 0)
                  for L in subgroups_up_to_conjugacy(G))
 
 
@@ -573,7 +580,7 @@ def augment_oracle(x):
     out = {}
     for b, c in x.terms():
         key = burnside_ring_class(x.source, b.K)
-        out[key] = out[key] + c if key in out else c
+        out[key] = ref_add(out[key], c) if key in out else c
     return BurnsideElement(x.source, TRIVIAL, out)
 
 
@@ -677,8 +684,12 @@ def test_constructor_checks_coefficients():
     with pytest.raises(ScalarMismatchError,
                        match=r"^coefficients at \(2, 4\) and \(2, 5\) in one element$"):
         element(S3, S3, {a: PadicInt(2, 4, 1), b: PadicInt(2, 5, 1)})
-    with pytest.raises(ScalarMismatchError, match="^unsupported coefficient 1.5$"):
-        element(S3, S3, {a: 1.5})
+    # a float is refused whatever its value, zero and whole numbers included
+    for c in (1.5, 1.0, 0.0):
+        with pytest.raises(ScalarMismatchError, match=f"^unsupported coefficient {c}$"):
+            element(S3, S3, {a: c})
+    with pytest.raises(ScalarMismatchError, match="^residue must be an integer"):
+        element(S3, S3, {a: PadicInt(2, 3, 1.5)})
     with pytest.raises(BisetError, match="does not live over"):
         element(S3, C2, {a: 1})
     # zero coefficients are dropped before the kinds are compared
@@ -700,6 +711,9 @@ def test_lift_validates_scalars(x):
     with pytest.raises(ScalarMismatchError,
                        match="^precision must be at least 1$"):
         x.lift(2, 0)
+    for p, k in [(2, 3.0), (2.0, 3), (2, True)]:
+        with pytest.raises(ScalarMismatchError, match="must be an integer"):
+            x.lift(p, k)
 
 
 def test_sum_does_not_depend_on_supports():
@@ -737,6 +751,53 @@ def test_padic_scaling_takes_the_scalar_rule():
     assert PadicInt(2, 4, 3) * single(a).lift(2, 4) == \
         (3 * single(a)).lift(2, 4)
     assert (PadicInt(2, 4, 16) * single(a)).is_zero
+
+
+@pytest.mark.parametrize("p,k", [(2, 6), (3, 4), (5, 3)])
+def test_arithmetic_matches_reference_scalars(p, k):
+    # every coefficient of x + y, x - y, a scaling and compose(x, y) is the
+    # reference arithmetic of test_padic applied to the operands'
+    # coefficients, over random p-adic and integer operands; products of
+    # basis classes come from the Mackey oracle
+    rng = random.Random(110 + p)
+    zero_pk = PadicInt(p, k, 0)
+    mackey = functools.lru_cache(maxsize=None)(compose_double_coset_oracle)
+
+    def padic_element(G, H):
+        picks = rng.sample(basis(G, H), 3)
+        return element(G, H, {b: PadicInt(p, k, rng.randrange(1, p ** k))
+                              for b in picks})
+
+    def expect(got, support, coefficient):
+        # lifting through zero_pk gives an integer operand the (p, k) of its
+        # partner; classes whose coefficient vanishes drop out
+        want = {b: ref_add(zero_pk, coefficient(b)) for b in support}
+        assert dict(got.terms()) == {b: c for b, c in want.items() if c.residue}
+
+    for G, H, M in [(S3, S3, S3), (C6, S3, C2)]:
+        for _ in range(4):
+            x = padic_element(G, H)
+            for y in (padic_element(G, H), random_element(G, H, rng)):
+                for op, ref in [(operator.add, ref_add), (operator.sub, ref_sub)]:
+                    expect(op(x, y), basis(G, H),
+                           lambda b: ref(x.coefficient(b), y.coefficient(b)))
+                    expect(op(y, x), basis(G, H),
+                           lambda b: ref(y.coefficient(b), x.coefficient(b)))
+            s, n = PadicInt(p, k, rng.randrange(p ** k)), rng.randint(-9, 9)
+            y = random_element(G, H, rng)
+            for scalar, z in [(s, x), (n, x), (s, y)]:
+                expect(scalar * z, basis(G, H),
+                       lambda b: ref_mul(scalar, z.coefficient(b)))
+            z, w = padic_element(H, M), random_element(H, M, rng)
+            for u, v in [(x, z), (x, w), (y, z)]:
+                def composite(b):
+                    total = 0
+                    for b1, c1 in u.terms():
+                        for b2, c2 in v.terms():
+                            m = mackey(b1, b2).coefficient(b)
+                            total = ref_add(total, ref_mul(ref_mul(c1, c2), m))
+                    return total
+                expect(compose(u, v), basis(G, M), composite)
 
 
 def test_padic_difference_with_itself_is_integer_zero():

@@ -360,7 +360,7 @@ def test_stable_coordinates_precision():
     with pytest.raises(ScalarMismatchError):
         stable_coordinates(x, 4)
     coarse = stable_coordinates(x, 2)
-    assert coarse == [(cls, c.reduce_to(2))
+    assert coarse == [(cls, PadicInt(3, 2, c.residue))
                       for cls, c in stable_coordinates(x)]
 
 
