@@ -29,7 +29,7 @@ from .groups import (GroupHom, PermGroup, Subgroup, _double_cosets,
                      _hom_images, as_group, class_rep_and_conjugator,
                      inclusion_hom, least_conjugates, normalizer,
                      subgroups_up_to_conjugacy, trivial_group)
-from .padic import PadicInt, check_scalars
+from .padic import PadicInt, check_precision, check_scalars
 from .perms import cycle_string, gather
 
 
@@ -277,6 +277,7 @@ class BurnsideElement:
                                           self._terms, p, k)
 
     def reduce_to(self, k: int) -> "BurnsideElement":
+        check_precision(k)
         if self.is_zero:
             return self
         if not self.is_padic:
@@ -284,7 +285,6 @@ class BurnsideElement:
         if k > self.precision:
             raise ScalarMismatchError(
                 f"cannot raise precision {self.precision} to {k}")
-        check_scalars(self.prime, k)
         return BurnsideElement._from_ints(self.source, self.target,
                                           self._terms, self.prime, k)
 

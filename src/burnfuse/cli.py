@@ -14,7 +14,7 @@ import sys
 from .burnside import basis, compose, restrict, single
 from .errors import BurnfuseError, InputError
 from .groups import DEFAULT_SEED, ENUM_CAP, enumeration_cap, parse_group, sylow
-from .padic import is_prime
+from .padic import check_scalars
 
 # Every command needs the modules imported above. Each handler imports the
 # layers it runs (fusion, completion, serialize, verify) in its own body, so
@@ -104,18 +104,11 @@ def _emit_element(x, cfg: Config, fusion_context=None) -> None:
             print(line)
 
 
-def _require_prime(p: int) -> int:
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    return p
-
-
-def _precision(args, default: int) -> int:
-    """The --k of a command, or default when it is not given."""
-    k = args.k if args.k is not None else default
-    if k < 1:
-        raise InputError("precision k must be at least 1")
-    return k
+def _scalars(args, default: int = 1) -> tuple[int, int]:
+    """The checked --p and --k of a command; k is default when absent."""
+    k = default if getattr(args, "k", None) is None else args.k
+    check_scalars(args.p, k)
+    return args.p, k
 
 
 def cmd_basis(args, cfg: Config) -> int:
@@ -149,8 +142,8 @@ def cmd_compose(args, cfg: Config) -> int:
 
 def cmd_restrict(args, cfg: Config) -> int:
     from .serialize import load_element
+    p, _ = _scalars(args)
     x = load_element(args.element)
-    p = _require_prime(args.p)
     S, T = sylow(x.source, p), sylow(x.target, p)
     _emit_element(restrict(x, S, T), cfg)
     return 0
@@ -158,9 +151,8 @@ def cmd_restrict(args, cfg: Config) -> int:
 
 def cmd_idempotent(args, cfg: Config) -> int:
     from .fusion import characteristic_idempotent, fusion_system
+    p, k = _scalars(args, cfg.precision)
     G = parse_group(args.G)
-    p = _require_prime(args.p)
-    k = _precision(args, cfg.precision)
     w = characteristic_idempotent(fusion_system(G, p), k)
     _emit_element(w.underlying, cfg, fusion_context=w)
     return 0
@@ -168,9 +160,8 @@ def cmd_idempotent(args, cfg: Config) -> int:
 
 def cmd_invert_unit(args, cfg: Config) -> int:
     from .completion import completion_unit_inverse
+    p, k = _scalars(args, cfg.precision)
     H = parse_group(args.H)
-    p = _require_prime(args.p)
-    k = _precision(args, cfg.precision)
     inv = completion_unit_inverse(H, p, k)
     _emit_element(inv.underlying, cfg, fusion_context=inv)
     return 0
@@ -179,9 +170,8 @@ def cmd_invert_unit(args, cfg: Config) -> int:
 def cmd_complete(args, cfg: Config) -> int:
     from .completion import complete
     from .serialize import load_element
+    p, k = _scalars(args, cfg.precision)
     x = load_element(args.element)
-    p = _require_prime(args.p)
-    k = _precision(args, cfg.precision)
     c = complete(x, p, k)
     _emit_element(c.underlying, cfg, fusion_context=c)
     return 0
@@ -189,9 +179,8 @@ def cmd_complete(args, cfg: Config) -> int:
 
 def cmd_stable_basis(args, cfg: Config) -> int:
     from .fusion import fusion_system, stable_basis
+    p, k = _scalars(args, cfg.precision)
     G, H = parse_group(args.G), parse_group(args.H)
-    p = _require_prime(args.p)
-    k = _precision(args, cfg.precision)
     F1, F2 = fusion_system(G, p), fusion_system(H, p)
     sb = stable_basis(F1, F2, k)
     if cfg.format == "json":
@@ -210,8 +199,8 @@ def cmd_stable_basis(args, cfg: Config) -> int:
 
 def cmd_splitting(args, cfg: Config) -> int:
     from .completion import splitting_idempotent_approx
+    p, _ = _scalars(args)
     G = parse_group(args.G)
-    p = _require_prime(args.p)
     x = splitting_idempotent_approx(G, p, args.n)
     _emit_element(x, cfg)
     return 0
@@ -236,9 +225,8 @@ def cmd_verify_functor(args, cfg: Config) -> int:
     import random
 
     from .completion import complete_functor_check
+    p, k = _scalars(args, 4)
     G, H, K = map(parse_group, (args.G, args.H, args.K))
-    p = _require_prime(args.p)
-    k = _precision(args, 4)
     if args.pairs < 1:
         raise InputError("--pairs must be at least 1")
     rng = random.Random(cfg.seed)
@@ -263,9 +251,8 @@ def cmd_verify_functor(args, cfg: Config) -> int:
 
 def cmd_verify_counterexample(args, cfg: Config) -> int:
     from .completion import transfer_counterexample_check
+    p, k = _scalars(args, cfg.precision)
     H = parse_group(args.H)
-    p = _require_prime(args.p)
-    k = _precision(args, cfg.precision)
     report = transfer_counterexample_check(H, p, k)
     return _finish_report(report, cfg)
 

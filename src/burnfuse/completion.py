@@ -25,7 +25,7 @@ from .fusion import (StableElement, a_fus, characteristic_idempotent,
 from .groups import (GroupHom, PermGroup, as_group, sylow,
                      subgroups_up_to_conjugacy, trivial_group)
 from .intlattice import kernel_basis, smith_invariant_factors
-from .padic import is_prime, xgcd
+from .padic import check_scalars, xgcd
 
 
 class CheckEntry:
@@ -165,8 +165,7 @@ def splitting_idempotent_approx(G: PermGroup, p: int, n: int) -> BurnsideElement
     """The exact integer element ([S,i_S] - [S,0])^((p-1)p^n) over (G,G)."""
     if n < 0:
         raise InputError("the iterate index must be nonnegative")
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
+    check_scalars(p)
     incl, zero = _sylow_classes(G, p)
     base = single(incl) - single(zero)
     return power(base, (p - 1) * p ** n)
@@ -314,8 +313,7 @@ def transfer_counterexample_check(H: PermGroup, p: int,
     """For H of order prime to p, completion sends the restriction biset to
     the identity but its opposite (the transfer) to |H| times the identity,
     so completion does not commute with taking opposites."""
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
+    check_scalars(p, k)
     if H.order % p == 0:
         raise InputError(
             f"|{H.label}| = {H.order} must be prime to {p}")

@@ -687,9 +687,8 @@ def _p_part(order: int, p: int) -> int:
 def sylow(G: PermGroup, p: int) -> Subgroup:
     """The Sylow p-subgroup with minimal canonical key; trivial if p does
     not divide |G|."""
-    from .padic import is_prime
-    if not is_prime(p):
-        raise GroupParseError(f"{p} is not prime")
+    from .padic import check_scalars
+    check_scalars(p)
     target = _p_part(G.order, p)
     mul = G.mul
     P = Subgroup.from_indices(G, [0])

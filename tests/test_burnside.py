@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from burnfuse.burnside import (BisetClass, BurnsideElement, ConcreteBiset,
-                               TRIVIAL, augment, augmentation_ideal_generators,
+from burnfuse.burnside import (BurnsideElement, ConcreteBiset, TRIVIAL,
+                               augment, augmentation_ideal_generators,
                                basis, burnside_ring_class,
                                burnside_ring_element, canonical_class,
                                cardinality, compose, decompose, element,
@@ -16,9 +16,8 @@ from burnfuse.burnside import (BisetClass, BurnsideElement, ConcreteBiset,
                                semichar_embed, single, zero)
 from burnfuse.errors import BisetError, ScalarMismatchError
 from burnfuse.groups import (GroupHom, Subgroup, as_group, homomorphisms,
-                             mulclose, parse_group, sylow,
-                             subgroups_up_to_conjugacy)
-from burnfuse.padic import PadicInt
+                             parse_group, sylow, subgroups_up_to_conjugacy)
+from burnfuse.padic import PRECISION_CAP, PadicInt
 from burnfuse.perms import gather, p_inv, p_mul
 from burnfuse.serialize import element_from_json, element_to_json
 from burnfuse.verify import ROUND_TRIP_ROSTER
@@ -714,6 +713,20 @@ def test_lift_validates_scalars(x):
     for p, k in [(2, 3.0), (2.0, 3), (2, True)]:
         with pytest.raises(ScalarMismatchError, match="must be an integer"):
             x.lift(p, k)
+
+
+@pytest.mark.parametrize("x", [zero(S3, S3), identity_element(S3).lift(2, 4)],
+                         ids=["zero", "padic"])
+@pytest.mark.parametrize("k,match", [
+    (2.5, "^precision must be an integer, not 2.5$"),
+    (0, "^precision must be at least 1$"),
+    (-7, "^precision must be at least 1$"),
+    (PRECISION_CAP + 1,
+     f"^precision {PRECISION_CAP + 1} exceeds the cap {PRECISION_CAP}$")])
+def test_reduce_to_checks_precision_first(x, k, match):
+    # a zero element once returned itself for any k
+    with pytest.raises(ScalarMismatchError, match=match):
+        x.reduce_to(k)
 
 
 def test_sum_does_not_depend_on_supports():

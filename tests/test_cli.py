@@ -9,6 +9,7 @@ from burnfuse.completion import (splitting_idempotent_approx,
                                  verify_splitting_sum)
 from burnfuse.errors import InputError
 from burnfuse.groups import DEFAULT_SEED, ENUM_CAP, parse_group
+from burnfuse.padic import PRECISION_CAP, PRIME_CAP
 from burnfuse.serialize import dump_json, element_to_json
 
 
@@ -164,6 +165,33 @@ def test_nonpositive_k_exits_two(tmp_path, capsys, argv, k):
     code, out, err = invoke(capsys, *argv, "--k", k)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["idempotent", "S5", "--p", "2", "--k", "63"],
+    ["invert-unit", "S4xC2", "--p", "2", "--k", "64"],
+])
+def test_precision_past_64_answers(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert f"mod 2^{argv[-1]}" in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["idempotent", "S3", "--p", "3", "--k", str(PRECISION_CAP + 1)],
+     f"precision {PRECISION_CAP + 1} exceeds the cap {PRECISION_CAP}"),
+    (["--precision", str(PRECISION_CAP + 1), "invert-unit", "S3", "--p", "3"],
+     f"precision {PRECISION_CAP + 1} exceeds the cap {PRECISION_CAP}"),
+    (["idempotent", "S3", "--p", str(2 ** 61 - 1), "--k", "2"],
+     f"{2 ** 61 - 1} exceeds the prime cap {PRIME_CAP}"),
+    (["splitting", "S3", "--p", str(2 ** 61 - 1), "--n", "1"],
+     f"{2 ** 61 - 1} exceeds the prime cap {PRIME_CAP}"),
+    (["idempotent", "S3", "--p", "3", "--k", "0"],
+     "precision must be at least 1"),
+])
+def test_scalars_past_their_caps_exit_two(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_unreadable_config_exits_two(tmp_path, monkeypatch, capsys):

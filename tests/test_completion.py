@@ -5,7 +5,7 @@ import pytest
 from burnfuse.burnside import (basis, burnside_ring_class,
                                burnside_ring_element, canonical_class,
                                cardinality, compose, identity_element,
-                               opposite, power, restrict, single)
+                               opposite, restrict, single)
 from burnfuse.completion import (bezout_coefficients, complete,
                                  complete_functor_check,
                                  completion_defining_identity, completion_unit,
@@ -16,7 +16,7 @@ from burnfuse.completion import (bezout_coefficients, complete,
                                  unit_minus_trivial, verify_splitting_sum)
 from burnfuse.errors import InputError
 from burnfuse.fusion import (characteristic_idempotent, fusion_system,
-                             is_stable, stable_pair_classes)
+                             is_stable)
 from burnfuse.groups import (GroupHom, as_group, parse_group, sylow,
                              subgroups_up_to_conjugacy)
 from burnfuse.intlattice import IntegerLattice, kernel_basis

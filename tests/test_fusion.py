@@ -3,21 +3,22 @@ import random
 import pytest
 
 from burnfuse import fusion
-from burnfuse.burnside import (basis, canonical_class, compose, decompose,
-                               identity_class, identity_element, realize,
+from burnfuse.burnside import (BurnsideElement, basis, canonical_class,
+                               compose, identity_class, identity_element,
                                restrict, restrict_along, single)
 from burnfuse.completion import completion_unit_inverse
-from burnfuse.errors import (FormulaMismatchError, FusionError, NonUnitError,
+from burnfuse.errors import (ConvergenceError, FormulaMismatchError,
+                             FusionError, NonUnitError,
                              NotSemicharacteristicError, ScalarMismatchError)
 from burnfuse.fusion import (StableElement, _twists, a_fus,
                              characteristic_idempotent, fusion_system,
                              invert_stable, is_fusion_preserving, is_stable,
                              is_unit_semichar, stable_basis, stable_coordinates,
                              stable_pair_classes, stabilize)
-from burnfuse.groups import (GroupHom, all_subgroups, as_group, homomorphisms,
+from burnfuse.groups import (GroupHom, all_subgroups, homomorphisms,
                              inclusion_hom, parse_group,
-                             subgroups_up_to_conjugacy, sylow)
-from burnfuse.padic import PadicInt
+                             subgroups_up_to_conjugacy)
+from burnfuse.padic import PRECISION_CAP, PadicInt
 from burnfuse.perms import p_inv, p_mul
 
 from test_kernel import oracle_all_subgroups
@@ -412,6 +413,73 @@ def test_idempotent_square_and_stability():
         w = characteristic_idempotent(F, 6)
         assert compose(w.underlying, w.underlying) == w.underlying
         assert is_stable(w.underlying, F, F)
+
+
+# the fusion systems on which the step counts quoted in fusion._fixed_point
+# were measured
+LIMIT_CASES = [(S4, 2), (S4, 3), (S5, 2), (A5, 2), (A5, 5), (D8xC2, 2),
+               (S4xC2, 2), (S3, 3)]
+
+
+def oracle_idempotent_lift(F, k):
+    """omega at precision k by lifting omega mod p, from the powering at
+    k = 1, along e -> 3e^2 - 2e^3: if e^2 = e mod p^j, the image is
+    idempotent mod p^2j, so each step doubles the precision."""
+    p = F.prime
+    e = characteristic_idempotent(F, 1).underlying
+    j = 1
+    while j < k:
+        j = min(2 * j, k)
+        e = BurnsideElement(e.source, e.target, {
+            b: c.residue for b, c in e.terms()}).lift(p, j)
+        e2 = compose(e, e)
+        e = e2.scaled(3) - compose(e2, e).scaled(2)
+    return e
+
+
+@pytest.mark.parametrize("k", [64, 128])
+@pytest.mark.parametrize("G,p", LIMIT_CASES,
+                         ids=[f"{G.label}-{p}" for G, p in LIMIT_CASES])
+def test_characteristic_idempotent_matches_quadratic_lift(G, p, k):
+    F = fusion_system(G, p)
+    w = characteristic_idempotent(F, k).underlying
+    assert w.precision == k
+    assert w == oracle_idempotent_lift(F, k)
+
+
+def test_idempotent_past_a_64_step_ceiling():
+    # a fixed ceiling of 64 steps once refused k = 63 here
+    F = fusion_system(S5, 2)
+    w = characteristic_idempotent(F, 63).underlying
+    assert w == oracle_idempotent_lift(F, 63)
+
+
+def test_fixed_point_bound_follows_k_and_order():
+    calls = []
+
+    def toggle(y):
+        calls.append(y)
+        return 1 - y
+
+    # |D8| = 8 has bit length 4: the bound is 4 + 3 + 2 * 16 + 1 = 40 at k = 4
+    F = fusion_system(D8, 2)
+    with pytest.raises(ConvergenceError, match=r"^toggle for F_2\(D8\) did "
+                       "not stabilize within 40 steps$"):
+        fusion._fixed_point(toggle, 0, 4, F, "toggle")
+    assert len(calls) == 40
+    # a step that reaches its fixed point returns it
+    assert fusion._fixed_point(lambda y: min(y + 1, 7), 0, 1, F, "count") == 7
+
+
+def test_precision_cap():
+    F = fusion_system(S3, 3)
+    assert characteristic_idempotent(F, PRECISION_CAP).precision \
+        == PRECISION_CAP
+    with pytest.raises(ScalarMismatchError, match="exceeds the cap"):
+        characteristic_idempotent(F, PRECISION_CAP + 1)
+    for k in (0, -3):
+        with pytest.raises(ScalarMismatchError, match="at least 1"):
+            characteristic_idempotent(F, k)
 
 
 def test_stable_element_constructor_validates():

@@ -7,7 +7,7 @@ from burnfuse import groups
 from burnfuse.burnside import basis, canonical_class, restrict, single
 from burnfuse.errors import (CapExceededError, GroupParseError,
                              HomomorphismError, SubgroupError)
-from burnfuse.groups import (GroupHom, PermGroup, Subgroup, all_subgroups,
+from burnfuse.groups import (GroupHom, PermGroup, all_subgroups,
                              as_group, enumeration_cap,
                              homomorphisms, mulclose, parse_group, sylow,
                              subgroups_up_to_conjugacy, trivial_group)

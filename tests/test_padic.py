@@ -8,10 +8,13 @@ import pytest
 
 from burnfuse.burnside import (basis, cardinality, compose, element,
                                identity_class, single)
-from burnfuse.errors import ScalarMismatchError
+from burnfuse.completion import (splitting_idempotent_approx,
+                                 transfer_counterexample_check)
+from burnfuse.errors import CapExceededError, ScalarMismatchError
 from burnfuse.fusion import fusion_system, stabilize, stable_coordinates
-from burnfuse.groups import parse_group
-from burnfuse.padic import PadicInt, is_prime, xgcd
+from burnfuse.groups import parse_group, sylow
+from burnfuse.padic import (PRECISION_CAP, PRIME_CAP, PadicInt, check_scalars,
+                            is_prime, xgcd)
 
 
 def ref_op(op, a, b):
@@ -149,6 +152,30 @@ def test_not_prime_rejected():
 def test_scalars_must_be_integers(args):
     with pytest.raises(ScalarMismatchError, match="must be an integer"):
         PadicInt(*args)
+
+
+def test_precision_cap():
+    assert PadicInt(2, PRECISION_CAP, -1).residue == 2 ** PRECISION_CAP - 1
+    with pytest.raises(ScalarMismatchError, match="exceeds the cap"):
+        PadicInt(2, PRECISION_CAP + 1, 1)
+
+
+MERSENNE_61 = 2 ** 61 - 1
+
+
+def test_huge_prime_hits_the_cap():
+    # trial division below the cap is quick; past it nothing is divided
+    assert is_prime(2 ** 31 - 1) and PRIME_CAP == 2 ** 31
+    for check in (is_prime, lambda p: PadicInt(p, 2, 1),
+                  lambda p: check_scalars(p, 2),
+                  lambda p: fusion_system(parse_group("S3"), p),
+                  lambda p: sylow(parse_group("S3"), p),
+                  lambda p: splitting_idempotent_approx(parse_group("S3"),
+                                                        p, 1),
+                  lambda p: transfer_counterexample_check(parse_group("C3"),
+                                                          p)):
+        with pytest.raises(CapExceededError, match=f"^{MERSENNE_61} exceeds"):
+            check(MERSENNE_61)
 
 
 def test_str():
