@@ -21,6 +21,11 @@ from .padic import check_scalars
 # a cold command loads only those: `basis` in text form loads none of them.
 
 CONFIG_FILE = "burnfuse.toml"
+# The largest exponent (p-1)p^n that `splitting` takes. A coefficient of the
+# approximant that grows at all grows at least like 2^((p-1)p^n), which past
+# 4,300 / log10(2) = 14,284 has more digits than Python converts to text
+# (its int-to-str limit); S3 at p = 3, n = 8 (13,122) prints 3,950 digits.
+SPLITTING_EXPONENT_CAP = 14_000
 
 
 class Config:
@@ -86,6 +91,8 @@ def _print_json(data: dict) -> None:
 
 
 def _emit_element(x, cfg: Config, fusion_context=None) -> None:
+    """Print x; the whole output is built before its first line is printed,
+    so a failure prints nothing."""
     if cfg.format == "json":
         from .serialize import element_to_json, stable_to_json
         if fusion_context is not None:
@@ -95,13 +102,12 @@ def _emit_element(x, cfg: Config, fusion_context=None) -> None:
         return
     if fusion_context is not None:
         left, right = fusion_context.left_fusion, fusion_context.right_fusion
-        print(f"stable element for ({left.label}, {right.label})")
-        for line in _element_lines(x, suffix="_F"):
-            print(line)
+        lines = [f"stable element for ({left.label}, {right.label})",
+                 *_element_lines(x, suffix="_F")]
     else:
-        print(f"element over ({x.source.label}, {x.target.label})")
-        for line in _element_lines(x):
-            print(line)
+        lines = [f"element over ({x.source.label}, {x.target.label})",
+                 *_element_lines(x)]
+    print("\n".join(lines))
 
 
 def _scalars(args, default: int = 1) -> tuple[int, int]:
@@ -200,9 +206,20 @@ def cmd_stable_basis(args, cfg: Config) -> int:
 def cmd_splitting(args, cfg: Config) -> int:
     from .completion import splitting_idempotent_approx
     p, _ = _scalars(args)
+    n, cap = args.n, SPLITTING_EXPONENT_CAP
+    # p^n >= 2^n passes the cap once n reaches its bit length, so the
+    # power taken stays small however large n is
+    if n >= 0 and (p - 1) * p ** min(n, cap.bit_length()) > cap:
+        raise InputError(f"the exponent (p-1)p^n = ({p}-1)*{p}^{n} exceeds "
+                         f"the cap {cap}")
     G = parse_group(args.G)
-    x = splitting_idempotent_approx(G, p, args.n)
-    _emit_element(x, cfg)
+    x = splitting_idempotent_approx(G, p, n)
+    try:
+        _emit_element(x, cfg)
+    except ValueError as exc:  # a coefficient past Python's int-to-str limit
+        raise InputError("a coefficient has more digits than Python prints "
+                         f"({sys.get_int_max_str_digits()}); take a smaller "
+                         "--n") from exc
     return 0
 
 

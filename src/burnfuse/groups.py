@@ -113,6 +113,20 @@ def _join(mul, elems, mask: int, gens, g: int) -> tuple[list[int], int]:
     return out, mask
 
 
+def _close(mul, gens) -> tuple[list[int], tuple[int, ...]]:
+    """Dimino's algorithm on a Cayley table: the subgroup generated by the
+    indices gens, as (elements, irredundant generators), the generators
+    being each index of gens, in order, that the previous ones do not
+    generate."""
+    kept: list[int] = []
+    closure, cmask = [0], 1
+    for x in gens:
+        if not cmask >> x & 1:
+            closure, cmask = _join(mul, closure, cmask, kept, x)
+            kept.append(x)
+    return closure, tuple(kept)
+
+
 def _element_order(mul, i: int) -> int:
     x, n = i, 1
     while x:
@@ -295,16 +309,7 @@ class Subgroup:
         """A greedy irredundant generating set as parent indices: each
         element, in order, that the previous ones do not generate."""
         if self._gens is None:
-            mul = self.parent.mul
-            gens: list[int] = []
-            closure, cmask = [0], 1
-            for x in self.indices:
-                if len(closure) == len(self.indices):
-                    break
-                if not cmask >> x & 1:
-                    closure, cmask = _join(mul, closure, cmask, gens, x)
-                    gens.append(x)
-            self._gens = tuple(gens)
+            self._gens = _close(self.parent.mul, self.indices)[1]
         return self._gens
 
     def generators(self) -> tuple[Perm, ...]:
@@ -324,6 +329,13 @@ class Subgroup:
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.label})"
+
+
+@functools.lru_cache(maxsize=None)
+def generated_subgroup(G: PermGroup, gens: tuple[int, ...]) -> Subgroup:
+    """The subgroup of G generated by the elements with indices gens,
+    closed on the Cayley table."""
+    return Subgroup.from_indices(G, _close(G.mul, gens)[0])
 
 
 @functools.lru_cache(maxsize=None)

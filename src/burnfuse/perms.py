@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import re
 from operator import itemgetter
 
@@ -40,11 +41,13 @@ def p_inv(a: Perm) -> Perm:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
 def parse_cycles(text: str, degree: int) -> Perm:
     """Parse disjoint-cycle notation with 1-based points, e.g. "(1 2 3)(4 5)".
 
     The identity is written "()". Points must lie in 1..degree and no point
-    may appear twice.
+    may appear twice. Memoized: element files repeat a few strings many
+    times; a string that raises is not cached and raises on every call.
     """
     text = text.strip()
     if not text:
@@ -74,8 +77,10 @@ def parse_cycles(text: str, degree: int) -> Perm:
     return tuple(images)
 
 
+@functools.lru_cache(maxsize=None)
 def cycle_string(p: Perm) -> str:
-    """Canonical disjoint-cycle form, 1-based; the identity prints as "()"."""
+    """Canonical disjoint-cycle form, 1-based; the identity prints as "()".
+    Memoized: labels and element files print the same few permutations."""
     seen: set[int] = set()
     cycles = []
     for start in range(len(p)):

@@ -14,8 +14,8 @@ import functools
 import json
 
 from .burnside import BisetClass, BurnsideElement, _canonical_pair
-from .errors import InputError
-from .groups import PermGroup, Subgroup, _propagate, mulclose, parse_group
+from .errors import GroupParseError, InputError
+from .groups import PermGroup, _propagate, generated_subgroup, parse_group
 from .padic import check_scalars
 from .perms import cycle_string, parse_cycles
 
@@ -47,9 +47,7 @@ def _term_from_json(term: dict, source: PermGroup,
         if g not in source:
             raise InputError(f"generator {cycle_string(g)} is not in the "
                              f"source group {source.label}")
-    # closed by construction, and every generator is in the source group
-    K = Subgroup.from_indices(
-        source, map(source.index, mulclose(gens, source.degree, source.order)))
+    K = generated_subgroup(source, tuple(map(source.index, gens)))
     phi_pairs = term.get("phi", [])
     if len(phi_pairs) != len(gen_strings):
         raise InputError("phi must give exactly one image per K generator")
@@ -80,13 +78,15 @@ def _integer(value) -> int:
 
 
 def _decoder(decode):
-    """The decode boundary: errors that malformed outside JSON raises while
-    it is decoded become InputError."""
+    """The decode boundary: errors that malformed outside JSON, or a bad
+    group spec or cycle string inside it, raises while it is decoded become
+    InputError."""
     @functools.wraps(decode)
     def checked(data):
         try:
             return decode(data)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, GroupParseError, KeyError, TypeError,
+                ValueError) as exc:
             raise InputError(f"malformed JSON ({type(exc).__name__}: {exc})") \
                 from exc
     return checked

@@ -4,7 +4,7 @@ import pytest
 
 from burnfuse import verify
 from burnfuse.burnside import basis, single
-from burnfuse.cli import Config, read_config_file, run
+from burnfuse.cli import SPLITTING_EXPONENT_CAP, Config, read_config_file, run
 from burnfuse.completion import (splitting_idempotent_approx,
                                  verify_splitting_sum)
 from burnfuse.errors import InputError
@@ -247,6 +247,44 @@ def test_negative_splitting_index_exits_two(capsys):
     code, out, err = invoke(capsys, "splitting", "S3", "--p", "2", "--n", "-1")
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+def splitting_coefficients(fmt, out):
+    if fmt == "json":
+        return [t["coeff"] for t in json.loads(out)["terms"]]
+    return [line.split()[0] for line in out.splitlines()[1:]]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_splitting_exponent_cap(capsys, fmt):
+    # (3-1)3^8 = 13,122 is under the cap, (3-1)3^9 = 39,366 is refused
+    # before any power is taken
+    assert 2 * 3 ** 8 <= SPLITTING_EXPONENT_CAP < 2 * 3 ** 9
+    code, out, err = invoke(capsys, "--format", fmt, "splitting", "S3",
+                            "--p", "3", "--n", "8")
+    assert (code, err) == (0, "")
+    assert max(len(c.lstrip("-"))
+               for c in splitting_coefficients(fmt, out)) == 3950
+    for p, n in ((3, 9), (2, 14), (3, 10 ** 12)):
+        code, out, err = invoke(capsys, "--format", fmt, "splitting", "S3",
+                                "--p", str(p), "--n", str(n))
+        assert (code, out) == (2, "")
+        assert err.endswith(f"exceeds the cap {SPLITTING_EXPONENT_CAP}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_splitting_prints_nothing_past_the_digit_limit(capsys, fmt):
+    # C10 at p = 2 grows like 5^(2^n): n = 12 prints 2,863-digit
+    # coefficients, n = 13 would print 5,726, past Python's 4,300
+    code, out, err = invoke(capsys, "--format", fmt, "splitting", "C10",
+                            "--p", "2", "--n", "12")
+    assert (code, err) == (0, "")
+    assert max(len(c.lstrip("-"))
+               for c in splitting_coefficients(fmt, out)) == 2863
+    code, out, err = invoke(capsys, "--format", fmt, "splitting", "C10",
+                            "--p", "2", "--n", "13")
+    assert (code, out) == (2, "")
+    assert "take a smaller --n" in err
 
 
 def test_config_validation():

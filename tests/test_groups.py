@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -7,8 +8,8 @@ from burnfuse import groups
 from burnfuse.burnside import basis, canonical_class, restrict, single
 from burnfuse.errors import (CapExceededError, GroupParseError,
                              HomomorphismError, SubgroupError)
-from burnfuse.groups import (GroupHom, PermGroup, all_subgroups,
-                             as_group, enumeration_cap,
+from burnfuse.groups import (GroupHom, PermGroup, Subgroup, all_subgroups,
+                             as_group, enumeration_cap, generated_subgroup,
                              homomorphisms, mulclose, parse_group, sylow,
                              subgroups_up_to_conjugacy, trivial_group)
 from burnfuse.cli import run
@@ -212,6 +213,32 @@ def two_generated_subgroups(G):
     for a, b in itertools.product(elems, repeat=2):
         found.add(tuple(sorted(mulclose([a, b], G.degree, G.order))))
     return found
+
+
+def oracle_generated(G, gens):
+    # closure by permutation products, checked as a subgroup from tuples
+    return Subgroup(G, mulclose(gather(G.elements, gens), G.degree, G.order))
+
+
+@pytest.mark.parametrize("spec", ["S3", "S4", "D8xC2", "A5"])
+def test_generated_subgroup_matches_mulclose(spec):
+    G = parse_group(spec)
+    rng = random.Random(23)
+    for H in subgroups_up_to_conjugacy(G):
+        gens = H.generator_indices()
+        K = generated_subgroup(G, gens)
+        assert K == oracle_generated(G, gens) == H
+        assert K.indices == H.indices and K.elements == H.elements
+        # each generator lies outside the span of the ones before it
+        for i, g in enumerate(gens):
+            assert g not in oracle_generated(G, gens[:i]).indices
+        # any generating tuple, in any order and with repeats
+        redundant = tuple(rng.sample(H.indices, min(H.order, 3))) + gens[::-1]
+        assert generated_subgroup(G, redundant) == H
+        # tuples of random elements of G
+        some = tuple(rng.choices(range(G.order), k=rng.randint(0, 3)))
+        assert generated_subgroup(G, some) == oracle_generated(G, some)
+    assert generated_subgroup(G, ()) == oracle_generated(G, ())
 
 
 @pytest.mark.parametrize("spec,count", [("C2", 2), ("S3", 4), ("S4", 11)])

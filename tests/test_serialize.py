@@ -1,9 +1,13 @@
+import itertools
+import random
+
 import pytest
 
 from burnfuse.burnside import basis, element, single
 from burnfuse.errors import InputError
 from burnfuse.fusion import characteristic_idempotent, fusion_system
 from burnfuse.groups import parse_group
+from burnfuse.perms import p_inv, p_mul
 from burnfuse.serialize import (dump_json, element_from_json, element_to_json,
                                 stable_to_json)
 
@@ -67,20 +71,101 @@ def test_loader_accepts_a_generator_repeated_with_one_image():
         element_from_json(data | {"terms": [once]})
 
 
+def s3_term(K, phi):
+    return {"source": "S3", "target": "S3", "scalars": "int",
+            "terms": [{"K": K, "phi": phi, "coeff": "1"}]}
+
+
+@pytest.mark.parametrize("written,canonical", [
+    # a rotated cycle
+    (s3_term(["(2 3 1)"], [["(3 1 2)", "(2 1 3)"]]),
+     s3_term(["(1 2 3)"], [["(1 2 3)", "(1 3 2)"]])),
+    # a written fixed point, and cycles out of order
+    (s3_term(["(1 2)(3)"], [["(3)(2 1)", "(3)(1 2)"]]),
+     s3_term(["(1 2)"], [["(1 2)", "(1 2)"]])),
+    # the same K = S3 by other generators
+    (s3_term(["(1 3)", "(2 3)"], [["(1 3)", "()"], ["(2 3)", "()"]]),
+     s3_term(["(2 3)", "(1 2 3)"], [["(2 3)", "()"], ["(1 2 3)", "()"]])),
+])
+def test_loader_reads_non_canonical_cycle_strings(written, canonical):
+    x = element_from_json(written)
+    assert x == element_from_json(canonical)
+    assert dump_json(element_to_json(x)) == \
+        dump_json(element_to_json(element_from_json(canonical)))
+
+
+MALFORMED = [
+    {"source": "S3"},
+    {"source": "S3", "target": "S3", "scalars": {"p": 2}, "terms": []},
+    # point 3 in a group of degree 2
+    {"source": "C2", "target": "C2", "scalars": "int",
+     "terms": [{"K": ["(1 2 3)"], "phi": [["(1 2 3)", "()"]], "coeff": "1"}]},
+    # an out-of-range point in a phi image
+    {"source": "S3", "target": "C2", "scalars": "int",
+     "terms": [{"K": ["(1 2)"], "phi": [["(1 2)", "(1 3)"]], "coeff": "1"}]},
+    # a generator outside the source group
+    {"source": "C3", "target": "C2", "scalars": "int",
+     "terms": [{"K": ["(1 2)"], "phi": [["(1 2)", "()"]], "coeff": "1"}]},
+    # unparsable and repeated-point cycle strings
+    s3_term(["(1 2"], [["(1 2", "()"]]),
+    s3_term(["(1 2)(2 3)"], [["(1 2)(2 3)", "()"]]),
+]
+
+
 def test_loader_rejects_malformed():
-    with pytest.raises(InputError):
-        element_from_json({"source": "S3"})
-    with pytest.raises(InputError):
-        element_from_json({"source": "S3", "target": "S3",
-                           "scalars": {"p": 2}, "terms": []})
-    bad_gen = {
-        "source": "C2", "target": "C2", "scalars": "int",
-        "terms": [{"K": ["(1 2 3)"], "phi": [["(1 2 3)", "()"]],
-                   "coeff": "1"}],
-    }
-    from burnfuse.errors import BurnfuseError
-    with pytest.raises(BurnfuseError):
-        element_from_json(bad_gen)
+    # cycle strings are memoized, errors are not: a second load fails alike
+    for data in MALFORMED:
+        messages = []
+        for _ in range(2):
+            with pytest.raises(InputError) as info:
+                element_from_json(data)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
+def scrambled(rng, perm):
+    """A non-canonical cycle string of perm, written without cycle_string:
+    cycles in random order, each rotated, fixed points sometimes written."""
+    seen, cycles = set(), []
+    for start in range(len(perm)):
+        if start in seen:
+            continue
+        cycle = [start]
+        while perm[cycle[-1]] != start:
+            cycle.append(perm[cycle[-1]])
+        seen.update(cycle)
+        if len(cycle) > 1 or rng.random() < 0.3:
+            r = rng.randrange(len(cycle))
+            cycles.append(cycle[r:] + cycle[:r])
+    rng.shuffle(cycles)
+    return "".join("(" + " ".join(str(i + 1) for i in c) + ")"
+                   for c in cycles) or "()"
+
+
+ROUND_TRIP_GROUPS = [parse_group(s) for s in ("S3", "S4", "D8", "C6")]
+
+
+@pytest.mark.parametrize("G,H", itertools.product(ROUND_TRIP_GROUPS,
+                                                  repeat=2),
+                         ids=lambda g: g.label)
+def test_conjugated_scrambled_terms_load_canonically(G, H):
+    # [gKg^-1, c_h phi c_g^-1] is the class [K, phi]; written with
+    # scrambled cycle strings it must load, and print, as single(b)
+    rng = random.Random(f"{G.label}-{H.label}")
+    for b in basis(G, H):
+        g, h = rng.choice(G.elements), rng.choice(H.elements)
+        gi, hi = p_inv(g), p_inv(h)
+        gens = [p_mul(p_mul(g, k), gi) for k in b.K.generators()]
+        images = [p_mul(p_mul(h, b.phi(k)), hi) for k in b.K.generators()]
+        data = {"source": G.label, "target": H.label, "scalars": "int",
+                "terms": [{"K": [scrambled(rng, k) for k in gens],
+                           "phi": [[scrambled(rng, k), scrambled(rng, f)]
+                                   for k, f in zip(gens, images)],
+                           "coeff": "1"}]}
+        x = element_from_json(data)
+        assert x == single(b)
+        assert dump_json(element_to_json(x)) == \
+            dump_json(element_to_json(single(b)))
 
 
 def test_stable_round_trip():
