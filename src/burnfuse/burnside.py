@@ -409,23 +409,28 @@ class ConcreteBiset:
             raise BisetError("left identity does not act trivially")
         if right[0] != ident:
             raise BisetError("right identity does not act trivially")
-        for gi in G.generator_indices():
-            grow = left[gi]
-            for ai, prod in enumerate(G.mul[gi]):
-                if left[prod] != gather(grow, left[ai]):
-                    raise BisetError("left table is not an action")
-        hmul = H.mul
-        for hi in H.generator_indices():
-            hrow = right[hi]
-            for ai in range(H.order):
-                if right[hmul[ai][hi]] != gather(hrow, right[ai]):
-                    raise BisetError("right table is not an action")
-        for gi in G.generator_indices():
-            grow = left[gi]
+        # an entry past the points, or a short row, fails a lookup in gather
+        try:
+            for gi in G.generator_indices():
+                grow = left[gi]
+                for ai, prod in enumerate(G.mul[gi]):
+                    if left[prod] != gather(grow, left[ai]):
+                        raise BisetError("left table is not an action")
+            hmul = H.mul
             for hi in H.generator_indices():
                 hrow = right[hi]
-                if gather(grow, hrow) != gather(hrow, grow):
-                    raise BisetError("left and right actions do not commute")
+                for ai in range(H.order):
+                    if right[hmul[ai][hi]] != gather(hrow, right[ai]):
+                        raise BisetError("right table is not an action")
+            for gi in G.generator_indices():
+                grow = left[gi]
+                for hi in H.generator_indices():
+                    hrow = right[hi]
+                    if gather(grow, hrow) != gather(hrow, grow):
+                        raise BisetError(
+                            "left and right actions do not commute")
+        except IndexError:
+            raise BisetError("action table entry out of range") from None
         if any(any(map(operator.eq, row, ident)) for row in right[1:]):
             raise BisetError("right action is not free")
 
@@ -613,20 +618,25 @@ def _inverse_class(f: GroupHom, target: PermGroup) -> BisetClass:
 def _restrict_basis(b: BisetClass, left_hom: GroupHom | None,
                     right_hom: GroupHom | None) -> tuple[tuple[BisetClass, int], ...]:
     """Restriction along a: S -> G and c: T -> H is the composition
-    [S, a] o b o [c(T), c^-1]."""
+    [S, a] o b o [c(T), c^-1], folded from the cached Mackey products of
+    `_compose_basis`."""
     if right_hom is not None and not right_hom.is_injective:
         raise BisetError("right restriction along a non-injective map "
                          "would break freeness")
-    x = single(b)
+    terms = {b: 1}
     if left_hom is not None:
         src = as_group(left_hom.domain)
-        x = compose(single(_canonical_pair(
+        terms = dict(_compose_basis(_canonical_pair(
             src, b.source, src.full_subgroup().indices,
-            left_hom.image_indices)), x)
+            left_hom.image_indices), b))
     if right_hom is not None:
-        x = compose(x, single(_inverse_class(right_hom,
-                                             as_group(right_hom.domain))))
-    return tuple(x.terms())
+        c = _inverse_class(right_hom, as_group(right_hom.domain))
+        out: dict[BisetClass, int] = {}
+        for b1, mult in terms.items():
+            _accumulate(out, mult, _compose_basis(b1, c))
+        terms = out
+    return tuple(sorted(((b1, m) for b1, m in terms.items() if m),
+                        key=lambda kv: kv[0].sort_key))
 
 
 def restrict_along(x: BurnsideElement, left_hom: GroupHom | None = None,

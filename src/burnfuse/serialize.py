@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .burnside import BisetClass, BurnsideElement, _canonical_pair
 from .errors import GroupParseError, InputError
@@ -128,5 +129,68 @@ def load_element(path: str) -> BurnsideElement:
     return element_from_json(data)
 
 
+_INFINITY = float("inf")
+
+
+def _scalar_text(o) -> str | None:
+    """The JSON text of None, a bool, an int or a float, as json writes it;
+    None for any other value."""
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INFINITY:
+            return "Infinity"
+        if o == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(o)
+    return None
+
+
+def _key_text(key) -> str:
+    text = key if isinstance(key, str) else _scalar_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return text
+
+
+def _json_text(o, indent: str) -> str:
+    """The text of o, nested under the line prefix indent, as json.dumps
+    writes it with sort_keys=True, separators (",", ": ") and indent=1."""
+    if isinstance(o, str):
+        return _quote(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = indent + " "
+        return ("{\n" + inner + (",\n" + inner).join([
+            _quote(_key_text(k)) + ": " + _json_text(v, inner)
+            for k, v in sorted(o.items())]) + "\n" + indent + "}")
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = indent + " "
+        return ("[\n" + inner + (",\n" + inner).join([
+            _json_text(v, inner) for v in o]) + "\n" + indent + "]")
+    text = _scalar_text(o)
+    if text is None:
+        raise TypeError(f"Object of type {o.__class__.__name__} "
+                        f"is not JSON serializable")
+    return text
+
+
 def dump_json(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ": "), indent=1)
+    """The bytes of json.dumps(data, sort_keys=True, separators=(",", ": "),
+    indent=1): keys sorted, one space of indent per level, ASCII escapes.
+    Written here, because json's own encoder falls back to pure Python
+    whenever an indent is given; like json, it raises TypeError on a value
+    or key it cannot write."""
+    return _json_text(data, "")

@@ -251,9 +251,14 @@ def _c4_with_trivial_square():
     # C2 acting trivially on 2 points
     (C2, C2, 2, [_I2, _I2], [_I2, _I2], "right action is not free"),
     (E, C4, 2, [_I2], _c4_on_two_points(), "right action is not free"),
+    # entries past the last point, and a row too short for the points
+    (C2, C2, 2, [_I2, [1, 5]], [_I2, _S2], "action table entry out of range"),
+    (C2, C2, 2, [_I2, _S2], [_I2, [1, 5]], "action table entry out of range"),
+    (C2, C2, 2, [_I2, [1]], [_I2, _S2], "action table entry out of range"),
 ], ids=["left-shape", "right-shape", "left-identity", "right-identity",
         "left-action", "right-action", "left-action-C4-square",
-        "right-action-C4-square", "commute", "free-trivial", "free-C4"])
+        "right-action-C4-square", "commute", "free-trivial", "free-C4",
+        "left-entry-range", "right-entry-range", "left-row-short"])
 def test_validate_rejects(source, target, size, left, right, message):
     X = ConcreteBiset(source, target, size, left, right)
     with pytest.raises(BisetError, match=f"^{message}$"):

@@ -7,6 +7,10 @@ the biset it wants on points, and decomposes it into orbits:
 * composition takes the coequalizer (X x Y) / (x*h, y) ~ (x, h*y);
 * restriction keeps the action rows of the restricting maps' images;
 * opposite swaps the two actions through inverses.
+
+`oracle_restrict_basis` is the element-level route restriction took before
+it folded the cached Mackey products: whole elements composed with the
+classes of the restricting maps.
 """
 
 import random
@@ -14,12 +18,14 @@ import re
 
 import pytest
 
-from burnfuse.burnside import (BurnsideElement, ConcreteBiset, basis,
+from burnfuse.burnside import (BurnsideElement, ConcreteBiset,
+                               _restrict_basis, basis, canonical_class,
                                compose, decompose, opposite, realize,
                                restrict_along, single)
 from burnfuse.errors import BisetError
-from burnfuse.groups import (as_group, homomorphisms, inclusion_hom,
-                             parse_group, subgroups_up_to_conjugacy)
+from burnfuse.groups import (GroupHom, as_group, homomorphisms,
+                             inclusion_hom, parse_group, sylow,
+                             subgroups_up_to_conjugacy)
 
 
 def coequalizer(X, Y):
@@ -66,6 +72,24 @@ def oracle_restrict(b, left_hom=None, right_hom=None):
     else:
         tgt, right = b.target, X.right
     return decompose(ConcreteBiset(src, tgt, X.size, left, right))
+
+
+def oracle_restrict_basis(b, left_hom=None, right_hom=None):
+    """Restriction of the class b along a: S -> G and c: T -> H as whole
+    elements: single(b) composed with single([S, a]) on the left, then with
+    single([c(T), c^-1]) on the right, and the terms of the result."""
+    x = single(b)
+    if left_hom is not None:
+        S = as_group(left_hom.domain)
+        whole = S.full_subgroup()
+        a = GroupHom.from_indices(whole, b.source, left_hom.image_indices)
+        x = compose(single(canonical_class(S, b.source, whole, a)), x)
+    if right_hom is not None:
+        T, H = as_group(right_hom.domain), right_hom.codomain
+        image = H.subgroup(set(right_hom.images))
+        inverse = dict(zip(right_hom.images, T.elements))
+        x = compose(x, single(canonical_class(H, T, image, inverse)))
+    return tuple(x.terms())
 
 
 def oracle_opposite(b):
@@ -140,6 +164,18 @@ def test_restrict_matches_sliced_actions(gs, hs):
         assert restrict_along(single(b), a, c) == oracle_restrict(b, a, c)
 
 
+@pytest.mark.parametrize("gs", ["S3", "A4", "C6", "D8", "Q8", "S4"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_restrict_basis_matches_element_route(gs, p):
+    # every basis class over (G, G), restricted to the Sylow pair (P, P)
+    # on the left, on the right and on both sides
+    G = parse_group(gs)
+    incl = inclusion_hom(sylow(G, p))
+    for b in basis(G, G):
+        for a, c in ((incl, None), (None, incl), (incl, incl)):
+            assert _restrict_basis(b, a, c) == oracle_restrict_basis(b, a, c)
+
+
 @pytest.mark.parametrize("gs,hs", [("S3", "S4"), ("A4", "S4"), ("D8", "Q8"),
                                    ("S4", "S4")])
 def test_opposite_matches_swapped_actions(gs, hs):
@@ -156,8 +192,13 @@ def test_restrict_rejects_non_injective_right_map():
     collapse = next(f for f in homomorphisms(T, S4)
                     if not f.is_injective and len(set(f.images)) > 1)
     x = single(basis(S3, S4)[0])
-    with pytest.raises(BisetError, match="non-injective"):
+    message = ("^right restriction along a non-injective map "
+               "would break freeness$")
+    with pytest.raises(BisetError, match=message):
         restrict_along(x, right_hom=collapse)
+    for b in basis(S3, S4)[:4]:
+        with pytest.raises(BisetError, match=message):
+            _restrict_basis(b, None, collapse)
 
 
 def test_opposite_names_the_non_bifree_class():

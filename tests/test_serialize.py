@@ -1,7 +1,9 @@
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burnfuse.burnside import basis, element, single
 from burnfuse.errors import InputError
@@ -175,3 +177,63 @@ def test_stable_round_trip():
     assert data["leftFusion"] == {"group": "S3", "p": 3}
     assert data["rightFusion"] == {"group": "S3", "p": 3}
     assert element_from_json(data) == w.underlying
+
+
+def oracle_dump_json(data):
+    return json.dumps(data, sort_keys=True, separators=(",", ": "), indent=1)
+
+
+def assert_writes_like_json(data):
+    """dump_json writes the oracle's text, or raises its TypeError."""
+    try:
+        want = oracle_dump_json(data)
+    except TypeError as exc:
+        with pytest.raises(TypeError) as got:
+            dump_json(data)
+        assert str(got.value) == str(exc)
+    else:
+        assert dump_json(data) == want
+
+
+# text over every code point, surrogates and control characters included
+_TEXT = st.text(st.characters(blacklist_categories=()))
+_SCALARS = (_TEXT | st.integers() | st.integers(-10**40, 10**40)
+            | st.floats() | st.booleans() | st.none())
+# json sorts a dict's items, so keys of one dict must be comparable: text,
+# numbers with bools, or a single None
+_DICTS = [
+    lambda values: st.dictionaries(_TEXT, values, max_size=5),
+    lambda values: st.dictionaries(st.integers() | st.floats() | st.booleans(),
+                                   values, max_size=5),
+    lambda values: st.dictionaries(st.none(), values, max_size=1),
+]
+_JSON = st.recursive(_SCALARS, lambda values: st.one_of(
+    st.lists(values, max_size=5), st.lists(values, max_size=5).map(tuple),
+    *(d(values) for d in _DICTS)), max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_JSON)
+def test_dump_json_matches_json_dumps(data):
+    assert_writes_like_json(data)
+
+
+@pytest.mark.parametrize("data", [
+    {}, [], (), {"a": {}, "b": [], "c": ()}, "\u2603\x00\x1f\"\\\ud800",
+    {True: 1, False: 0, 2: 2, 1.5: None}, {None: [None, True, False]},
+    [10**100, -10**100, 0.1, -0.0, 1e300, float("nan"), float("inf"),
+     float("-inf")],
+    {float("nan"): 1, float("inf"): 2, float("-inf"): 3},
+    # not serializable: a value, a key, keys json cannot sort
+    {"a": [1, object()]}, {"a": {1, 2}}, [b"bytes"], {"a": 1j},
+    {(1, 2): 0}, {1: "one", "1": "one"}, {None: 0, 1: 1},
+])
+def test_dump_json_edge_cases(data):
+    assert_writes_like_json(data)
+
+
+def test_dump_json_of_elements_matches_json_dumps():
+    x = element(S3, S4, {b: i - 2 for i, b in enumerate(basis(S3, S4))})
+    for y in (x, x.lift(3, 5), single(basis(S4, S4)[7]).lift(2, 64)):
+        assert dump_json(element_to_json(y)) == \
+            oracle_dump_json(element_to_json(y))
