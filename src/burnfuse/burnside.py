@@ -776,6 +776,14 @@ def _vector(x: BurnsideElement, basis_list) -> list[int]:
     return [x.coefficient(b) for b in basis_list]
 
 
+def _action_vectors(ring_elements, module_gens, basis_list) -> list[list[int]]:
+    """The coordinates in basis_list of semichar_embed(a) . y for each a of
+    ring_elements (the outer loop) and each y of module_gens."""
+    return [_vector(compose(acting, y), basis_list)
+            for acting in map(semichar_embed, ring_elements)
+            for y in module_gens]
+
+
 def kernel_basis_elements(G: PermGroup, H: PermGroup) -> tuple[BurnsideElement, ...]:
     """An integral basis of the kernel of augmentation inside the (G,H)
     module: differences of classes sharing the same subgroup K."""
@@ -800,11 +808,9 @@ def _ideal_power_lattice(G: PermGroup, H: PermGroup, m: int,
         module_gens = kernel_basis_elements(G, H)
     else:
         module_gens = tuple(single(b) for b in basis_list)
-    for q in _ideal_power_products(G, m):
-        acting = semichar_embed(q)
-        for y in module_gens:
-            vec = _vector(compose(acting, y), basis_list)
-            lat.add_vector([scale * v for v in vec])
+    for vec in _action_vectors(_ideal_power_products(G, m), module_gens,
+                               basis_list):
+        lat.add_vector([scale * v for v in vec])
     return lat
 
 

@@ -14,10 +14,10 @@ from __future__ import annotations
 import functools
 import json
 
-from .burnside import (BurnsideElement, _canonical_pair, basis,
-                       burnside_ring_element, cardinality, compose,
+from .burnside import (BurnsideElement, _action_vectors, _canonical_pair,
+                       basis, burnside_ring_element, cardinality, compose,
                        ideal_power_membership, identity_element, opposite,
-                       power, restrict, semichar_embed, single)
+                       power, restrict, single)
 from .errors import FusionError, InputError
 from .fusion import (StableElement, a_fus, characteristic_idempotent,
                      fusion_system, invert_stable, stable_pair_classes,
@@ -288,12 +288,8 @@ def stable_rank_check(G: PermGroup, H: PermGroup, p: int) -> tuple[int, int]:
     the (G,H) module by the restriction-kernel ideal with the size of the
     stable basis for the induced fusion systems. The two must be equal."""
     bl = basis(G, H)
-    gens = []
-    for j in restriction_kernel_elements(G, p):
-        acting = semichar_embed(j)
-        for b in bl:
-            v = compose(acting, single(b))
-            gens.append([v.coefficient(c) for c in bl])
+    gens = _action_vectors(restriction_kernel_elements(G, p),
+                           [single(b) for b in bl], bl)
     if gens:
         invs = smith_invariant_factors(gens)
         p_torsion = sum(1 for d in invs if d % p == 0)

@@ -28,8 +28,7 @@ class FusionSystem:
     in G. Constructed through fusion_system(); morphism sets are computed
     on demand and cached."""
 
-    __slots__ = ("ambient", "prime", "sylow", "sylow_group", "_to_sylow",
-                 "_hash")
+    __slots__ = ("ambient", "prime", "sylow", "sylow_group", "_hash")
 
     def __init__(self, ambient: PermGroup, prime: int):
         check_scalars(prime)
@@ -37,22 +36,19 @@ class FusionSystem:
         self.prime = prime
         self.sylow = sylow(ambient, prime)
         self.sylow_group = as_group(self.sylow)
-        self._to_sylow: dict = {}
         self._hash = hash((ambient, prime))
 
     @property
     def label(self) -> str:
         return f"F_{self.prime}({self.ambient.label})"
 
+    @functools.lru_cache(maxsize=None)
     def morphisms_to_sylow(self, P: Subgroup) -> tuple[GroupHom, ...]:
         """All maps P -> S of the form x -> g x g^-1 with g in the ambient
         group and g P g^-1 <= S, deduplicated as maps and sorted by image
-        indices. They are read off the ambient conjugation table: S's
-        ambient indices are sorted, so ambient index S.indices[i] is index
-        i of the Sylow group."""
-        cached = self._to_sylow.get(P)
-        if cached is not None:
-            return cached
+        indices, cached on (F, P). They are read off the ambient
+        conjugation table: S's ambient indices are sorted, so ambient index
+        S.indices[i] is index i of the Sylow group."""
         if P.parent != self.sylow_group:
             raise FusionError("the argument must be a subgroup of the Sylow group")
         S = self.sylow.indices
@@ -63,10 +59,8 @@ class FusionSystem:
         found = {img for img in (gather(local, gather(row, dom))
                                  for row in self.ambient.conj)
                  if -1 not in img}
-        homs = tuple(GroupHom.from_indices(P, self.sylow_group, img)
+        return tuple(GroupHom.from_indices(P, self.sylow_group, img)
                      for img in sorted(found))
-        self._to_sylow[P] = homs
-        return homs
 
     def __eq__(self, other):
         if self is other:
@@ -319,56 +313,49 @@ def _stable_element(F1: FusionSystem, F2: FusionSystem, k: int,
     return stabilize(single(stable_pair_classes(F1, F2)[i][0]), F1, F2, k)
 
 
-@functools.lru_cache(maxsize=None)
 def stable_basis(F1: FusionSystem, F2: FusionSystem, k: int) \
         -> tuple[StableElement, ...]:
     """One stable basis element per fusion-conjugacy class of pairs, in the
-    order of `stable_pair_classes` (`_stable_element`)."""
-    return tuple(_stable_element(F1, F2, k, i)
+    order of `stable_pair_classes`: the elements of `_stable_column`."""
+    return tuple(_stable_column(F1, F2, k, i)[0]
                  for i in range(len(stable_pair_classes(F1, F2))))
 
 
 @functools.lru_cache(maxsize=None)
-def _column_table(F1: FusionSystem, F2: FusionSystem, k: int) \
-        -> tuple[dict[BisetClass, int], list]:
-    """The index of each basis class's fusion class, and one slot per
-    fusion class for its stable column mod p^k, empty until
-    `_stable_column` fills it. A slot's content depends only on
-    (F1, F2, k, i), so the order in which slots fill changes nothing."""
-    classes = stable_pair_classes(F1, F2)
-    where = {b: i for i, cls in enumerate(classes) for b in cls}
-    return where, [None] * len(classes)
+def _fusion_class_index(F1: FusionSystem, F2: FusionSystem) \
+        -> dict[BisetClass, int]:
+    """The index in `stable_pair_classes` of each basis class's fusion
+    class."""
+    return {b: i for i, cls in enumerate(stable_pair_classes(F1, F2))
+            for b in cls}
 
 
+@functools.lru_cache(maxsize=None)
 def _stable_column(F1: FusionSystem, F2: FusionSystem, k: int, i: int) \
-        -> tuple[tuple[tuple[BisetClass, int], ...], BisetClass, int]:
-    """The stable column of fusion class i, built and checked on first use
-    and kept in its `_column_table` slot: the stable basis element
-    (`_stable_element`) as a sparse residue column ((class, residue), ...)
-    mod p^k, a member of the fusion class whose coefficient is a unit mod
-    p, and that coefficient's inverse mod p^k.
+        -> tuple[StableElement, BisetClass, int]:
+    """The stable basis element of fusion class i (`_stable_element`), a
+    member of the fusion class whose coefficient is a unit mod p, and that
+    coefficient's inverse mod p^k; built and checked once per class.
 
     The columns are block-triangular over the fusion classes ordered by
     descending |K|: omega is bifree, so by Mackey composing with it never
     raises |K|, and at equal |K| it stays inside the fusion class. A column
     with support on another class of the same or larger |K|, or without a
     unit on its own class, raises FormulaMismatchError."""
-    where, slots = _column_table(F1, F2, k)
-    if slots[i] is not None:
-        return slots[i]
+    where = _fusion_class_index(F1, F2)
     p = F1.prime
-    order = stable_pair_classes(F1, F2)[i][0].K.order
-    column = tuple(_stable_element(F1, F2, k, i).underlying._items())
-    if any(where[b] != i and b.K.order >= order for b, _ in column):
-        raise FormulaMismatchError(
-            "stable basis columns are not triangular over the fusion classes")
+    stable = _stable_element(F1, F2, k, i)
+    column = stable.underlying._items()
     pivot = next(((b, c) for b, c in column if where[b] == i and c % p),
                  None)
     if pivot is None:
         raise FormulaMismatchError(
             "stable basis columns are not independent mod p")
-    slots[i] = (column, pivot[0], pow(pivot[1], -1, p ** k))
-    return slots[i]
+    order = pivot[0].K.order  # fusion morphisms are injective: one |K|
+    if any(where[b] != i and b.K.order >= order for b, _ in column):
+        raise FormulaMismatchError(
+            "stable basis columns are not triangular over the fusion classes")
+    return stable, pivot[0], pow(pivot[1], -1, p ** k)
 
 
 def stable_coordinates(x: StableElement, k: int | None = None) \
@@ -391,7 +378,6 @@ def stable_coordinates(x: StableElement, k: int | None = None) \
         raise ScalarMismatchError(
             f"cannot raise precision {elt.precision} to {k}")
     mod = p ** k
-    slots = _column_table(F1, F2, k)[1]
     rest = {b: c % mod for b, c in elt._terms.items()}
     zero = PadicInt(p, k, 0)  # PadicInt is immutable: one zero serves all
     out = []
@@ -399,10 +385,10 @@ def stable_coordinates(x: StableElement, k: int | None = None) \
         if not any(map(rest.get, cls)):
             out.append((cls, zero))
             continue
-        column, pivot, inv = slots[i] or _stable_column(F1, F2, k, i)
+        stable, pivot, inv = _stable_column(F1, F2, k, i)
         a = rest.get(pivot, 0) * inv % mod
         if a:
-            for b, c in column:
+            for b, c in stable.underlying._terms.items():
                 rest[b] = (rest.get(b, 0) - a * c) % mod
         if any(map(rest.get, cls)):
             raise FusionError(

@@ -11,24 +11,25 @@ tuple, so index order equals tuple order and a lexicographic minimum over
 index tuples picks the same representative as one over permutation tuples;
 the identity, the smallest permutation, has index 0. Each group builds, on
 first use, a multiplication table, an inverse table and a conjugation table
-on indices. The enumeration cap in force (`enumeration_cap`) is read in
-one place, `parse_group`, on every call; nothing below parsing reads it,
-so no cache depends on it. Subgroups carry their sorted index tuple and
-an int bitmask; the bitmask serves membership,
-subset tests, hashing, deduplication and as the key of the group's class
-table, never ordering: `class_rep_and_conjugator` reads a subgroup's class
-representative there, also for a subgroup known only as the members of a
-graph {(k, phi(k))} that `burnside` canonicalizes. Permutation tuples
-remain at the edges: parsing, labels, JSON and the public `elements` and
-`images` fields.
+on indices, and refuses one of more than TABLE_CAP entries. The
+enumeration cap in force (`enumeration_cap`) is read in one place,
+`parse_group`, on every call; nothing below parsing reads it, so no cache
+depends on it. Subgroups carry their sorted index tuple and an int
+bitmask; the bitmask serves membership, subset tests, hashing,
+deduplication and as the key of the group's class table, never ordering:
+`class_rep_and_conjugator` reads a subgroup's class representative there,
+also for a subgroup known only as the members of a graph {(k, phi(k))}
+that `burnside` canonicalizes. Permutation tuples remain at the edges:
+parsing, labels, JSON and the public `elements` and `images` fields.
 
 Validation happens once, where permutations enter: `Subgroup(parent,
 elements)`, `PermGroup.subgroup` and `GroupHom` from a dict check their
-input. `Subgroup.from_indices` and `GroupHom.from_indices` check nothing;
-their callers build subgroups and homomorphisms by construction (joins,
-conjugates, normalizers, propagated generator images, the closure of
-checked generators), and tuple oracles in the tests check those
-constructions.
+input as the element loader does, by closure (`_close`) and by propagating
+generator images (`_propagate`). `Subgroup.from_indices` and
+`GroupHom.from_indices` check nothing; their callers build subgroups and
+homomorphisms by construction (joins, conjugates, normalizers, propagated
+generator images, the closure of checked generators), and tuple oracles in
+the tests check those constructions and both checks.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
-import itertools
 import re
 
 from .errors import (CapExceededError, GroupParseError, HomomorphismError,
@@ -45,6 +45,8 @@ from .perms import (Perm, cycle_string, gather, identity_perm,
                     is_permutation, p_mul, parse_cycles)
 
 CLOSURE_CAP = 100_000
+# The most entries a Cayley table may hold: S7's 5040^2 fit, S8's do not.
+TABLE_CAP = 30_000_000
 ENUM_CAP = 200
 # The seed of the sampled checks (`verify all`, `verify functor`). It sits
 # with the other command defaults, so the command line reads it without
@@ -127,14 +129,6 @@ def _close(mul, gens) -> tuple[list[int], tuple[int, ...]]:
     return closure, tuple(kept)
 
 
-def _element_order(mul, i: int) -> int:
-    x, n = i, 1
-    while x:
-        x = mul[x][i]
-        n += 1
-    return n
-
-
 class PermGroup:
     """A finite group of permutations with fully enumerated elements.
 
@@ -191,9 +185,13 @@ class PermGroup:
         The other rows are filled breadth first from the identity's, since
         mul[a*g][b] = mul[a][mul[g][b]]: the row of a*g is the row of a
         gathered at the row of g. The generators generate the group, so
-        every row is reached."""
+        every row is reached. A table of more than TABLE_CAP entries is
+        refused with CapExceededError before any row is built."""
         if self._mul is None:
             index, els = self._index, self.elements
+            if len(els) ** 2 > TABLE_CAP:
+                raise CapExceededError(f"|G|^2 = {len(els) ** 2} Cayley table "
+                                       f"entries exceed the table cap {TABLE_CAP}")
             gen_rows = [tuple([index[tuple(map(els[g].__getitem__, b))]
                                for b in els]) for g in self._gen_idx]
             rows = [None] * len(els)
@@ -258,8 +256,9 @@ class Subgroup:
 
     The sorted element tuple, equivalently the index tuple, is the key used
     everywhere to pick deterministic conjugacy-class representatives.
-    Built from permutations, the set is checked to be a subgroup, on the
-    parent's tables; `from_indices` checks nothing.
+    Built from permutations, the set is checked to be a subgroup: closing
+    it on the parent's Cayley table must add nothing; `from_indices`
+    checks nothing.
     """
 
     __slots__ = ("parent", "elements", "indices", "mask", "_gens", "_hash")
@@ -270,16 +269,13 @@ class Subgroup:
         except KeyError as exc:
             raise SubgroupError(
                 f"{exc.args[0]} is not in the parent group") from None
-        if 0 not in idx:
-            raise SubgroupError("missing identity element")
-        for i in sorted(idx):
-            if parent.inv[i] not in idx:
-                raise SubgroupError(f"inverse of {parent.elements[i]} missing")
-        mul = parent.mul
-        for a in idx:
-            if not idx.issuperset(map(mul[a].__getitem__, idx)):
-                raise SubgroupError("element set not closed under products")
+        closure, gens = _close(parent.mul, sorted(idx))
+        if len(closure) != len(idx):
+            missing = min(set(closure) - idx)
+            raise SubgroupError(f"not a subgroup: it generates "
+                                f"{parent.elements[missing]}, which it lacks")
         self._setup(parent, idx)
+        self._gens = gens
 
     @classmethod
     def from_indices(cls, parent: PermGroup, indices) -> "Subgroup":
@@ -356,7 +352,8 @@ class GroupHom:
     """A group homomorphism from a Subgroup into a PermGroup, stored as the
     image tuple aligned with the sorted domain elements, and as the matching
     codomain indices. Built from a dict, the map is checked to be total, into
-    the codomain and multiplicative; `from_indices` checks nothing."""
+    the codomain and multiplicative: it must equal the `_propagate`
+    extension of its generator images; `from_indices` checks nothing."""
 
     __slots__ = ("domain", "codomain", "images", "image_indices", "_map",
                  "_hash")
@@ -371,12 +368,16 @@ class GroupHom:
                 raise HomomorphismError(f"image {y} is not in the codomain")
         img = tuple(map(codomain._index.__getitem__, images))
         f = dict(zip(domain.indices, img))
-        dmul, cmul = domain.parent.mul, codomain.mul
-        for a, b in itertools.product(domain.indices, repeat=2):
-            if f[dmul[a][b]] != cmul[f[a]][f[b]]:
-                els = domain.parent.elements
+        gens = domain.generator_indices()
+        ext = _propagate(domain, gens, gather(f, gens), codomain)
+        if ext is None:
+            raise HomomorphismError("not multiplicative: the generator images "
+                                    "extend to no homomorphism")
+        for a in domain.indices:
+            if f[a] != ext[a]:
                 raise HomomorphismError(
-                    f"not multiplicative at {els[a]}, {els[b]}")
+                    f"not multiplicative at {domain.parent.elements[a]}: the "
+                    f"generator images send it to {codomain.elements[ext[a]]}")
         self._setup(domain, codomain, img)
 
     @classmethod
@@ -598,8 +599,11 @@ def trivial_group() -> PermGroup:
 # ---------------------------------------------------------------------------
 # subgroup machinery
 
-def _cyclic_masks(mul) -> list[int]:
-    """The bitmask of <g> for each element index g of a Cayley table."""
+@functools.lru_cache(maxsize=None)
+def _cyclic_masks(G: PermGroup) -> tuple[int, ...]:
+    """The bitmask of <g> for each element index g of G; the order of g is
+    its mask's bit count."""
+    mul = G.mul
     out = []
     for g in range(len(mul)):
         powers = [0]
@@ -608,7 +612,7 @@ def _cyclic_masks(mul) -> list[int]:
             powers.append(x)
             x = mul[x][g]
         out.append(_mask(powers))
-    return out
+    return tuple(out)
 
 
 def class_rep_and_conjugator(G: PermGroup, members) -> tuple[Subgroup, int]:
@@ -645,7 +649,7 @@ def subgroups_up_to_conjugacy(G: PermGroup) -> tuple[Subgroup, ...]:
     through the representative, and n <H, C> n^-1 = <H, n C n^-1> for n in
     N_G(H)."""
     mul, conj = G.mul, G.conj
-    cyclic = _cyclic_masks(mul)
+    cyclic = _cyclic_masks(G)
     reps = [class_rep_and_conjugator(G, (0,))[0]]
     found = {reps[0].mask}
     for H in reps:
@@ -811,14 +815,13 @@ def _hom_images(K: Subgroup, H: PermGroup, up_to_conjugacy: bool = False):
     still has a member here: conjugate phi so that phi(g_1) is least in
     its class, then by an element of C_H(phi(g_1)) so that phi(g_2) is
     least in its orbit, and so on."""
-    hmul, kmul = H.mul, K.parent.mul
     gens = K.generator_indices()
     if not gens:
         return [(0,)]
-    h_orders = [_element_order(hmul, h) for h in range(H.order)]
+    h_orders = [m.bit_count() for m in _cyclic_masks(H)]
     candidates = []
     for g in gens:
-        n = _element_order(kmul, g)
+        n = _cyclic_masks(K.parent)[g].bit_count()
         candidates.append([h for h in range(H.order) if n % h_orders[h] == 0])
     last = len(gens) - 1
     images: list[int] = []

@@ -788,33 +788,60 @@ def test_stable_columns_reject_misaligned_basis(monkeypatch, misalign):
     n = len(stable_pair_classes(F, F))
     monkeypatch.setattr(fusion, "_stable_element",
                         misalign(fusion._stable_element, n))
-    fusion._column_table.cache_clear()
+    fusion._stable_column.cache_clear()
     try:
         with pytest.raises(FormulaMismatchError):
             stable_coordinates(x)
     finally:
-        fusion._column_table.cache_clear()
+        fusion._stable_column.cache_clear()
 
 
 @pytest.mark.parametrize("G,H,p", [(S4, S4, 2), (S5, S4, 3), (S5, S5, 2),
                                    (D8xC2, D8xC2, 2), (D8xC2, S4, 2)],
                          ids=lambda v: v.label if hasattr(v, "label") else str(v))
 def test_lazy_columns_match_stable_basis(G, H, p):
-    # each column, built on first use, holds the residues of the matching
-    # stable basis element, with a unit pivot inside its own fusion class
+    # each column, built on first use, is the matching stable basis
+    # element itself, with a unit pivot inside its own fusion class
     k = 3
     F1, F2 = fusion_system(G, p), fusion_system(H, p)
     classes = stable_pair_classes(F1, F2)
     for i, (cls, s) in enumerate(zip(classes, stable_basis(F1, F2, k))):
-        column, pivot, inv = fusion._stable_column(F1, F2, k, i)
-        assert column == tuple(s.underlying._items())
+        stable, pivot, inv = fusion._stable_column(F1, F2, k, i)
+        assert stable is s
         assert pivot in cls
-        assert dict(column)[pivot] * inv % p ** k == 1
+        assert s.underlying.coefficient(pivot).residue * inv % p ** k == 1
+
+
+@pytest.mark.parametrize("G,H,p", [(S4, S4, 2), (S5, S4, 3)],
+                         ids=lambda v: v.label if hasattr(v, "label") else str(v))
+def test_each_class_is_stabilized_once(monkeypatch, G, H, p):
+    # stable_basis and the columns that solving reads are one store: across
+    # both, each fusion class is stabilized exactly once
+    k = 3
+    F1, F2 = fusion_system(G, p), fusion_system(H, p)
+    calls = []
+    build = fusion._stable_element
+
+    def counted(F1, F2, k, i):
+        calls.append(i)
+        return build(F1, F2, k, i)
+
+    monkeypatch.setattr(fusion, "_stable_element", counted)
+    fusion._stable_column.cache_clear()
+    try:
+        sb = stable_basis(F1, F2, k)
+        got = stable_coordinates(stable_sum(F1, F2, k))
+        assert [c.residue for _, c in got] == [1] * len(sb)
+        assert sorted(calls) == list(range(len(sb)))
+        assert all(s is fusion._stable_column(F1, F2, k, i)[0]
+                   for i, s in enumerate(sb))
+    finally:
+        fusion._stable_column.cache_clear()
 
 
 def test_coordinates_do_not_depend_on_solve_order():
-    # slots fill in the order elements meet their classes; the coordinates
-    # must come out the same either way
+    # columns are built in the order elements meet their classes; the
+    # coordinates must come out the same either way
     F1, F2 = fusion_system(S4, 2), fusion_system(D8xC2, 2)
     k = 3
     sb = stable_basis(F1, F2, k)
@@ -827,7 +854,7 @@ def test_coordinates_do_not_depend_on_solve_order():
         elements.append(StableElement(total, F1, F2))
     results = []
     for order in (elements, elements[::-1]):
-        fusion._column_table.cache_clear()
+        fusion._stable_column.cache_clear()
         got = {id(x): stable_coordinates(x) for x in order}
         results.append([got[id(x)] for x in elements])
     assert results[0] == results[1]
@@ -838,11 +865,10 @@ def test_unit_inverse_builds_few_columns():
     # is_unit_semichar solves one element with support on few classes:
     # only the columns of those classes are built
     F = fusion_system(S4xC2, 2)
-    fusion._column_table.cache_clear()
+    fusion._stable_column.cache_clear()
     completion_unit_inverse.__wrapped__(S4xC2, 2, 4)
-    slots = fusion._column_table(F, F, 4)[1]
-    filled = sum(slot is not None for slot in slots)
-    assert 0 < filled and 100 * filled < len(slots)
+    filled = fusion._stable_column.cache_info().currsize
+    assert 0 < filled and 100 * filled < len(stable_pair_classes(F, F))
 
 
 def test_stable_coordinates_round_trip():

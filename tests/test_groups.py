@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burnfuse import groups
 from burnfuse.burnside import basis, canonical_class, restrict, single
@@ -195,6 +196,34 @@ def test_element_table_cap(monkeypatch):
             build(spec)
 
 
+def test_cayley_table_cap(monkeypatch):
+    # |G|^2 at the cap builds; past it, mul, inv and conj refuse before
+    # any row is gathered
+    monkeypatch.setattr(groups, "TABLE_CAP", 36)
+    build = groups._build_group.__wrapped__  # fresh groups, no table yet
+    assert len(build("S3").mul) == 6
+    G = build("A4")
+
+    def refuse(*args):
+        raise AssertionError("gathered a row of an oversized table")
+    monkeypatch.setattr(groups, "gather", refuse)
+    for table in ("mul", "inv", "conj"):
+        with pytest.raises(CapExceededError, match="table cap 36"):
+            getattr(G, table)
+
+
+def test_cayley_table_cap_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(groups, "TABLE_CAP", 60)
+    spec = "perm 4: (1 4 3 2), (1 3)"  # D8, not built elsewhere
+    assert run(["basis", spec, "C1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "exceed the table cap 60" in err
+
+
+def test_table_cap_admits_s7():
+    assert 5040 ** 2 <= groups.TABLE_CAP < 40320 ** 2
+
+
 def test_named_factor_orders():
     cap = 10 ** 6
     for n in range(1, 12):
@@ -376,6 +405,93 @@ def test_homomorphism_counts_match_brute_force(ks, hs):
     K = parse_group(ks).full_subgroup()
     H = parse_group(hs)
     assert len(homomorphisms(K, H)) == brute_force_hom_count(K, H)
+
+
+def oracle_is_subgroup(G, elements):
+    """The all-pairs check on permutation tuples that `Subgroup` ran
+    before it closed the set on the Cayley table: the identity, every
+    inverse and every product."""
+    s = set(elements)
+    return (G.identity in s and all(p_inv(x) in s for x in s)
+            and all(p_mul(a, b) in s for a in s for b in s))
+
+
+def oracle_is_homomorphism(K, H, mapping):
+    """The |K|^2 product check on permutation tuples that `GroupHom` ran
+    before it compared the map with its propagated generator images: total
+    on K, into H and multiplicative."""
+    if not all(x in mapping and mapping[x] in H for x in K.elements):
+        return False
+    return all(mapping[p_mul(a, b)] == p_mul(mapping[a], mapping[b])
+               for a in K.elements for b in K.elements)
+
+
+def accepts(build, *args):
+    try:
+        build(*args)
+    except (SubgroupError, HomomorphismError):
+        return False
+    return True
+
+
+SUBGROUP_SPECS = ["S4", "D8", "Q8", "A4"]
+HOM_PAIRS = [("C4", "C2"), ("S3", "S3"), ("D8", "C2xC2"), ("Q8", "S3")]
+
+
+@pytest.mark.parametrize("spec", SUBGROUP_SPECS)
+def test_subgroup_check_matches_oracle_one_element_off(spec):
+    # every subgroup, and every set one element away from one
+    G = parse_group(spec)
+    for H in all_subgroups(G):
+        assert accepts(Subgroup, G, H.elements)
+        for x in G.elements:
+            members = set(H.elements) ^ {x}
+            assert accepts(Subgroup, G, members) == \
+                oracle_is_subgroup(G, members), (H, x)
+
+
+@pytest.mark.parametrize("ks,hs", HOM_PAIRS)
+def test_group_hom_check_matches_oracle_one_image_off(ks, hs):
+    # every homomorphism, and every map one image away from one
+    K, H = parse_group(ks).full_subgroup(), parse_group(hs)
+    for hom in homomorphisms(K, H):
+        mapping = dict(zip(K.elements, hom.images))
+        assert GroupHom(K, H, mapping) == hom
+        for x in K.elements:
+            for y in H.elements:
+                changed = {**mapping, x: y}
+                assert accepts(GroupHom, K, H, changed) == \
+                    oracle_is_homomorphism(K, H, changed), (x, y)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(SUBGROUP_SPECS), st.booleans(), st.data())
+def test_subgroup_check_matches_oracle_on_random_sets(spec, near, data):
+    # random subsets of G, or a random subgroup with a few elements added
+    # and dropped
+    G = parse_group(spec)
+    some = st.sets(st.sampled_from(G.elements), max_size=3 if near else 24)
+    members = data.draw(some)
+    if near:
+        H = data.draw(st.sampled_from(all_subgroups(G)))
+        members = (set(H.elements) | members) - data.draw(some)
+    assert accepts(Subgroup, G, members) == oracle_is_subgroup(G, members)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(HOM_PAIRS), st.data())
+def test_group_hom_check_matches_oracle_on_random_maps(pair, data):
+    # random maps from any subgroup K of the first group, total or not
+    G, H = parse_group(pair[0]), parse_group(pair[1])
+    K = data.draw(st.sampled_from(all_subgroups(G)))
+    mapping = data.draw(st.fixed_dictionaries(
+        {x: st.sampled_from(H.elements) for x in K.elements}))
+    if data.draw(st.booleans()):  # a near homomorphism: one image off
+        hom = data.draw(st.sampled_from(homomorphisms(K, H)))
+        mapping = {**dict(zip(K.elements, hom.images)),
+                   **dict(list(mapping.items())[:1])}
+    assert accepts(GroupHom, K, H, mapping) == \
+        oracle_is_homomorphism(K, H, mapping)
 
 
 def test_group_hom_rejects_non_multiplicative():

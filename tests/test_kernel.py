@@ -74,7 +74,7 @@ def oracle_lattice_by_joins(G):
     the conjugates of the class representatives."""
     mul = G.mul
     cyclic = {}  # bitmask of <g> -> its first generator g
-    for g, cmask in enumerate(_cyclic_masks(mul)[1:], 1):
+    for g, cmask in enumerate(_cyclic_masks(G)[1:], 1):
         cyclic.setdefault(cmask, g)
     found = {1: ([0], ())}
     frontier = [1]
@@ -206,16 +206,26 @@ def test_least_conjugates_match_tuples(spec):
         assert set().union(*cosets) == {h for h in els if _conj(h, x) == m}
 
 
+def oracle_order(x):
+    """The order of a permutation tuple, by powering it."""
+    e, y, n = tuple(range(len(x))), x, 1
+    while y != e:
+        y = p_mul(y, x)
+        n += 1
+    return n
+
+
 def oracle_hom_images(K, H):
     """Hom(K, H) as image-index tuples aligned with K.indices: every tuple
     of generator images whose orders fit, in itertools.product order, kept
-    when `_propagate` extends it over K."""
+    when `_propagate` extends it over K. Element orders come from powering
+    the permutations."""
     gens = K.generator_indices()
     if not gens:
         return [(0,)]
-    orders = [groups._element_order(H.mul, h) for h in range(H.order)]
+    orders = [oracle_order(h) for h in H.elements]
     candidates = [[h for h in range(H.order)
-                   if groups._element_order(K.parent.mul, g) % orders[h] == 0]
+                   if oracle_order(K.parent.elements[g]) % orders[h] == 0]
                   for g in gens]
     out = []
     for images in itertools.product(*candidates):
