@@ -358,7 +358,6 @@ def single(b: BisetClass, coeff=1) -> BurnsideElement:
     return BurnsideElement(b.source, b.target, {b: coeff})
 
 
-@functools.lru_cache(maxsize=None)
 def identity_class(G: PermGroup) -> BisetClass:
     full = G.full_subgroup().indices
     return _canonical_pair(G, G, full, full)
@@ -751,7 +750,6 @@ def augmentation_ideal_generators(G: PermGroup) -> tuple[BurnsideElement, ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
 def _ideal_power_products(G: PermGroup, m: int) -> tuple[BurnsideElement, ...]:
     """All m-fold products of augmentation ideal generators, deduplicated."""
     gens = augmentation_ideal_generators(G)

@@ -2,7 +2,8 @@
 
 Subcommands parse groups and element JSON files, run the module operations,
 and emit deterministic text or JSON. Exit status: 0 on success or a passing
-verification, 1 on a verification failure, 2 on bad input.
+verification, 1 on a verification failure or a closed stdout, 2 on bad
+input.
 """
 
 from __future__ import annotations
@@ -121,15 +122,10 @@ def cmd_basis(args, cfg: Config) -> int:
     G, H = parse_group(args.G), parse_group(args.H)
     classes = basis(G, H)
     if cfg.format == "json":
-        from .serialize import element_to_json
-        payload = {
-            "source": G.label, "target": H.label,
-            "classes": [element_to_json(single(b))["terms"][0] | {"size": b.size}
-                        for b in classes],
-        }
-        for entry in payload["classes"]:
-            del entry["coeff"]
-        _print_json(payload)
+        from .serialize import class_to_json
+        _print_json({"source": G.label, "target": H.label,
+                     "classes": [class_to_json(b) | {"size": b.size}
+                                 for b in classes]})
     else:
         print(f"basis of ({G.label}, {H.label})")
         for i, b in enumerate(classes, 1):
@@ -377,7 +373,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        status = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull, so that the flush
+        # at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

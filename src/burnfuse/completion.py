@@ -260,7 +260,6 @@ def verify_splitting_sum(G: PermGroup, k_max: int,
 # ---------------------------------------------------------------------------
 # quotient rank versus stable rank
 
-@functools.lru_cache(maxsize=None)
 def restriction_kernel_elements(G: PermGroup, p: int) \
         -> tuple[BurnsideElement, ...]:
     """An integral basis of the kernel of the restriction map from the

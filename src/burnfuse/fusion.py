@@ -76,8 +76,14 @@ class FusionSystem:
         return f"FusionSystem({self.label}, S of order {self.sylow.order})"
 
 
-@functools.lru_cache(maxsize=None)
 def fusion_system(G: PermGroup, p: int) -> FusionSystem:
+    """The fusion system of G at p, cached per (G, label, p): groups that
+    are equal under another label get equal systems that print their own."""
+    return _fusion_system(G, G.label, p)
+
+
+@functools.lru_cache(maxsize=None)
+def _fusion_system(G: PermGroup, label: str, p: int) -> FusionSystem:
     return FusionSystem(G, p)
 
 
@@ -322,15 +328,6 @@ def stable_basis(F1: FusionSystem, F2: FusionSystem, k: int) \
 
 
 @functools.lru_cache(maxsize=None)
-def _fusion_class_index(F1: FusionSystem, F2: FusionSystem) \
-        -> dict[BisetClass, int]:
-    """The index in `stable_pair_classes` of each basis class's fusion
-    class."""
-    return {b: i for i, cls in enumerate(stable_pair_classes(F1, F2))
-            for b in cls}
-
-
-@functools.lru_cache(maxsize=None)
 def _stable_column(F1: FusionSystem, F2: FusionSystem, k: int, i: int) \
         -> tuple[StableElement, BisetClass, int]:
     """The stable basis element of fusion class i (`_stable_element`), a
@@ -342,17 +339,17 @@ def _stable_column(F1: FusionSystem, F2: FusionSystem, k: int, i: int) \
     raises |K|, and at equal |K| it stays inside the fusion class. A column
     with support on another class of the same or larger |K|, or without a
     unit on its own class, raises FormulaMismatchError."""
-    where = _fusion_class_index(F1, F2)
+    members = set(stable_pair_classes(F1, F2)[i])
     p = F1.prime
     stable = _stable_element(F1, F2, k, i)
     column = stable.underlying._items()
-    pivot = next(((b, c) for b, c in column if where[b] == i and c % p),
+    pivot = next(((b, c) for b, c in column if b in members and c % p),
                  None)
     if pivot is None:
         raise FormulaMismatchError(
             "stable basis columns are not independent mod p")
     order = pivot[0].K.order  # fusion morphisms are injective: one |K|
-    if any(where[b] != i and b.K.order >= order for b, _ in column):
+    if any(b not in members and b.K.order >= order for b, _ in column):
         raise FormulaMismatchError(
             "stable basis columns are not triangular over the fusion classes")
     return stable, pivot[0], pow(pivot[1], -1, p ** k)
@@ -397,30 +394,21 @@ def stable_coordinates(x: StableElement, k: int | None = None) \
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _semichar_classes(F1: FusionSystem, F2: FusionSystem) -> frozenset:
-    """The fusion pair classes that contain an inclusion-type pair [K, i_K];
-    only defined for F1 == F2."""
-    S = F1.sylow_group
-    incl = {_canonical_pair(S, S, K.indices, K.indices)
-            for K in subgroups_up_to_conjugacy(S)}
-    return frozenset(grp for grp in stable_pair_classes(F1, F2)
-                     if any(b in incl for b in grp))
-
-
 def is_unit_semichar(x: StableElement) -> bool:
     """For a semicharacteristic stable element over one fusion system:
     whether the cardinality of its underlying virtual left S-set is a unit
-    mod p. Raises if the element is supported outside the
-    semicharacteristic stable classes."""
+    mod p. Raises if the element is supported on a fusion class with no
+    inclusion pair [K, i_K]."""
     F1, F2 = x.left_fusion, x.right_fusion
     if F1 != F2:
         raise FusionError("semicharacteristic elements need equal fusion systems")
     if x.underlying.is_zero:
         return False
-    semichar = _semichar_classes(F1, F2)
+    S = F1.sylow_group
+    incl = {_canonical_pair(S, S, K.indices, K.indices)
+            for K in subgroups_up_to_conjugacy(S)}
     for cls, coeff in stable_coordinates(x):
-        if cls not in semichar and not coeff.is_zero:
+        if not coeff.is_zero and incl.isdisjoint(cls):
             raise NotSemicharacteristicError(
                 f"support on non-inclusion class {cls[0].label()}")
     quotient = augment(x.underlying)._terms.items()

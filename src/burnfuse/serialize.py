@@ -21,12 +21,13 @@ from .padic import check_scalars
 from .perms import cycle_string, parse_cycles
 
 
-def _term_to_json(b: BisetClass, coeff: int) -> dict:
+def class_to_json(b: BisetClass) -> dict:
+    """A basis class [K, phi]: K by its generators' cycle strings, phi by
+    each generator's image."""
     gens = b.K.generators()
     return {
         "K": [cycle_string(g) for g in gens],
         "phi": [[cycle_string(g), cycle_string(b.phi(g))] for g in gens],
-        "coeff": str(coeff),
     }
 
 
@@ -36,7 +37,8 @@ def element_to_json(x: BurnsideElement) -> dict:
         "source": x.source.label,
         "target": x.target.label,
         "scalars": scalars,
-        "terms": [_term_to_json(b, c) for b, c in x._items()],
+        "terms": [class_to_json(b) | {"coeff": str(c)}
+                  for b, c in x._items()],
     }
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -368,3 +372,57 @@ def test_malformed_element_file_exits_two(tmp_path, capsys, change):
     code, out, err = invoke(capsys, "compose", str(path), str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def cold(*argv, cwd=None, stdout=subprocess.PIPE):
+    """Run one command in a fresh process, as a shell would."""
+    return subprocess.run([sys.executable, "-m", "burnfuse.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          cwd=cwd, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=120)
+
+
+# S3 and D6 parse to equal groups, and so do C2xC2 and D4; each prints its
+# own label
+LABELLED_PAIRS = [
+    pytest.param(["stable-basis", "S3", "D6", "--p", "2", "--k", "2"],
+                 "S3", "D6", "stable basis for (F_2(S3), F_2(D6)), 3 elements",
+                 id="stable-basis-S3-D6"),
+    pytest.param(["complete", "y.json", "--p", "2", "--k", "2"], "S3", "D6",
+                 "stable element for (F_2(S3), F_2(D6))", id="complete-S3-D6"),
+    pytest.param(["stable-basis", "C2xC2", "D4", "--p", "2"], "C2xC2", "D4",
+                 "stable basis for (F_2(C2xC2), F_2(D4)), 29 elements",
+                 id="stable-basis-C2xC2-D4"),
+]
+
+
+@pytest.mark.parametrize("argv,left,right,header", LABELLED_PAIRS)
+def test_equal_groups_keep_their_fusion_labels(tmp_path, argv, left, right,
+                                               header):
+    (tmp_path / "y.json").write_text(json.dumps(
+        {"source": "S3", "target": "D6", "scalars": "int",
+         "terms": [GOOD_TERM]}), encoding="utf-8")
+    text = cold(*argv, cwd=tmp_path)
+    assert text.returncode == 0
+    assert text.stdout.splitlines()[0] == header
+    data = json.loads(cold("--format", "json", *argv, cwd=tmp_path).stdout)
+    for part in [data, *data.get("elements", [])]:
+        assert part["leftFusion"]["group"] == left
+        assert part["rightFusion"]["group"] == right
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_exits_one_without_traceback(fmt):
+    # the read end is closed before the command starts, so the first write
+    # fails however much the pipe would buffer
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = cold("--format", fmt, "basis", "S4", "S4", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr

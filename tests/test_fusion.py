@@ -112,6 +112,19 @@ def oracle_stable_pair_classes(F1, F2):
                         key=lambda grp: grp[0].sort_key))
 
 
+@pytest.mark.parametrize("specs", [("S3", "D6"), ("D6", "S3"),
+                                   ("C2xC2", "D4")], ids="-".join)
+def test_equal_groups_get_fusion_systems_with_their_own_labels(specs):
+    # equal as groups, so the systems are equal and share every cache keyed
+    # on F; each still prints the label of the group it was built from
+    G, H = map(parse_group, specs)
+    assert G == H
+    FG, FH = fusion_system(G, 2), fusion_system(H, 2)
+    assert FG == FH and hash(FG) == hash(FH)
+    assert (FG.label, FH.label) == (f"F_2({specs[0]})", f"F_2({specs[1]})")
+    assert fusion_system(G, 2) is FG
+
+
 def test_fusion_morphism_sets():
     F2 = fusion_system(S3, 2)
     S = F2.sylow_group
