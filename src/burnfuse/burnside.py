@@ -364,7 +364,7 @@ def identity_class(G: PermGroup) -> BisetClass:
 
 
 def identity_element(G: PermGroup) -> BurnsideElement:
-    return single(identity_class(G))
+    return BurnsideElement(G, G, {identity_class(G): 1})
 
 
 def cardinality(x: BurnsideElement):

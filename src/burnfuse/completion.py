@@ -167,7 +167,7 @@ def splitting_idempotent_approx(G: PermGroup, p: int, n: int) -> BurnsideElement
         raise InputError("the iterate index must be nonnegative")
     check_scalars(p)
     incl, zero = _sylow_classes(G, p)
-    base = single(incl) - single(zero)
+    base = BurnsideElement(G, G, {incl: 1, zero: -1})
     return power(base, (p - 1) * p ** n)
 
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import functools
 
-from .burnside import (BisetClass, BurnsideElement, _canonical_pair,
-                       _restrict_basis, augment, basis, compose,
-                       identity_element, power, restrict, single)
+from .burnside import (BisetClass, BurnsideElement, _accumulate,
+                       _canonical_pair, _restrict_basis, augment, basis,
+                       compose, identity_element, power, restrict, single)
 from .errors import (ConvergenceError, FormulaMismatchError, FusionError,
                      NonUnitError, NotSemicharacteristicError,
                      ScalarMismatchError)
@@ -141,41 +141,15 @@ def _twists(F: FusionSystem, P: Subgroup) -> tuple[GroupHom, ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
-def _stability_defect(b: BisetClass, F1: FusionSystem, F2: FusionSystem) \
-        -> tuple[tuple[tuple, int], ...]:
-    """The nonzero entries of res_phi(b) - res_incl(b) over every twist
-    phi: P -> S of `_twists`, P running over the subgroup classes of S, on
-    the left (side 0, F1) and on the right (side 1, F2), keyed by
-    (side, P, phi, class). Every other fusion morphism's difference is an
-    integer combination of these, so they vanish together mod p^k."""
-    out = []
-    for side, fus in enumerate((F1, F2)):
-        for P in subgroups_up_to_conjugacy(fus.sylow_group):
-            twists = _twists(fus, P)
-            if not twists:
-                continue
-            # side 0 restricts the left action, side 1 the right one
-            base, *rows = (_restrict_basis(b, *((h, None), (None, h))[side])
-                           for h in (inclusion_hom(P),) + twists)
-            for phi, row in zip(twists, rows):
-                diff = dict(row)
-                for b2, m in base:
-                    diff[b2] = diff.get(b2, 0) - m
-                out.extend(((side, P, phi, b2), m)
-                           for b2, m in diff.items() if m)
-    return tuple(out)
-
-
 def is_stable(x: BurnsideElement, F1: FusionSystem, F2: FusionSystem) -> bool:
     """Elementary stability: restricting along any fusion morphism on either
     side gives the same element as restricting along the inclusion. Only
     the twists of `_twists` are checked: the other morphisms are
     Inn(S)-translates of these or of the inclusion, or restrictions of
-    morphisms on index-p overgroups, and give the same verdict. The
-    differences are summed on the int coefficients from the cached
-    per-class defects, and must vanish mod p^k for a p-adic element,
-    exactly for an integer one."""
+    morphisms on index-p overgroups, and give the same verdict. Each
+    restriction is folded on the int coefficients from the cached
+    `_restrict_basis` products, as `restrict_along` folds it, and the two
+    must agree mod p^k for a p-adic element, exactly for an integer one."""
     if x.source != F1.sylow_group or x.target != F2.sylow_group:
         raise FusionError("element does not live over the Sylow pair")
     if F1.prime != F2.prime:
@@ -183,14 +157,26 @@ def is_stable(x: BurnsideElement, F1: FusionSystem, F2: FusionSystem) -> bool:
     if x.is_padic and x.prime != F1.prime:
         raise ScalarMismatchError(
             f"element prime {x.prime} differs from fusion prime {F1.prime}")
-    totals: dict = {}
-    for b, c in x._terms.items():
-        for key, m in _stability_defect(b, F1, F2):
-            totals[key] = totals.get(key, 0) + c * m
-    if x.is_padic:
-        mod = x.prime ** x.precision
-        return all(v % mod == 0 for v in totals.values())
-    return not any(totals.values())
+    mod = x.prime ** x.precision if x.is_padic else 0
+
+    def restriction(homs) -> dict[BisetClass, int]:
+        out: dict[BisetClass, int] = {}
+        for b, c in x._terms.items():
+            _accumulate(out, c, _restrict_basis(b, *homs))
+        return {b: r for b, c in out.items() if (r := c % mod if mod else c)}
+
+    for side, fus in enumerate((F1, F2)):
+        for P in subgroups_up_to_conjugacy(fus.sylow_group):
+            twists = _twists(fus, P)
+            if not twists:
+                continue
+            # side 0 restricts the left action, side 1 the right one
+            restrictions = (restriction(((h, None), (None, h))[side])
+                            for h in (inclusion_hom(P),) + twists)
+            base = next(restrictions)
+            if any(r != base for r in restrictions):
+                return False
+    return True
 
 
 class StableElement:

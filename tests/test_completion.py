@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +108,53 @@ def test_hom_class_check_rejects_bad_sylow_image():
     images = {C2.identity: S3.identity, (1, 0): other}
     with pytest.raises(FusionError):
         hom_class_check(GroupHom(C2.full_subgroup(), S3, images), 2, 4)
+
+
+# Restricting along the full subgroup of S3 and taking the basis over it
+# fill the group caches with an equal group labelled "perm 3: (2 3), (1 2)".
+# Each order runs in a fresh process, so the caches of this one stay clean.
+LABEL_PROBE = """
+import sys
+from burnfuse.burnside import (basis, burnside_ring_element, identity_element,
+                               restrict)
+from burnfuse.completion import splitting_idempotent_approx, unit_minus_trivial
+from burnfuse.groups import as_group, parse_group
+
+S3 = parse_group("S3")
+
+def fill_caches_with_an_equal_group():
+    x = burnside_ring_element(S3, [(S3.full_subgroup(), 1)])
+    restrict(x, S3.full_subgroup(), x.target.full_subgroup())
+    A = as_group(S3.full_subgroup())
+    for b in basis(A, A):
+        pass
+
+def labels():
+    return [y.source.label for y in (identity_element(S3),
+                                     splitting_idempotent_approx(S3, 3, 0),
+                                     unit_minus_trivial(S3))]
+
+seen = []
+for step in sys.argv[1:]:
+    if step == "fill":
+        fill_caches_with_an_equal_group()
+    else:
+        seen += labels()
+print(seen)
+"""
+
+
+@pytest.mark.parametrize("steps", [["fill", "labels"],
+                                   ["labels", "fill", "labels"]],
+                         ids=["equal-group-first", "S3-first"])
+def test_elements_over_G_carry_the_label_of_G(steps):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", LABEL_PROBE, *steps],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    want = ["S3"] * 3 * steps.count("labels")
+    assert proc.stdout == f"{want}\n"
 
 
 def test_splitting_idempotent_approx_examples():

@@ -511,6 +511,21 @@ def test_stable_element_constructor_validates():
         StableElement(one_sided[0], F1, F2)
 
 
+@pytest.mark.parametrize("G,H,p", [(S4, S4, 2), (S3xC3, S3, 3)],
+                         ids=lambda v: v.label if hasattr(v, "label") else str(v))
+def test_stable_column_plus_an_unstable_class_is_rejected(G, H, p):
+    k = 3
+    F1, F2 = fusion_system(G, p), fusion_system(H, p)
+    columns = [s.underlying for s in stable_basis(F1, F2, k)[:6]]
+    unstable = [x for x in (single(b).lift(p, k)
+                            for b in basis(F1.sylow_group, F2.sylow_group))
+                if not oracle_is_stable(x, F1, F2)]
+    assert unstable
+    for i, x in enumerate(unstable):
+        with pytest.raises(FusionError):
+            StableElement(columns[i % len(columns)] + x, F1, F2)
+
+
 def test_stable_basis_counts():
     F3 = fusion_system(S3, 3)
     sb = stable_basis(F3, F3, 4)
