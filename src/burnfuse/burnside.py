@@ -750,26 +750,6 @@ def augmentation_ideal_generators(G: PermGroup) -> tuple[BurnsideElement, ...]:
     return tuple(out)
 
 
-def _ideal_power_products(G: PermGroup, m: int) -> tuple[BurnsideElement, ...]:
-    """All m-fold products of augmentation ideal generators, deduplicated."""
-    gens = augmentation_ideal_generators(G)
-    ring_classes = [burnside_ring_class(G, K)
-                    for K in subgroups_up_to_conjugacy(G)]
-
-    def key(x: BurnsideElement):
-        return tuple(x.coefficient(c) for c in ring_classes)
-
-    current = {key(g): g for g in gens}
-    for _ in range(m - 1):
-        nxt: dict[tuple, BurnsideElement] = {}
-        for x in current.values():
-            for g in gens:
-                prod = ring_product(x, g)
-                nxt.setdefault(key(prod), prod)
-        current = nxt
-    return tuple(current.values())
-
-
 def _vector(x: BurnsideElement, basis_list) -> list[int]:
     return [x.coefficient(b) for b in basis_list]
 
@@ -799,14 +779,22 @@ def kernel_basis_elements(G: PermGroup, H: PermGroup) -> tuple[BurnsideElement, 
 @functools.lru_cache(maxsize=None)
 def _ideal_power_lattice(G: PermGroup, H: PermGroup, m: int,
                          kernel_only: bool, scale: int) -> IntegerLattice:
+    """scale * I_G^m * M in the coordinates of basis(G, H), where M is the
+    (G,H) module or its augmentation kernel, built as I_G * (I_G^(m-1) * M):
+    the augmentation-ideal generators act on the generators of M when
+    m = 1, and otherwise on the rows of the unscaled lattice one power
+    down."""
     from .intlattice import IntegerLattice
     basis_list = basis(G, H)
-    lat = IntegerLattice(len(basis_list))
-    if kernel_only:
-        module_gens = kernel_basis_elements(G, H)
+    if m == 1:
+        module_gens = (kernel_basis_elements(G, H) if kernel_only
+                       else tuple(single(b) for b in basis_list))
     else:
-        module_gens = tuple(single(b) for b in basis_list)
-    for vec in _action_vectors(_ideal_power_products(G, m), module_gens,
+        below = _ideal_power_lattice(G, H, m - 1, kernel_only, 1)
+        module_gens = [BurnsideElement._from_ints(G, H, dict(zip(basis_list, row)))
+                       for row in below.rows]
+    lat = IntegerLattice(len(basis_list))
+    for vec in _action_vectors(augmentation_ideal_generators(G), module_gens,
                                basis_list):
         lat.add_vector([scale * v for v in vec])
     return lat

@@ -289,12 +289,9 @@ def stable_rank_check(G: PermGroup, H: PermGroup, p: int) -> tuple[int, int]:
     bl = basis(G, H)
     gens = _action_vectors(restriction_kernel_elements(G, p),
                            [single(b) for b in bl], bl)
-    if gens:
-        invs = smith_invariant_factors(gens)
-        p_torsion = sum(1 for d in invs if d % p == 0)
-        rank_quotient = len(bl) - len(invs) + p_torsion
-    else:
-        rank_quotient = len(bl)
+    invs = smith_invariant_factors(gens)
+    p_torsion = sum(1 for d in invs if d % p == 0)
+    rank_quotient = len(bl) - len(invs) + p_torsion
     F1, F2 = fusion_system(G, p), fusion_system(H, p)
     rank_stable = len(stable_pair_classes(F1, F2))
     return rank_quotient, rank_stable

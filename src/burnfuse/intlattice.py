@@ -1,9 +1,10 @@
 """Exact integer lattices: row-echelon (Hermite-style) reduction, membership,
-kernels, and Smith normal form for small dense matrices."""
+kernels, and Smith invariant factors read off alternating echelon forms."""
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import gcd
 
 from .padic import xgcd
 
@@ -101,55 +102,22 @@ def kernel_basis(matrix: list[list[int]]) -> list[list[int]]:
 
 
 def smith_invariant_factors(matrix: list[list[int]]) -> list[int]:
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix."""
-    a = [row.copy() for row in matrix]
-    m = len(a)
-    n = len(a[0]) if a else 0
-    factors: list[int] = []
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = a[i][j]
-                if v != 0 and (pivot is None or abs(v) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
+
+    Echelonizes the rows, then the columns, in turn until each row holds
+    only its pivot (Kannan and Bachem); gcd/lcm swaps then put the pivots
+    in a divisibility chain."""
+    rows = matrix
+    while True:
+        lat = IntegerLattice(len(rows[0]) if rows else 0)
+        for row in rows:
+            lat.add_vector(row)
+        if not any(any(row[j + 1:]) for j, row in zip(lat.pivots, lat.rows)):
             break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        p = a[t][t]
-        bad = next((i for i in range(t + 1, m) if a[i][t] % p != 0), None)
-        if bad is not None:
-            q = a[bad][t] // p
-            for j in range(t, n):
-                a[bad][j] -= q * a[t][j]
-            continue
-        bad = next((j for j in range(t + 1, n) if a[t][j] % p != 0), None)
-        if bad is not None:
-            q = a[t][bad] // p
-            for i in range(t, m):
-                a[i][bad] -= q * a[i][t]
-            continue
-        for i in range(t + 1, m):
-            q = a[i][t] // p
-            if q:
-                for j in range(t, n):
-                    a[i][j] -= q * a[t][j]
-        for j in range(t + 1, n):
-            q = a[t][j] // p
-            if q:
-                for i in range(t, m):
-                    a[i][j] -= q * a[i][t]
-        offender = next(
-            (i for i in range(t + 1, m)
-             if any(a[i][j] % p != 0 for j in range(t + 1, n))), None)
-        if offender is not None:
-            for j in range(t, n):
-                a[t][j] += a[offender][j]
-            continue
-        factors.append(abs(p))
-        t += 1
+        rows = list(zip(*lat.rows))
+    factors = [row[j] for j, row in zip(lat.pivots, lat.rows)]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] // g * factors[j]
     return factors

@@ -104,7 +104,7 @@ def criterion_round_trip_and_ring_axioms(seed: int = DEFAULT_SEED) -> VerdictRes
     return _run(1, "round trips, associativity, identity", 60, body)
 
 
-def criterion_ideal_topology(seed: int = DEFAULT_SEED) -> VerdictResult:
+def criterion_ideal_topology() -> VerdictResult:
     # for a group of order p^n, every (n+1)-fold product of augmentation
     # ideal generators must land in p times the ideal
     def body(r: VerdictResult):

@@ -6,17 +6,19 @@ import random
 import pytest
 
 from burnfuse.burnside import (BurnsideElement, ConcreteBiset, TRIVIAL,
-                               augment, augmentation_ideal_generators,
-                               basis, burnside_ring_class,
-                               burnside_ring_element, canonical_class,
-                               cardinality, compose, decompose, element,
-                               ideal_power_membership, identity_class,
-                               identity_element, in_kernel, opposite,
-                               power, realize, restrict, ring_product,
-                               semichar_embed, single, zero)
+                               _ideal_power_lattice, augment,
+                               augmentation_ideal_generators, basis,
+                               burnside_ring_class, burnside_ring_element,
+                               canonical_class, cardinality, compose,
+                               decompose, element, ideal_power_membership,
+                               identity_class, identity_element, in_kernel,
+                               kernel_basis_elements, opposite, power, realize,
+                               restrict, ring_product, semichar_embed, single,
+                               zero)
 from burnfuse.errors import BisetError, ScalarMismatchError
 from burnfuse.groups import (GroupHom, Subgroup, as_group, homomorphisms,
                              parse_group, sylow, subgroups_up_to_conjugacy)
+from burnfuse.intlattice import IntegerLattice
 from burnfuse.padic import PRECISION_CAP, PadicInt
 from burnfuse.perms import gather, p_inv, p_mul
 from burnfuse.serialize import element_from_json, element_to_json
@@ -629,6 +631,51 @@ def test_ideal_membership_kernel_flag():
                                       restrict_to_kernel=True)
     with pytest.raises(ScalarMismatchError):
         ideal_power_membership(identity_element(S3).lift(2, 3), 1)
+
+
+def oracle_ideal_power_lattice(G, H, m, kernel_only):
+    """I_G^m * M by its definition: every product of m augmentation-ideal
+    generators (the Burnside ring is commutative, so one product per
+    multiset) acting through the semicharacteristic embedding on every
+    generator of M, the full (G,H) module or its augmentation kernel."""
+    bl = basis(G, H)
+    module = (kernel_basis_elements(G, H) if kernel_only
+              else [single(b) for b in bl])
+    lat = IntegerLattice(len(bl))
+    for combo in itertools.combinations_with_replacement(
+            augmentation_ideal_generators(G), m):
+        acting = semichar_embed(functools.reduce(ring_product, combo))
+        for y in module:
+            prod = compose(acting, y)
+            lat.add_vector([prod.coefficient(b) for b in bl])
+    return lat
+
+
+IDEAL_POWER_PAIRS = [("C2xC2", "C2xC2"), ("S3", "S3"), ("C6", "C6"),
+                     ("D8", "D8"), ("Q8", "Q8"), ("A4", "A4"), ("S3", "C2"),
+                     ("C4", "S3")]
+
+
+@pytest.mark.parametrize("gs,hs", IDEAL_POWER_PAIRS)
+def test_ideal_power_lattice_matches_product_oracle(gs, hs):
+    # I^m * M built one power at a time spans the same lattice as the
+    # m-fold products of generators acting on M
+    G, H = parse_group(gs), parse_group(hs)
+    for kernel_only in (False, True):
+        for m in (1, 2, 3):
+            built = _ideal_power_lattice(G, H, m, kernel_only, 1)
+            oracle = oracle_ideal_power_lattice(G, H, m, kernel_only)
+            assert all(row in built for row in oracle.basis()), (m, kernel_only)
+            assert all(row in oracle for row in built.basis()), (m, kernel_only)
+
+
+def test_ideal_power_lattice_scales_only_the_top_power():
+    G = parse_group("C2xC2")
+    oracle = oracle_ideal_power_lattice(G, G, 2, True)
+    built = _ideal_power_lattice(G, G, 2, True, 2)
+    assert all(v % 2 == 0 for row in built.basis() for v in row)
+    assert all([v // 2 for v in row] in oracle for row in built.basis())
+    assert all([2 * v for v in row] in built for row in oracle.basis())
 
 
 def test_ideal_topology_lemma_substrate():

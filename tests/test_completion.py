@@ -2,9 +2,12 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burnfuse.burnside import (basis, burnside_ring_class,
                                burnside_ring_element, canonical_class,
@@ -23,7 +26,8 @@ from burnfuse.fusion import (characteristic_idempotent, fusion_system,
                              is_stable)
 from burnfuse.groups import (GroupHom, as_group, parse_group, sylow,
                              subgroups_up_to_conjugacy)
-from burnfuse.intlattice import IntegerLattice, kernel_basis
+from burnfuse.intlattice import (IntegerLattice, kernel_basis,
+                                 smith_invariant_factors)
 from burnfuse.padic import PadicInt
 from burnfuse.perms import p_inv, p_mul
 
@@ -199,6 +203,15 @@ def test_verify_splitting_sum_s3_c6():
         assert ns == sorted(ns)
 
 
+def test_verify_splitting_sum_s4_power_three():
+    # the recorded iterates at which the S4 defect enters I^k * K for
+    # k = 1, 2, 3, with K the augmentation kernel of the (S4, S4) module
+    report = verify_splitting_sum(S4, 3)
+    assert report.passed, report.to_text()
+    assert [c.witness["n"] for c in report.checks
+            if c.name.startswith("membership")] == [1, 2, 4]
+
+
 def test_splitting_membership_monotone_in_iterate():
     # once membership holds at an iterate it holds at the next one
     from burnfuse.burnside import ideal_power_membership
@@ -235,6 +248,44 @@ def test_rank_comparison_cases():
     assert rq == rs == 3
     rq, rs = stable_rank_check(S4, S3, 2)
     assert rq == rs
+
+
+def oracle_det(m):
+    """Determinant by Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j]
+               * oracle_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def oracle_invariant_factors(matrix):
+    """d_k = D_k / D_(k-1), where the determinantal divisor D_k is the gcd
+    of all k-by-k minors; the list stops at the rank, where D_k turns 0."""
+    rows, cols = len(matrix), len(matrix[0])
+    factors, prev = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        d = 0
+        for ri in combinations(range(rows), k):
+            for ci in combinations(range(cols), k):
+                d = gcd(d, oracle_det([[matrix[i][j] for j in ci] for i in ri]))
+        if d == 0:
+            break
+        factors.append(d // prev)
+        prev = d
+    return factors
+
+
+_SMALL_MATRICES = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(-6, 6), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_SMALL_MATRICES)
+def test_smith_matches_determinantal_divisor_oracle(matrix):
+    assert smith_invariant_factors(matrix) == oracle_invariant_factors(matrix)
 
 
 def restriction_kernel_along(G, S):
