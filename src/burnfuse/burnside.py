@@ -38,7 +38,7 @@ class BisetClass:
     class. Instances are produced by _canonical_pair and are interned, so
     equal classes are usually the same object."""
 
-    __slots__ = ("source", "target", "K", "phi", "_hash")
+    __slots__ = ("source", "target", "K", "phi", "_hash", "sort_key")
 
     def __init__(self, source: PermGroup, target: PermGroup,
                  K: Subgroup, phi: GroupHom):
@@ -47,14 +47,11 @@ class BisetClass:
         self.K = K
         self.phi = phi
         self._hash = hash((source, target, K, phi.image_indices))
+        self.sort_key = (-K.order, K.indices, phi.image_indices)
 
     @property
     def size(self) -> int:
         return self.source.order * self.target.order // self.K.order
-
-    @property
-    def sort_key(self):
-        return (-self.K.order, self.K.indices, self.phi.image_indices)
 
     def label(self) -> str:
         gens = self.K.generators()
@@ -77,6 +74,9 @@ class BisetClass:
 
     def __hash__(self):
         return self._hash
+
+    def __lt__(self, other):
+        return self.sort_key < other.sort_key
 
     def __repr__(self):
         return f"BisetClass({self.label()})"
@@ -750,14 +750,10 @@ def augmentation_ideal_generators(G: PermGroup) -> tuple[BurnsideElement, ...]:
     return tuple(out)
 
 
-def _vector(x: BurnsideElement, basis_list) -> list[int]:
-    return [x.coefficient(b) for b in basis_list]
-
-
-def _action_vectors(ring_elements, module_gens, basis_list) -> list[list[int]]:
-    """The coordinates in basis_list of semichar_embed(a) . y for each a of
-    ring_elements (the outer loop) and each y of module_gens."""
-    return [_vector(compose(acting, y), basis_list)
+def _action_vectors(ring_elements, module_gens) -> list[dict]:
+    """The terms of semichar_embed(a) . y for each a of ring_elements (the
+    outer loop) and each y of module_gens."""
+    return [compose(acting, y)._terms
             for acting in map(semichar_embed, ring_elements)
             for y in module_gens]
 
@@ -778,25 +774,22 @@ def kernel_basis_elements(G: PermGroup, H: PermGroup) -> tuple[BurnsideElement, 
 
 @functools.lru_cache(maxsize=None)
 def _ideal_power_lattice(G: PermGroup, H: PermGroup, m: int,
-                         kernel_only: bool, scale: int) -> IntegerLattice:
-    """scale * I_G^m * M in the coordinates of basis(G, H), where M is the
-    (G,H) module or its augmentation kernel, built as I_G * (I_G^(m-1) * M):
-    the augmentation-ideal generators act on the generators of M when
-    m = 1, and otherwise on the rows of the unscaled lattice one power
-    down."""
+                         kernel_only: bool) -> IntegerLattice:
+    """I_G^m * M over the classes of basis(G, H), where M is the (G,H)
+    module or its augmentation kernel, built as I_G * (I_G^(m-1) * M): the
+    augmentation-ideal generators act on the generators of M when m = 1,
+    and otherwise on the rows of the lattice one power down."""
     from .intlattice import IntegerLattice
-    basis_list = basis(G, H)
     if m == 1:
         module_gens = (kernel_basis_elements(G, H) if kernel_only
-                       else tuple(single(b) for b in basis_list))
+                       else tuple(single(b) for b in basis(G, H)))
     else:
-        below = _ideal_power_lattice(G, H, m - 1, kernel_only, 1)
-        module_gens = [BurnsideElement._from_ints(G, H, dict(zip(basis_list, row)))
-                       for row in below.rows]
-    lat = IntegerLattice(len(basis_list))
-    for vec in _action_vectors(augmentation_ideal_generators(G), module_gens,
-                               basis_list):
-        lat.add_vector([scale * v for v in vec])
+        below = _ideal_power_lattice(G, H, m - 1, kernel_only)
+        module_gens = [BurnsideElement._from_ints(G, H, row)
+                       for row in below.basis()]
+    lat = IntegerLattice()
+    for terms in _action_vectors(augmentation_ideal_generators(G), module_gens):
+        lat.add_vector(terms)
     return lat
 
 
@@ -806,16 +799,20 @@ def ideal_power_membership(x: BurnsideElement, m: int, *,
     """Decide by exact lattice reduction whether x lies in
     scale * I_G^m * M, where I_G is the augmentation ideal acting through
     the semicharacteristic embedding and M is the full (G,H) module or its
-    augmentation kernel."""
+    augmentation kernel: every coefficient of x is divisible by scale, and
+    x / scale lies in I_G^m * M."""
     if x.is_padic:
         raise ScalarMismatchError("membership requires integer coefficients")
     if m < 1:
         raise ValueError("the ideal power must be at least 1")
-    G, H = x.source, x.target
     if restrict_to_kernel and not in_kernel(x):
         return False
-    lat = _ideal_power_lattice(G, H, m, restrict_to_kernel, scale)
-    return _vector(x, basis(G, H)) in lat
+    if not scale:
+        return x.is_zero
+    if any(c % scale for c in x._terms.values()):
+        return False
+    lat = _ideal_power_lattice(x.source, x.target, m, restrict_to_kernel)
+    return {b: c // scale for b, c in x._terms.items()} in lat
 
 
 __all__ = [

@@ -17,12 +17,12 @@ import json
 from .burnside import (BurnsideElement, _action_vectors, _canonical_pair,
                        basis, burnside_ring_element, cardinality, compose,
                        ideal_power_membership, identity_element, opposite,
-                       power, restrict, single)
+                       power, restrict, restrict_along, single)
 from .errors import FusionError, InputError
 from .fusion import (StableElement, a_fus, characteristic_idempotent,
                      fusion_system, invert_stable, stable_pair_classes,
                      stabilize)
-from .groups import (GroupHom, PermGroup, as_group, sylow,
+from .groups import (GroupHom, PermGroup, as_group, inclusion_hom, sylow,
                      subgroups_up_to_conjugacy, trivial_group)
 from .intlattice import kernel_basis, smith_invariant_factors
 from .padic import check_scalars, xgcd
@@ -266,17 +266,11 @@ def restriction_kernel_elements(G: PermGroup, p: int) \
     Burnside ring of G to the Burnside ring of its canonical Sylow
     p-subgroup."""
     S = sylow(G, p)
-    Sg = as_group(S)
-    E = trivial_group()
     classes_G = subgroups_up_to_conjugacy(G)
-    basis_S = basis(Sg, E)
-    columns = []
-    for K in classes_G:
-        x = burnside_ring_element(G, [(K, 1)])
-        xr = restrict(x, S, E.full_subgroup())
-        columns.append([xr.coefficient(b) for b in basis_S])
-    matrix = [[columns[j][i] for j in range(len(classes_G))]
-              for i in range(len(basis_S))]
+    restricted = [restrict_along(burnside_ring_element(G, [(K, 1)]),
+                                 inclusion_hom(S)) for K in classes_G]
+    matrix = [[xr.coefficient(b) for xr in restricted]
+              for b in basis(as_group(S), trivial_group())]
     kern = kernel_basis(matrix)
     return tuple(burnside_ring_element(G, list(zip(classes_G, v)))
                  for v in kern)
@@ -288,7 +282,7 @@ def stable_rank_check(G: PermGroup, H: PermGroup, p: int) -> tuple[int, int]:
     stable basis for the induced fusion systems. The two must be equal."""
     bl = basis(G, H)
     gens = _action_vectors(restriction_kernel_elements(G, p),
-                           [single(b) for b in bl], bl)
+                           [single(b) for b in bl])
     invs = smith_invariant_factors(gens)
     p_torsion = sum(1 for d in invs if d % p == 0)
     rank_quotient = len(bl) - len(invs) + p_torsion

@@ -3,85 +3,79 @@ kernels, and Smith invariant factors read off alternating echelon forms."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections.abc import Mapping
 from math import gcd
 
 from .padic import xgcd
 
 
-class IntegerLattice:
-    """A sublattice of Z^n kept in pivot-echelon form.
+def _row(vec) -> dict:
+    """A fresh {column: nonzero entry} copy of vec, a mapping or a list read
+    as {index: entry}."""
+    items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
+    return {c: v for c, v in items if v}
 
-    Rows are stored sorted by pivot column; pivots are positive. Supports
-    incremental insertion and exact membership tests.
+
+def _subtract(vec: dict, q: int, row: dict) -> None:
+    """vec -= q * row, in place, dropping the entries that become zero."""
+    for c, v in row.items():
+        if w := vec.get(c, 0) - q * v:
+            vec[c] = w
+        else:
+            del vec[c]
+
+
+class IntegerLattice:
+    """A sublattice of the free abelian group on mutually ordered columns
+    (ints, or basis classes), kept in pivot-echelon form.
+
+    Each row is a {column: nonzero int} dict stored in rows under its pivot,
+    its least column; pivots are positive. Supports incremental insertion
+    and exact membership tests, which copy their argument.
     """
 
-    __slots__ = ("dim", "rows", "pivots")
+    __slots__ = ("rows",)
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-
-    def _pivot_row(self, col: int) -> int | None:
-        i = bisect_left(self.pivots, col)
-        if i < len(self.pivots) and self.pivots[i] == col:
-            return i
-        return None
+    def __init__(self):
+        self.rows: dict = {}
 
     def add_vector(self, vec) -> None:
-        if len(vec) != self.dim:
-            raise ValueError(f"vector length {len(vec)} != dimension {self.dim}")
-        vec = list(vec)
-        for j in range(self.dim):
-            if vec[j] == 0:
-                continue
-            i = self._pivot_row(j)
-            if i is None:
-                if vec[j] < 0:
-                    vec = [-v for v in vec]
-                where = bisect_left(self.pivots, j)
-                self.rows.insert(where, vec)
-                self.pivots.insert(where, j)
+        vec = _row(vec)
+        while vec:
+            j = min(vec)
+            row = self.rows.get(j)
+            if row is None:
+                self.rows[j] = ({c: -v for c, v in vec.items()}
+                                if vec[j] < 0 else vec)
                 return
-            row = self.rows[i]
             a, b = row[j], vec[j]
-            if b % a == 0:
-                q = b // a
-                for jj in range(j, self.dim):
-                    vec[jj] -= q * row[jj]
+            if b % a == 0:  # the stored row stays as it is
+                _subtract(vec, b // a, row)
             else:
                 x, y, g = xgcd(a, b)
                 ag, mbg = a // g, -(b // g)
-                for jj in range(j, self.dim):
-                    aa, bb = row[jj], vec[jj]
-                    row[jj] = x * aa + y * bb
-                    vec[jj] = mbg * aa + ag * bb
+                cols = row.keys() | vec.keys()
+                self.rows[j] = {c: v for c in cols if (
+                    v := x * row.get(c, 0) + y * vec.get(c, 0))}
+                vec = {c: v for c in cols if (
+                    v := mbg * row.get(c, 0) + ag * vec.get(c, 0))}
 
     def __contains__(self, vec) -> bool:
-        if len(vec) != self.dim:
-            raise ValueError(f"vector length {len(vec)} != dimension {self.dim}")
-        vec = list(vec)
-        for j in range(self.dim):
-            if vec[j] == 0:
-                continue
-            i = self._pivot_row(j)
-            if i is None:
+        vec = _row(vec)
+        while vec:
+            j = min(vec)
+            row = self.rows.get(j)
+            if row is None or vec[j] % row[j] != 0:
                 return False
-            row = self.rows[i]
-            if vec[j] % row[j] != 0:
-                return False
-            q = vec[j] // row[j]
-            for jj in range(j, self.dim):
-                vec[jj] -= q * row[jj]
+            _subtract(vec, vec[j] // row[j], row)
         return True
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def basis(self) -> list[list[int]]:
-        return [row.copy() for row in self.rows]
+    def basis(self) -> list[dict]:
+        return [dict(self.rows[j]) for j in sorted(self.rows)]
 
 
 def kernel_basis(matrix: list[list[int]]) -> list[list[int]]:
@@ -89,33 +83,36 @@ def kernel_basis(matrix: list[list[int]]) -> list[list[int]]:
     if not matrix:
         return []
     m, n = len(matrix), len(matrix[0])
-    lat = IntegerLattice(m + n)
+    lat = IntegerLattice()
     for j in range(n):
-        aug = [matrix[i][j] for i in range(m)] + [0] * n
+        aug = {i: matrix[i][j] for i in range(m)}
         aug[m + j] = 1
         lat.add_vector(aug)
-    out = []
-    for piv, row in zip(lat.pivots, lat.rows):
-        if piv >= m:
-            out.append(row[m:])
-    return out
+    return [[row.get(m + j, 0) for j in range(n)]
+            for row in lat.basis() if min(row) >= m]
 
 
-def smith_invariant_factors(matrix: list[list[int]]) -> list[int]:
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
+def smith_invariant_factors(matrix) -> list[int]:
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix, given
+    as rows that are lists or mappings.
 
     Echelonizes the rows, then the columns, in turn until each row holds
     only its pivot (Kannan and Bachem); gcd/lcm swaps then put the pivots
     in a divisibility chain."""
     rows = matrix
     while True:
-        lat = IntegerLattice(len(rows[0]) if rows else 0)
+        lat = IntegerLattice()
         for row in rows:
             lat.add_vector(row)
-        if not any(any(row[j + 1:]) for j, row in zip(lat.pivots, lat.rows)):
+        echelon = lat.basis()
+        if all(len(row) == 1 for row in echelon):
             break
-        rows = list(zip(*lat.rows))
-    factors = [row[j] for j, row in zip(lat.pivots, lat.rows)]
+        columns: dict = {}
+        for i, row in enumerate(echelon):
+            for c, v in row.items():
+                columns.setdefault(c, {})[i] = v
+        rows = [columns[c] for c in sorted(columns)]
+    factors = [v for row in echelon for v in row.values()]
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             g = gcd(factors[i], factors[j])

@@ -18,13 +18,13 @@ from burnfuse.burnside import (BurnsideElement, ConcreteBiset, TRIVIAL,
 from burnfuse.errors import BisetError, ScalarMismatchError
 from burnfuse.groups import (GroupHom, Subgroup, as_group, homomorphisms,
                              parse_group, sylow, subgroups_up_to_conjugacy)
-from burnfuse.intlattice import IntegerLattice
 from burnfuse.padic import PRECISION_CAP, PadicInt
 from burnfuse.perms import gather, p_inv, p_mul
 from burnfuse.serialize import element_from_json, element_to_json
 from burnfuse.verify import ROUND_TRIP_ROSTER
 
 from test_groups import oracle_double_cosets
+from test_intlattice import OracleDenseLattice
 from test_padic import ref_add, ref_mul, ref_sub
 
 S3 = parse_group("S3")
@@ -641,7 +641,7 @@ def oracle_ideal_power_lattice(G, H, m, kernel_only):
     bl = basis(G, H)
     module = (kernel_basis_elements(G, H) if kernel_only
               else [single(b) for b in bl])
-    lat = IntegerLattice(len(bl))
+    lat = OracleDenseLattice(len(bl))
     for combo in itertools.combinations_with_replacement(
             augmentation_ideal_generators(G), m):
         acting = semichar_embed(functools.reduce(ring_product, combo))
@@ -661,21 +661,37 @@ def test_ideal_power_lattice_matches_product_oracle(gs, hs):
     # I^m * M built one power at a time spans the same lattice as the
     # m-fold products of generators acting on M
     G, H = parse_group(gs), parse_group(hs)
+    bl = basis(G, H)
     for kernel_only in (False, True):
         for m in (1, 2, 3):
-            built = _ideal_power_lattice(G, H, m, kernel_only, 1)
+            built = _ideal_power_lattice(G, H, m, kernel_only)
             oracle = oracle_ideal_power_lattice(G, H, m, kernel_only)
-            assert all(row in built for row in oracle.basis()), (m, kernel_only)
-            assert all(row in oracle for row in built.basis()), (m, kernel_only)
+            assert all(dict(zip(bl, row)) in built
+                       for row in oracle.basis()), (m, kernel_only)
+            assert all([row.get(b, 0) for b in bl] in oracle
+                       for row in built.basis()), (m, kernel_only)
 
 
-def test_ideal_power_lattice_scales_only_the_top_power():
+def test_scaled_membership_divides_by_the_scale():
+    # x lies in 2 * I^2 * K exactly when x = 2r with r in I^2 * K
     G = parse_group("C2xC2")
-    oracle = oracle_ideal_power_lattice(G, G, 2, True)
-    built = _ideal_power_lattice(G, G, 2, True, 2)
-    assert all(v % 2 == 0 for row in built.basis() for v in row)
-    assert all([v // 2 for v in row] in oracle for row in built.basis())
-    assert all([2 * v for v in row] in built for row in oracle.basis())
+    rows = _ideal_power_lattice(G, G, 2, True).basis()
+    assert rows
+    extra = basis(G, G)[0]
+    for row in rows:
+        r = BurnsideElement._from_ints(G, G, row)
+        assert ideal_power_membership(r.scaled(2), 2, restrict_to_kernel=True,
+                                      scale=2)
+        # r / 2 is not integral, or its entry at the pivot of r is half
+        # that pivot, which no element of I^2 * K has there
+        assert not ideal_power_membership(r, 2, restrict_to_kernel=True,
+                                          scale=2)
+        assert not ideal_power_membership(r.scaled(2) + single(extra), 2,
+                                          restrict_to_kernel=True, scale=2)
+        # 0 * I^2 * K is zero
+        assert not ideal_power_membership(r, 2, restrict_to_kernel=True,
+                                          scale=0)
+    assert ideal_power_membership(zero(G, G), 2, scale=0)
 
 
 def test_ideal_topology_lemma_substrate():

@@ -316,7 +316,7 @@ def test_restriction_kernel_independent_of_sylow():
         alt = restriction_kernel_along(G, other)
         classes = subgroups_up_to_conjugacy(G)
         def lattice(elems):
-            lat = IntegerLattice(len(classes))
+            lat = IntegerLattice()
             for x in elems:
                 lat.add_vector([x.coefficient(burnside_ring_class(G, K))
                                 for K in classes])
