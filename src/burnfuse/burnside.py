@@ -397,7 +397,8 @@ class ConcreteBiset:
         and commutation on generator pairs, which suffices. Freeness is
         checked last: no row right[h] with h not the identity has a fixed
         point, which, given the action axioms, is what a free right action
-        means.
+        means. The right half of both checks runs once per distinct right
+        table, through `_right_verdict`.
         """
         G, H, n = self.source, self.target, self.size
         left, right = self.left, self.right
@@ -415,12 +416,7 @@ class ConcreteBiset:
                 for ai, prod in enumerate(G.mul[gi]):
                     if left[prod] != gather(grow, left[ai]):
                         raise BisetError("left table is not an action")
-            hmul = H.mul
-            for hi in H.generator_indices():
-                hrow = right[hi]
-                for ai in range(H.order):
-                    if right[hmul[ai][hi]] != gather(hrow, right[ai]):
-                        raise BisetError("right table is not an action")
+            free = _right_verdict(H, right)
             for gi in G.generator_indices():
                 grow = left[gi]
                 for hi in H.generator_indices():
@@ -430,8 +426,27 @@ class ConcreteBiset:
                             "left and right actions do not commute")
         except IndexError:
             raise BisetError("action table entry out of range") from None
-        if any(any(map(operator.eq, row, ident)) for row in right[1:]):
+        if not free:
             raise BisetError("right action is not free")
+
+
+@functools.lru_cache(maxsize=None)
+def _right_verdict(H: PermGroup, right: tuple) -> bool:
+    """Whether the right table, whose identity row is the identity, is a
+    free action: raises BisetError if it is no action of H, or IndexError
+    on an entry past the points, and then caches nothing.
+
+    Keyed on the value of H and of the table. H's label and generating set
+    are not in the key, and the verdict depends on neither: any generating
+    set, checked against every row, is a complete action check.
+    """
+    hmul = H.mul
+    for hi in H.generator_indices():
+        hrow = right[hi]
+        for ai in range(H.order):
+            if right[hmul[ai][hi]] != gather(hrow, right[ai]):
+                raise BisetError("right table is not an action")
+    return not any(any(map(operator.eq, row, right[0])) for row in right[1:])
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,9 +4,11 @@ import operator
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burnfuse.burnside import (BurnsideElement, ConcreteBiset, TRIVIAL,
-                               _ideal_power_lattice, augment,
+                               _blocks, _ideal_power_lattice,
+                               _right_verdict, augment,
                                augmentation_ideal_generators, basis,
                                burnside_ring_class, burnside_ring_element,
                                canonical_class, cardinality, compose,
@@ -257,14 +259,25 @@ def _c4_with_trivial_square():
     (C2, C2, 2, [_I2, [1, 5]], [_I2, _S2], "action table entry out of range"),
     (C2, C2, 2, [_I2, _S2], [_I2, [1, 5]], "action table entry out of range"),
     (C2, C2, 2, [_I2, [1]], [_I2, _S2], "action table entry out of range"),
+    # two faults: freeness is read after every action check
+    (C2, C2, 4, [_I4, [1, 2, 3, 0]], [_I4, _I4], "left table is not an action"),
+    # a 3-cycle fixing point 0
+    (C2, C2, 4, [_I4, _I4], [_I4, [0, 2, 3, 1]], "right table is not an action"),
+    # (1 2)(3 4) on the left against (2 3) on the right
+    (C2, C2, 4, [_I4, [1, 0, 3, 2]], [_I4, [0, 2, 1, 3]],
+     "left and right actions do not commute"),
 ], ids=["left-shape", "right-shape", "left-identity", "right-identity",
         "left-action", "right-action", "left-action-C4-square",
         "right-action-C4-square", "commute", "free-trivial", "free-C4",
-        "left-entry-range", "right-entry-range", "left-row-short"])
+        "left-entry-range", "right-entry-range", "left-row-short",
+        "left-action,not-free", "right-action,not-free", "commute,not-free"])
 def test_validate_rejects(source, target, size, left, right, message):
+    # twice: a failing right check caches nothing, so the second call, which
+    # may read a cached verdict, fails the same way
     X = ConcreteBiset(source, target, size, left, right)
-    with pytest.raises(BisetError, match=f"^{message}$"):
-        X.validate()
+    for _ in range(2):
+        with pytest.raises(BisetError, match=f"^{message}$"):
+            X.validate()
 
 
 def test_decompose_of_non_free_biset_raises_validate_message():
@@ -272,6 +285,104 @@ def test_decompose_of_non_free_biset_raises_validate_message():
     X = ConcreteBiset(E, C4, 2, [_I2], _c4_on_two_points())
     with pytest.raises(BisetError, match="^right action is not free$"):
         decompose(X)
+
+
+def test_cached_right_table_still_checks_left_table():
+    # the right table of (S3, 4 blocks) is checked by a round trip first
+    b = next(b for b in basis(C4, S3) if b.K.order == 1)
+    X = realize(b)
+    assert decompose(X) == single(b)
+    assert X.right == _blocks(S3, 4)[1]
+    ident = list(range(X.size))
+    g = C4.generator_indices()[0]
+    bad_square = list(X.left)
+    bad_square[C4.mul[g][g]] = ident
+    with pytest.raises(BisetError, match="^left table is not an action$"):
+        ConcreteBiset(C4, S3, X.size, bad_square, X.right).validate()
+    # C4 acting through C4 -> C2 by swapping points 0 and 1: an action, but
+    # the swap does not commute with the right action
+    swap = [1, 0] + ident[2:]
+    left = [swap if p_mul(h, h) != C4.identity else ident
+            for h in C4.elements]
+    hits = _right_verdict.cache_info().hits
+    with pytest.raises(BisetError,
+                       match="^left and right actions do not commute$"):
+        ConcreteBiset(C4, S3, X.size, left, X.right).validate()
+    assert _right_verdict.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("relabeled_first", [False, True],
+                         ids=["S3-first", "relabeled-first"])
+def test_right_verdict_ignores_label_and_generators(relabeled_first):
+    T = as_group(S3.full_subgroup())
+    assert T == S3 and T.label != S3.label and T.generators != S3.generators
+    tables = [
+        [list(p) for p in realize(basis(E, S3)[-1]).right],  # regular
+        [list(p_inv(p)) for p in S3.elements],  # natural, not free
+        [list(p) for p in S3.elements],  # x.h = h(x) is a left action
+    ]
+    want = [None, "right action is not free", "right table is not an action"]
+
+    def verdicts(H):
+        out = []
+        for right in tables:
+            try:
+                ConcreteBiset(E, H, len(right[0]), [right[0]], right).validate()
+                out.append(None)
+            except BisetError as e:
+                out.append(str(e))
+        return out
+
+    _right_verdict.cache_clear()
+    first, second = (T, S3) if relabeled_first else (S3, T)
+    assert verdicts(first) == want
+    assert verdicts(second) == want
+    # the two tables that have a verdict were read from the cache
+    assert _right_verdict.cache_info().hits == 2
+
+
+def _conjugate(rows, sigma, shift=0):
+    """The rows sigma r sigma^-1, on points renumbered shift + sigma[x]."""
+    out = []
+    for r in rows:
+        new = [0] * len(r)
+        for x, y in enumerate(r):
+            new[sigma[x]] = shift + sigma[y]
+        out.append(new)
+    return out
+
+
+_FOREIGN_PAIRS = [(parse_group(g), parse_group(h)) for g, h in
+                  [("C2xC2", "S3"), ("S3", "C6"), ("D8", "C4"), ("A4", "C3")]]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(_FOREIGN_PAIRS), st.data())
+def test_round_trip_through_conjugated_tables(pair, data):
+    # tables that _blocks did not build: realize(b) on shuffled points
+    G, H = pair
+    b = data.draw(st.sampled_from(basis(G, H)))
+    X = realize(b)
+    sigma = data.draw(st.permutations(range(X.size)))
+    Y = ConcreteBiset(G, H, X.size, _conjugate(X.left, sigma),
+                      _conjugate(X.right, sigma))
+    assert decompose(Y) == single(b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(_FOREIGN_PAIRS), st.data())
+def test_round_trip_through_disjoint_unions(pair, data):
+    G, H = pair
+    b1 = data.draw(st.sampled_from(basis(G, H)))
+    b2 = data.draw(st.sampled_from(basis(G, H)))
+    X1, X2 = realize(b1), realize(b2)
+    sigma = data.draw(st.permutations(range(X2.size)))
+    left = [list(r1) + r2 for r1, r2 in
+            zip(X1.left, _conjugate(X2.left, sigma, X1.size))]
+    right = [list(r1) + r2 for r1, r2 in
+             zip(X1.right, _conjugate(X2.right, sigma, X1.size))]
+    Y = ConcreteBiset(G, H, X1.size + X2.size, left, right)
+    assert decompose(Y) == single(b1) + single(b2)
 
 
 def test_compose_examples():
