@@ -35,10 +35,10 @@ from .perms import cycle_string, gather
 
 class BisetClass:
     """The canonical representative [K, phi] of a transitive (G,H)-biset
-    class. Instances are produced by _canonical_pair and are interned, so
-    equal classes are usually the same object."""
+    class. Instances are interned (`_interned`): each canonical class is one
+    object, so classes compare and hash by identity."""
 
-    __slots__ = ("source", "target", "K", "phi", "_hash", "sort_key")
+    __slots__ = ("source", "target", "K", "phi", "sort_key")
 
     def __init__(self, source: PermGroup, target: PermGroup,
                  K: Subgroup, phi: GroupHom):
@@ -46,7 +46,6 @@ class BisetClass:
         self.target = target
         self.K = K
         self.phi = phi
-        self._hash = hash((source, target, K, phi.image_indices))
         self.sort_key = (-K.order, K.indices, phi.image_indices)
 
     @property
@@ -63,20 +62,9 @@ class BisetClass:
                              for g in gens)
         return f"[{kpart}; {ppart}]"
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, BisetClass):
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.K == other.K
-                and self.phi.image_indices == other.phi.image_indices)
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return self.sort_key < other.sort_key
+    def __reduce__(self):  # a copy or an unpickled class is the interned one
+        return _interned, (self.source, self.target, self.K,
+                           self.phi.image_indices)
 
     def __repr__(self):
         return f"BisetClass({self.label()})"
@@ -142,6 +130,14 @@ def _canonical_pair(source: PermGroup, target: PermGroup, members: tuple,
         j = -key[0]
         rows = target.conj
         image = min(gather(rows[h], t) for t in seeds for h in reach[t[j]])
+    return _interned(source, target, K0, image)
+
+
+@functools.lru_cache(maxsize=None)
+def _interned(source: PermGroup, target: PermGroup, K0: Subgroup,
+              image: tuple) -> BisetClass:
+    """The one BisetClass of a canonical pair. Keyed on the values of the
+    groups, as _canonical_pair is, so equal groups share their classes."""
     return BisetClass(source, target, K0,
                       GroupHom.from_indices(K0, target, image))
 
@@ -158,18 +154,12 @@ def canonical_class(source: PermGroup, target: PermGroup, K: Subgroup,
 def basis(G: PermGroup, H: PermGroup) -> tuple[BisetClass, ...]:
     """The canonical basis of the Burnside module over (G, H), ordered by
     descending |K| then canonical keys."""
-    seen = set()
-    out = []
-    for K in subgroups_up_to_conjugacy(G):
-        # every H-orbit of maps meets this list, and _canonical_pair
-        # minimizes over post-conjugation by H
-        for images in _hom_images(K, H, up_to_conjugacy=True):
-            b = _canonical_pair(G, H, K.indices, images)
-            if b not in seen:
-                seen.add(b)
-                out.append(b)
-    out.sort(key=lambda b: b.sort_key)
-    return tuple(out)
+    # every H-orbit of maps meets the _hom_images lists, and _canonical_pair
+    # minimizes over post-conjugation by H; sort keys are distinct
+    classes = {_canonical_pair(G, H, K.indices, images)
+               for K in subgroups_up_to_conjugacy(G)
+               for images in _hom_images(K, H, up_to_conjugacy=True)}
+    return tuple(sorted(classes, key=lambda b: b.sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -765,10 +755,17 @@ def augmentation_ideal_generators(G: PermGroup) -> tuple[BurnsideElement, ...]:
     return tuple(out)
 
 
-def _action_vectors(ring_elements, module_gens) -> list[dict]:
+@functools.lru_cache(maxsize=None)
+def _positions(G: PermGroup, H: PermGroup) -> dict[BisetClass, int]:
+    """Each class's position in basis(G, H), which is sorted by sort_key."""
+    return {b: i for i, b in enumerate(basis(G, H))}
+
+
+def _action_rows(ring_elements, module_gens, G, H) -> list[dict]:
     """The terms of semichar_embed(a) . y for each a of ring_elements (the
-    outer loop) and each y of module_gens."""
-    return [compose(acting, y)._terms
+    outer loop) and each y of module_gens, on basis positions over (G, H)."""
+    pos = _positions(G, H)
+    return [{pos[b]: c for b, c in compose(acting, y)._terms.items()}
             for acting in map(semichar_embed, ring_elements)
             for y in module_gens]
 
@@ -790,21 +787,23 @@ def kernel_basis_elements(G: PermGroup, H: PermGroup) -> tuple[BurnsideElement, 
 @functools.lru_cache(maxsize=None)
 def _ideal_power_lattice(G: PermGroup, H: PermGroup, m: int,
                          kernel_only: bool) -> IntegerLattice:
-    """I_G^m * M over the classes of basis(G, H), where M is the (G,H)
+    """I_G^m * M on the basis positions of basis(G, H), where M is the (G,H)
     module or its augmentation kernel, built as I_G * (I_G^(m-1) * M): the
     augmentation-ideal generators act on the generators of M when m = 1,
     and otherwise on the rows of the lattice one power down."""
     from .intlattice import IntegerLattice
+    bl = basis(G, H)
     if m == 1:
         module_gens = (kernel_basis_elements(G, H) if kernel_only
-                       else tuple(single(b) for b in basis(G, H)))
+                       else tuple(map(single, bl)))
     else:
         below = _ideal_power_lattice(G, H, m - 1, kernel_only)
-        module_gens = [BurnsideElement._from_ints(G, H, row)
-                       for row in below.basis()]
+        module_gens = [BurnsideElement._from_ints(
+            G, H, {bl[i]: c for i, c in row.items()}) for row in below.basis()]
     lat = IntegerLattice()
-    for terms in _action_vectors(augmentation_ideal_generators(G), module_gens):
-        lat.add_vector(terms)
+    for row in _action_rows(augmentation_ideal_generators(G), module_gens,
+                            G, H):
+        lat.add_vector(row)
     return lat
 
 
@@ -827,7 +826,8 @@ def ideal_power_membership(x: BurnsideElement, m: int, *,
     if any(c % scale for c in x._terms.values()):
         return False
     lat = _ideal_power_lattice(x.source, x.target, m, restrict_to_kernel)
-    return {b: c // scale for b, c in x._terms.items()} in lat
+    pos = _positions(x.source, x.target)
+    return {pos[b]: c // scale for b, c in x._terms.items()} in lat
 
 
 __all__ = [

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import json
 
-from .burnside import (BurnsideElement, _action_vectors, _canonical_pair,
+from .burnside import (BurnsideElement, _action_rows, _canonical_pair,
                        basis, burnside_ring_element, cardinality, compose,
                        ideal_power_membership, identity_element, opposite,
                        power, restrict, restrict_along, single)
@@ -281,8 +281,8 @@ def stable_rank_check(G: PermGroup, H: PermGroup, p: int) -> tuple[int, int]:
     the (G,H) module by the restriction-kernel ideal with the size of the
     stable basis for the induced fusion systems. The two must be equal."""
     bl = basis(G, H)
-    gens = _action_vectors(restriction_kernel_elements(G, p),
-                           [single(b) for b in bl])
+    gens = _action_rows(restriction_kernel_elements(G, p),
+                        [single(b) for b in bl], G, H)
     invs = smith_invariant_factors(gens)
     p_torsion = sum(1 for d in invs if d % p == 0)
     rank_quotient = len(bl) - len(invs) + p_torsion

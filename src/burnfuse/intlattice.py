@@ -26,8 +26,8 @@ def _subtract(vec: dict, q: int, row: dict) -> None:
 
 
 class IntegerLattice:
-    """A sublattice of the free abelian group on mutually ordered columns
-    (ints, or basis classes), kept in pivot-echelon form.
+    """A sublattice of the free abelian group on int columns, kept in
+    pivot-echelon form.
 
     Each row is a {column: nonzero int} dict stored in rows under its pivot,
     its least column; pivots are positive. Supports incremental insertion

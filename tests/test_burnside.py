@@ -1,6 +1,8 @@
+import copy
 import functools
 import itertools
 import operator
+import pickle
 import random
 
 import pytest
@@ -21,7 +23,7 @@ from burnfuse.errors import BisetError, ScalarMismatchError
 from burnfuse.groups import (GroupHom, Subgroup, as_group, homomorphisms,
                              parse_group, sylow, subgroups_up_to_conjugacy)
 from burnfuse.padic import PRECISION_CAP, PadicInt
-from burnfuse.perms import gather, p_inv, p_mul
+from burnfuse.perms import cycle_string, gather, p_inv, p_mul
 from burnfuse.serialize import element_from_json, element_to_json
 from burnfuse.verify import ROUND_TRIP_ROSTER
 
@@ -383,6 +385,32 @@ def test_round_trip_through_disjoint_unions(pair, data):
              zip(X1.right, _conjugate(X2.right, sigma, X1.size))]
     Y = ConcreteBiset(G, H, X1.size + X2.size, left, right)
     assert decompose(Y) == single(b1) + single(b2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(_FOREIGN_PAIRS), st.data())
+def test_every_route_hands_back_the_interned_class(pair, data):
+    # classes compare by identity, so canonicalization, the JSON loader and
+    # decompose must all return the very object that basis holds
+    G, H = pair
+    b = data.draw(st.sampled_from(basis(G, H)))
+    g = data.draw(st.sampled_from(G.elements))
+    h = data.draw(st.sampled_from(H.elements))
+    gi, hi = p_inv(g), p_inv(h)
+    phi = {p_mul(p_mul(g, x), gi): p_mul(p_mul(h, b.phi(x)), hi)
+           for x in b.K.elements}
+    K = G.subgroup(phi)
+    assert canonical_class(G, H, K, phi) is b
+    gens = K.generators()
+    data_json = {"source": G.label, "target": H.label, "scalars": "int",
+                 "terms": [{"K": list(map(cycle_string, gens)),
+                            "phi": [[cycle_string(k), cycle_string(phi[k])]
+                                    for k in gens],
+                            "coeff": "1"}]}
+    for x in (element_from_json(data_json), decompose(realize(b))):
+        (key,) = x._terms
+        assert key is b
+    assert copy.deepcopy(b) is b and pickle.loads(pickle.dumps(b)) is b
 
 
 def test_compose_examples():
@@ -777,9 +805,11 @@ def test_ideal_power_lattice_matches_product_oracle(gs, hs):
         for m in (1, 2, 3):
             built = _ideal_power_lattice(G, H, m, kernel_only)
             oracle = oracle_ideal_power_lattice(G, H, m, kernel_only)
-            assert all(dict(zip(bl, row)) in built
+            # the built rows sit on basis positions, the oracle's are
+            # dense lists over the same positions
+            assert all(row in built
                        for row in oracle.basis()), (m, kernel_only)
-            assert all([row.get(b, 0) for b in bl] in oracle
+            assert all([row.get(i, 0) for i in range(len(bl))] in oracle
                        for row in built.basis()), (m, kernel_only)
 
 
@@ -788,9 +818,10 @@ def test_scaled_membership_divides_by_the_scale():
     G = parse_group("C2xC2")
     rows = _ideal_power_lattice(G, G, 2, True).basis()
     assert rows
-    extra = basis(G, G)[0]
+    bl = basis(G, G)
+    extra = bl[0]
     for row in rows:
-        r = BurnsideElement._from_ints(G, G, row)
+        r = BurnsideElement._from_ints(G, G, {bl[i]: c for i, c in row.items()})
         assert ideal_power_membership(r.scaled(2), 2, restrict_to_kernel=True,
                                       scale=2)
         # r / 2 is not integral, or its entry at the pivot of r is half

@@ -3,7 +3,7 @@ from bisect import bisect_left
 
 from hypothesis import given, settings, strategies as st
 
-from burnfuse.burnside import (BurnsideElement, _ideal_power_lattice,
+from burnfuse.burnside import (BurnsideElement, _ideal_power_lattice, basis,
                                ideal_power_membership)
 from burnfuse.groups import parse_group
 from burnfuse.intlattice import (IntegerLattice, kernel_basis,
@@ -206,8 +206,9 @@ def test_add_vector_and_membership_leave_their_argument_unchanged():
     assert vec == {0: 2, 1: -3, 2: 5}
 
     G = parse_group("C2xC2")
+    bl = basis(G, G)
     for row in _ideal_power_lattice(G, G, 1, False).basis():
-        x = BurnsideElement._from_ints(G, G, row)
+        x = BurnsideElement._from_ints(G, G, {bl[i]: c for i, c in row.items()})
         for y, scale in ((x, 1), (x.scaled(2), 2)):
             terms = dict(y._terms)
             assert ideal_power_membership(y, 1, scale=scale)
