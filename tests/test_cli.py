@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -426,3 +428,75 @@ def test_closed_stdout_exits_one_without_traceback(fmt):
         os.close(write_end)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
+
+
+# runs burnfuse.cli as __main__, as `python -m` would, and reports the exit
+# code and whether the collector was frozen by the time main() raised
+EXIT_PROBE = """
+import gc, json, runpy, sys
+report, sys.argv = sys.argv[1], ["burnfuse", *sys.argv[2:]]
+try:
+    runpy.run_module("burnfuse.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    with open(report, "w", encoding="utf-8") as fh:
+        json.dump({"code": exc.code, "frozen": gc.get_freeze_count() > 0}, fh)
+    raise
+"""
+
+
+@pytest.mark.parametrize("argv,config,want", [
+    pytest.param(["basis", "S3", "C2"], None, 0, id="exit-0"),
+    pytest.param(["verify", "sum", "S3", "--kmax", "3"], "schedule_cap = 0\n",
+                 1, id="exit-1"),
+    pytest.param(["--order-cap", "10", "basis", "S4", "C2"], None, 2,
+                 id="exit-2"),
+])
+def test_main_flushes_then_freezes_then_exits(tmp_path, monkeypatch, capsys,
+                                              argv, config, want):
+    # main() exits with run()'s status and stdout, and freezes the collector
+    # so that interpreter exit does not walk the module caches; run() itself
+    # leaves the collector alone
+    work = tmp_path / "work"
+    work.mkdir()
+    if config is not None:
+        (work / "burnfuse.toml").write_text(config, encoding="utf-8")
+    report = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-c", EXIT_PROBE, str(report),
+                           *argv],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), cwd=work,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          timeout=120)
+    child = json.loads(report.read_text(encoding="utf-8"))
+    monkeypatch.chdir(work)
+    frozen = gc.get_freeze_count()
+    code, out, _ = invoke(capsys, *argv)
+    assert gc.get_freeze_count() == frozen
+    assert code == want
+    assert (proc.returncode, child["code"]) == (want, want)
+    assert proc.stdout == out.encode("utf-8")
+    assert child["frozen"]
+
+
+def test_commands_close_their_files_before_exit(tmp_path, monkeypatch,
+                                                capsys):
+    # main() exits with the collector frozen, so a file that only the
+    # collector would reach is never closed at exit: every file a command
+    # opens must be closed by the command itself
+    S3 = parse_group("S3")
+    x = tmp_path / "x.json"
+    x.write_text(dump_json(element_to_json(single(basis(S3, S3)[2]))),
+                 encoding="utf-8")
+    config = tmp_path / "settings.toml"
+    config.write_text("precision = 4\n", encoding="utf-8")
+    gc.collect()  # finalize what earlier tests left, before listening
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        for argv in (["compose", str(x), str(x)],
+                     ["restrict", str(x), "--p", "2"],
+                     ["complete", str(x), "--p", "2", "--k", "4"],
+                     ["--config", str(config), "basis", "C2", "C2"]):
+            assert invoke(capsys, *argv)[0] == 0
+        gc.collect()
+    assert [u.exc_value for u in unraisable] == []
