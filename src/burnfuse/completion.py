@@ -155,19 +155,15 @@ def hom_class_check(phi: GroupHom, p: int, k: int) -> bool:
 # ---------------------------------------------------------------------------
 # splitting idempotents
 
-def _sylow_classes(G: PermGroup, p: int):
-    S = sylow(G, p)
-    return (_canonical_pair(G, G, S.indices, S.indices),
-            _canonical_pair(G, G, S.indices, (0,) * S.order))
-
-
 def splitting_idempotent_approx(G: PermGroup, p: int, n: int) -> BurnsideElement:
     """The exact integer element ([S,i_S] - [S,0])^((p-1)p^n) over (G,G)."""
     if n < 0:
         raise InputError("the iterate index must be nonnegative")
     check_scalars(p)
-    incl, zero = _sylow_classes(G, p)
-    base = BurnsideElement(G, G, {incl: 1, zero: -1})
+    S = sylow(G, p)
+    base = BurnsideElement(G, G, {
+        _canonical_pair(G, G, S.indices, S.indices): 1,
+        _canonical_pair(G, G, S.indices, (0,) * S.order): -1})
     return power(base, (p - 1) * p ** n)
 
 
@@ -229,15 +225,12 @@ def verify_splitting_sum(G: PermGroup, k_max: int,
                    coefficients=dict(zip(map(str, primes), coeffs)),
                    indices=dict(zip(map(str, primes), indices)))
     target = unit_minus_trivial(G)
-    approx_cache: dict[tuple[int, int], BurnsideElement] = {}
 
+    @functools.cache
     def defect(n: int) -> BurnsideElement:
         d = target
         for p in primes:
-            key = (p, n)
-            if key not in approx_cache:
-                approx_cache[key] = splitting_idempotent_approx(G, p, n)
-            d = d - approx_cache[key]
+            d = d - splitting_idempotent_approx(G, p, n)
         return d
 
     for k in range(1, k_max + 1):

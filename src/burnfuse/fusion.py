@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import functools
 
-from .burnside import (BisetClass, BurnsideElement, _accumulate,
-                       _canonical_pair, _restrict_basis, augment, basis,
-                       compose, identity_element, power, restrict, single)
+from .burnside import (BisetClass, BurnsideElement, _canonical_pair, augment,
+                       basis, compose, identity_element, power, restrict,
+                       restrict_along, single)
 from .errors import (ConvergenceError, FormulaMismatchError, FusionError,
                      NonUnitError, NotSemicharacteristicError,
                      ScalarMismatchError)
@@ -147,9 +147,9 @@ def is_stable(x: BurnsideElement, F1: FusionSystem, F2: FusionSystem) -> bool:
     the twists of `_twists` are checked: the other morphisms are
     Inn(S)-translates of these or of the inclusion, or restrictions of
     morphisms on index-p overgroups, and give the same verdict. Each
-    restriction is folded on the int coefficients from the cached
-    `_restrict_basis` products, as `restrict_along` folds it, and the two
-    must agree mod p^k for a p-adic element, exactly for an integer one."""
+    restriction is `restrict_along` (one inclusion hom per subgroup, so its
+    cached basis restrictions are found by identity), and the elements must
+    agree: mod p^k for a p-adic element, exactly for an integer one."""
     if x.source != F1.sylow_group or x.target != F2.sylow_group:
         raise FusionError("element does not live over the Sylow pair")
     if F1.prime != F2.prime:
@@ -157,21 +157,13 @@ def is_stable(x: BurnsideElement, F1: FusionSystem, F2: FusionSystem) -> bool:
     if x.is_padic and x.prime != F1.prime:
         raise ScalarMismatchError(
             f"element prime {x.prime} differs from fusion prime {F1.prime}")
-    mod = x.prime ** x.precision if x.is_padic else 0
-
-    def restriction(homs) -> dict[BisetClass, int]:
-        out: dict[BisetClass, int] = {}
-        for b, c in x._terms.items():
-            _accumulate(out, c, _restrict_basis(b, *homs))
-        return {b: r for b, c in out.items() if (r := c % mod if mod else c)}
-
     for side, fus in enumerate((F1, F2)):
         for P in subgroups_up_to_conjugacy(fus.sylow_group):
             twists = _twists(fus, P)
             if not twists:
                 continue
             # side 0 restricts the left action, side 1 the right one
-            restrictions = (restriction(((h, None), (None, h))[side])
+            restrictions = (restrict_along(x, *((h, None), (None, h))[side])
                             for h in (inclusion_hom(P),) + twists)
             base = next(restrictions)
             if any(r != base for r in restrictions):

@@ -99,8 +99,6 @@ def _join(mul, elems, mask: int, gens, g: int) -> tuple[list[int], int]:
     bitmask). `gens` together with g must generate that subgroup; the result
     is a union of left cosets r*elems closed under left multiplication by
     the generators."""
-    if mask >> g & 1:
-        return list(elems), mask
     gens = (*gens, g)
     out = list(elems)
     reps = [0]
@@ -136,10 +134,6 @@ class PermGroup:
     element set; the label and generating set are presentation data only.
     """
 
-    __slots__ = ("degree", "generators", "elements", "label",
-                 "_index", "_gen_idx", "_hash", "_mul", "_inv", "_conj",
-                 "_full", "_classes")
-
     def __init__(self, degree: int, generators, label: str = "?", *,
                  _elements=None):
         self.degree = degree
@@ -159,7 +153,7 @@ class PermGroup:
         self._index = {p: i for i, p in enumerate(self.elements)}
         self._gen_idx = tuple(self._index[g] for g in dict.fromkeys(gens))
         self._hash = hash((degree, self.elements))
-        self._mul = self._inv = self._conj = self._full = None
+        self._full = None
         self._classes: dict[int, tuple[Subgroup, int]] = {}
 
     @property
@@ -176,7 +170,7 @@ class PermGroup:
     def __contains__(self, p) -> bool:
         return p in self._index
 
-    @property
+    @functools.cached_property
     def mul(self) -> tuple[tuple[int, ...], ...]:
         """The Cayley table on indices: mul[a][b] is the index of
         elements[a] * elements[b], applying elements[b] first.
@@ -186,43 +180,37 @@ class PermGroup:
         mul[a*g][b] = mul[a][mul[g][b]]: the row of a*g is the row of a
         gathered at the row of g. The generators generate the group, so
         every row is reached. A table of more than TABLE_CAP entries is
-        refused with CapExceededError before any row is built."""
-        if self._mul is None:
-            index, els = self._index, self.elements
-            if len(els) ** 2 > TABLE_CAP:
-                raise CapExceededError(f"|G|^2 = {len(els) ** 2} Cayley table "
-                                       f"entries exceed the table cap {TABLE_CAP}")
-            gen_rows = [tuple([index[tuple(map(els[g].__getitem__, b))]
-                               for b in els]) for g in self._gen_idx]
-            rows = [None] * len(els)
-            rows[0] = tuple(range(len(els)))
-            reached = [0]
-            for a in reached:
-                row = rows[a]
-                for g, grow in zip(self._gen_idx, gen_rows):
-                    c = row[g]
-                    if rows[c] is None:
-                        rows[c] = gather(row, grow)
-                        reached.append(c)
-            self._mul = tuple(rows)
-        return self._mul
+        refused with CapExceededError before any row is built, and then
+        nothing is cached."""
+        index, els = self._index, self.elements
+        if len(els) ** 2 > TABLE_CAP:
+            raise CapExceededError(f"|G|^2 = {len(els) ** 2} Cayley table "
+                                   f"entries exceed the table cap {TABLE_CAP}")
+        gen_rows = [tuple([index[tuple(map(els[g].__getitem__, b))]
+                           for b in els]) for g in self._gen_idx]
+        rows = [None] * len(els)
+        rows[0] = tuple(range(len(els)))
+        reached = [0]
+        for a in reached:
+            row = rows[a]
+            for g, grow in zip(self._gen_idx, gen_rows):
+                c = row[g]
+                if rows[c] is None:
+                    rows[c] = gather(row, grow)
+                    reached.append(c)
+        return tuple(rows)
 
-    @property
+    @functools.cached_property
     def inv(self) -> tuple[int, ...]:
         """inv[a] is the index of the inverse of elements[a]."""
-        if self._inv is None:
-            self._inv = tuple(row.index(0) for row in self.mul)
-        return self._inv
+        return tuple(row.index(0) for row in self.mul)
 
-    @property
+    @functools.cached_property
     def conj(self) -> tuple[tuple[int, ...], ...]:
         """The conjugation table: conj[h][t] is the index of h t h^-1."""
-        if self._conj is None:
-            mul, inv = self.mul, self.inv
-            cols = tuple(zip(*mul))  # cols[b][a] is the index of a * b
-            self._conj = tuple(gather(cols[inv[h]], mul[h])
-                               for h in range(len(mul)))
-        return self._conj
+        mul, inv = self.mul, self.inv
+        cols = tuple(zip(*mul))  # cols[b][a] is the index of a * b
+        return tuple(gather(cols[inv[h]], mul[h]) for h in range(len(mul)))
 
     def generator_indices(self) -> tuple[int, ...]:
         return self._gen_idx
@@ -428,7 +416,10 @@ class GroupHom:
         return f"GroupHom({pairs or 'trivial'})"
 
 
+@functools.lru_cache(maxsize=None)
 def inclusion_hom(sub: Subgroup) -> GroupHom:
+    """The inclusion of sub into its parent, one object per subgroup, so
+    caches keyed on it compare by identity."""
     return GroupHom.from_indices(sub, sub.parent, sub.indices)
 
 

@@ -10,7 +10,6 @@ homomorphisms, so round-trips are exact and order-independent.
 
 from __future__ import annotations
 
-import functools
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -80,35 +79,27 @@ def _integer(value) -> int:
     raise InputError(f"expected an integer or a decimal string, got {value!r}")
 
 
-def _decoder(decode):
-    """The decode boundary: errors that malformed outside JSON, or a bad
-    group spec or cycle string inside it, raises while it is decoded become
-    InputError."""
-    @functools.wraps(decode)
-    def checked(data):
-        try:
-            return decode(data)
-        except (AttributeError, GroupParseError, KeyError, TypeError,
-                ValueError) as exc:
-            raise InputError(f"malformed JSON ({type(exc).__name__}: {exc})") \
-                from exc
-    return checked
-
-
-@_decoder
 def element_from_json(data: dict) -> BurnsideElement:
-    source = parse_group(data["source"])
-    target = parse_group(data["target"])
-    scalars = data["scalars"]
-    p = k = None
-    if scalars != "int":
-        p, k = _integer(scalars["p"]), _integer(scalars["k"])
-        check_scalars(p, k)
-    terms: dict[BisetClass, int] = {}
-    for term in data["terms"]:
-        b = _term_from_json(term, source, target)
-        terms[b] = terms.get(b, 0) + _integer(term["coeff"])
-    return BurnsideElement._from_ints(source, target, terms, p, k)
+    """The element that data encodes. This is the decode boundary: an error
+    that malformed data, or a bad group spec or cycle string inside it,
+    raises while it is decoded becomes InputError."""
+    try:
+        source = parse_group(data["source"])
+        target = parse_group(data["target"])
+        scalars = data["scalars"]
+        p = k = None
+        if scalars != "int":
+            p, k = _integer(scalars["p"]), _integer(scalars["k"])
+            check_scalars(p, k)
+        terms: dict[BisetClass, int] = {}
+        for term in data["terms"]:
+            b = _term_from_json(term, source, target)
+            terms[b] = terms.get(b, 0) + _integer(term["coeff"])
+        return BurnsideElement._from_ints(source, target, terms, p, k)
+    except (AttributeError, GroupParseError, KeyError, TypeError,
+            ValueError) as exc:
+        raise InputError(f"malformed JSON ({type(exc).__name__}: {exc})") \
+            from exc
 
 
 def stable_to_json(x) -> dict:

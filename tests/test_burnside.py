@@ -836,6 +836,19 @@ def test_scaled_membership_divides_by_the_scale():
     assert ideal_power_membership(zero(G, G), 2, scale=0)
 
 
+def test_scaled_membership_rejects_an_odd_coefficient_unbuilt():
+    # an element with a coefficient the scale does not divide is not in
+    # scale * I^m * K, and no lattice is looked up or built to say so
+    G = parse_group("C2xC2")
+    x = kernel_basis_elements(G, G)[0]
+    assert in_kernel(x) and any(c % 2 for _, c in x.terms())
+    before = _ideal_power_lattice.cache_info()
+    for m in (1, 2):
+        assert ideal_power_membership(x, m, restrict_to_kernel=True,
+                                      scale=2) is False
+    assert _ideal_power_lattice.cache_info() == before
+
+
 def test_ideal_topology_lemma_substrate():
     # products of n+1 ideal generators land in p * I for |S| = p^n
     for spec, p in [("C2", 2), ("C4", 2), ("C2xC2", 2), ("C3", 3)]:

@@ -203,6 +203,24 @@ def test_verify_splitting_sum_s3_c6():
         assert ns == sorted(ns)
 
 
+def test_verify_splitting_sum_builds_each_approximant_once(monkeypatch):
+    # every power rescans the iterates from 0, and the stabilization check
+    # reads the next one: each (p, n) approximant is still built once
+    from burnfuse import completion
+    calls = []
+
+    def counted(G, p, n):
+        calls.append((p, n))
+        return splitting_idempotent_approx(G, p, n)
+    monkeypatch.setattr(completion, "splitting_idempotent_approx", counted)
+    for G in (S3, C6):
+        calls.clear()
+        assert verify_splitting_sum(G, 3).passed
+        last = max(n for _, n in calls)
+        assert sorted(calls) == [(p, n) for p in prime_divisors(G.order)
+                                 for n in range(last + 1)]
+
+
 def test_verify_splitting_sum_s4_power_three():
     # the recorded iterates at which the S4 defect enters I^k * K for
     # k = 1, 2, 3, with K the augmentation kernel of the (S4, S4) module

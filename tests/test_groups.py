@@ -11,8 +11,9 @@ from burnfuse.errors import (CapExceededError, GroupParseError,
                              HomomorphismError, SubgroupError)
 from burnfuse.groups import (GroupHom, PermGroup, Subgroup, all_subgroups,
                              as_group, enumeration_cap, generated_subgroup,
-                             homomorphisms, mulclose, parse_group, sylow,
-                             subgroups_up_to_conjugacy, trivial_group)
+                             homomorphisms, inclusion_hom, mulclose,
+                             parse_group, sylow, subgroups_up_to_conjugacy,
+                             trivial_group)
 from burnfuse.cli import run
 from burnfuse.perms import (cycle_string, gather, identity_perm, p_inv,
                             p_mul, parse_cycles)
@@ -135,7 +136,7 @@ def test_results_do_not_depend_on_cache_state_under_a_cap():
         cold = results(fresh)
         warm = results(S4)
     assert cold == warm == results(S4)
-    assert fresh._mul is not None
+    assert "mul" in vars(fresh)
 
 
 def _refuse_to_build(monkeypatch):
@@ -198,7 +199,7 @@ def test_element_table_cap(monkeypatch):
 
 def test_cayley_table_cap(monkeypatch):
     # |G|^2 at the cap builds; past it, mul, inv and conj refuse before
-    # any row is gathered
+    # any row is gathered, cache nothing, and refuse again when read again
     monkeypatch.setattr(groups, "TABLE_CAP", 36)
     build = groups._build_group.__wrapped__  # fresh groups, no table yet
     assert len(build("S3").mul) == 6
@@ -207,9 +208,10 @@ def test_cayley_table_cap(monkeypatch):
     def refuse(*args):
         raise AssertionError("gathered a row of an oversized table")
     monkeypatch.setattr(groups, "gather", refuse)
-    for table in ("mul", "inv", "conj"):
+    for table in ("mul", "inv", "conj", "mul"):
         with pytest.raises(CapExceededError, match="table cap 36"):
             getattr(G, table)
+    assert not {"mul", "inv", "conj"} & vars(G).keys()
 
 
 def test_cayley_table_cap_exits_two(monkeypatch, capsys):
@@ -564,3 +566,15 @@ def test_full_subgroup_is_built_once():
     full = S4.full_subgroup()
     assert full is S4.full_subgroup()
     assert full.elements == S4.elements and full.parent is S4
+
+
+def test_inclusion_hom_is_built_once():
+    S4 = parse_group("S4")
+    S = sylow(S4, 2)
+    incl = inclusion_hom(S)
+    assert incl is inclusion_hom(S)
+    assert incl.codomain == S4 and incl.image_indices == S.indices
+    # an equal subgroup built separately gets an equal hom
+    twin = Subgroup.from_indices(S4, reversed(S.indices))
+    assert twin is not S and twin == S
+    assert inclusion_hom(twin) == incl

@@ -368,7 +368,7 @@ def test_tables_are_lazy_and_capped(capsys):
     S8 = groups._build_group("S8")  # the group the command parses, unchecked
     assert cli.run(["basis", "S8", "C1"]) == 2
     assert "enumeration cap" in capsys.readouterr().err
-    assert (S8._mul, S8._inv, S8._conj) == (None, None, None)
+    assert not {"mul", "inv", "conj"} & vars(S8).keys()
 
 
 def assert_subgroup_and_hom(K, phi):
