@@ -12,6 +12,7 @@ import argparse
 import gc
 import os
 import sys
+from types import MappingProxyType
 
 from .burnside import basis, compose, restrict, single
 from .errors import BurnfuseError, InputError
@@ -28,24 +29,10 @@ CONFIG_FILE = "burnfuse.toml"
 # 4,300 / log10(2) = 14,284 has more digits than Python converts to text
 # (its int-to-str limit); S3 at p = 3, n = 8 (13,122) prints 3,950 digits.
 SPLITTING_EXPONENT_CAP = 14_000
-
-
-class Config:
-    """The settings of one command: defaults, then the config file, then
-    the command-line options."""
-
-    def __init__(self, precision: int = 8, order_cap: int = ENUM_CAP,
-                 schedule_cap: int = 8, seed: int = DEFAULT_SEED,
-                 format: str = "text"):
-        if precision < 1:
-            raise InputError("precision must be at least 1")
-        if order_cap < 2:
-            raise InputError("order_cap must cover the smallest examples")
-        self.precision = precision
-        self.order_cap = order_cap
-        self.schedule_cap = schedule_cap
-        self.seed = seed
-        self.format = format
+# The config keys and their defaults. `run` takes each setting from its
+# flag, else from the config file, else from here; schedule_cap has no flag.
+SETTINGS = MappingProxyType({"precision": 8, "order_cap": ENUM_CAP,
+                             "schedule_cap": 8, "seed": DEFAULT_SEED})
 
 
 def read_config_file(path: str | None = None) -> dict:
@@ -68,7 +55,7 @@ def read_config_file(path: str | None = None) -> dict:
         if "=" not in line:
             raise InputError(f"bad config line {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in ("precision", "order_cap", "schedule_cap", "seed"):
+        if key in SETTINGS:
             try:
                 out[key] = int(value)
             except ValueError as exc:
@@ -92,10 +79,10 @@ def _print_json(data: dict) -> None:
     print(dump_json(data))
 
 
-def _emit_element(x, cfg: Config, fusion_context=None) -> None:
+def _emit_element(x, fmt: str, fusion_context=None) -> None:
     """Print x; the whole output is built before its first line is printed,
     so a failure prints nothing."""
-    if cfg.format == "json":
+    if fmt == "json":
         from .serialize import element_to_json, stable_to_json
         if fusion_context is not None:
             _print_json(stable_to_json(fusion_context))
@@ -119,10 +106,10 @@ def _scalars(args, default: int = 1) -> tuple[int, int]:
     return args.p, k
 
 
-def cmd_basis(args, cfg: Config) -> int:
+def cmd_basis(args) -> int:
     G, H = parse_group(args.G), parse_group(args.H)
     classes = basis(G, H)
-    if cfg.format == "json":
+    if args.format == "json":
         from .serialize import class_to_json
         _print_json({"source": G.label, "target": H.label,
                      "classes": [class_to_json(b) | {"size": b.size}
@@ -135,58 +122,58 @@ def cmd_basis(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_compose(args, cfg: Config) -> int:
+def cmd_compose(args) -> int:
     from .serialize import load_element
     x = load_element(args.left)
     y = load_element(args.right)
-    _emit_element(compose(x, y), cfg)
+    _emit_element(compose(x, y), args.format)
     return 0
 
 
-def cmd_restrict(args, cfg: Config) -> int:
+def cmd_restrict(args) -> int:
     from .serialize import load_element
     p, _ = _scalars(args)
     x = load_element(args.element)
     S, T = sylow(x.source, p), sylow(x.target, p)
-    _emit_element(restrict(x, S, T), cfg)
+    _emit_element(restrict(x, S, T), args.format)
     return 0
 
 
-def cmd_idempotent(args, cfg: Config) -> int:
+def cmd_idempotent(args) -> int:
     from .fusion import characteristic_idempotent, fusion_system
-    p, k = _scalars(args, cfg.precision)
+    p, k = _scalars(args, args.precision)
     G = parse_group(args.G)
     w = characteristic_idempotent(fusion_system(G, p), k)
-    _emit_element(w.underlying, cfg, fusion_context=w)
+    _emit_element(w.underlying, args.format, fusion_context=w)
     return 0
 
 
-def cmd_invert_unit(args, cfg: Config) -> int:
+def cmd_invert_unit(args) -> int:
     from .completion import completion_unit_inverse
-    p, k = _scalars(args, cfg.precision)
+    p, k = _scalars(args, args.precision)
     H = parse_group(args.H)
     inv = completion_unit_inverse(H, p, k)
-    _emit_element(inv.underlying, cfg, fusion_context=inv)
+    _emit_element(inv.underlying, args.format, fusion_context=inv)
     return 0
 
 
-def cmd_complete(args, cfg: Config) -> int:
+def cmd_complete(args) -> int:
     from .completion import complete
     from .serialize import load_element
-    p, k = _scalars(args, cfg.precision)
+    p, k = _scalars(args, args.precision)
     x = load_element(args.element)
     c = complete(x, p, k)
-    _emit_element(c.underlying, cfg, fusion_context=c)
+    _emit_element(c.underlying, args.format, fusion_context=c)
     return 0
 
 
-def cmd_stable_basis(args, cfg: Config) -> int:
+def cmd_stable_basis(args) -> int:
     from .fusion import fusion_system, stable_basis
-    p, k = _scalars(args, cfg.precision)
+    p, k = _scalars(args, args.precision)
     G, H = parse_group(args.G), parse_group(args.H)
     F1, F2 = fusion_system(G, p), fusion_system(H, p)
     sb = stable_basis(F1, F2, k)
-    if cfg.format == "json":
+    if args.format == "json":
         from .serialize import stable_to_json
         _print_json({"leftFusion": {"group": G.label, "p": p},
                      "rightFusion": {"group": H.label, "p": p},
@@ -200,7 +187,7 @@ def cmd_stable_basis(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_splitting(args, cfg: Config) -> int:
+def cmd_splitting(args) -> int:
     from .completion import splitting_idempotent_approx
     p, _ = _scalars(args)
     n, cap = args.n, SPLITTING_EXPONENT_CAP
@@ -212,7 +199,7 @@ def cmd_splitting(args, cfg: Config) -> int:
     G = parse_group(args.G)
     x = splitting_idempotent_approx(G, p, n)
     try:
-        _emit_element(x, cfg)
+        _emit_element(x, args.format)
     except ValueError as exc:  # a coefficient past Python's int-to-str limit
         raise InputError("a coefficient has more digits than Python prints "
                          f"({sys.get_int_max_str_digits()}); take a smaller "
@@ -220,22 +207,22 @@ def cmd_splitting(args, cfg: Config) -> int:
     return 0
 
 
-def _finish_report(report, cfg: Config) -> int:
-    if cfg.format == "json":
+def _finish_report(report, fmt: str) -> int:
+    if fmt == "json":
         _print_json(report.to_json())
     else:
         print(report.to_text())
     return 0 if report.passed else 1
 
 
-def cmd_verify_sum(args, cfg: Config) -> int:
+def cmd_verify_sum(args) -> int:
     from .completion import verify_splitting_sum
     G = parse_group(args.G)
-    report = verify_splitting_sum(G, args.kmax, schedule_cap=cfg.schedule_cap)
-    return _finish_report(report, cfg)
+    report = verify_splitting_sum(G, args.kmax, schedule_cap=args.schedule_cap)
+    return _finish_report(report, args.format)
 
 
-def cmd_verify_functor(args, cfg: Config) -> int:
+def cmd_verify_functor(args) -> int:
     import random
 
     from .completion import complete_functor_check
@@ -243,7 +230,7 @@ def cmd_verify_functor(args, cfg: Config) -> int:
     G, H, K = map(parse_group, (args.G, args.H, args.K))
     if args.pairs < 1:
         raise InputError("--pairs must be at least 1")
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     ok = True
     lines = []
     for i in range(args.pairs):
@@ -252,7 +239,7 @@ def cmd_verify_functor(args, cfg: Config) -> int:
         rep = complete_functor_check(x, y, p, k)
         ok = ok and rep.passed
         lines.append(f"  {'PASS' if rep.passed else 'FAIL'}  pair {i + 1}")
-    if cfg.format == "json":
+    if args.format == "json":
         _print_json({"title": "functoriality sample",
                      "groups": [G.label, H.label, K.label],
                      "p": p, "k": k, "passed": ok})
@@ -263,18 +250,18 @@ def cmd_verify_functor(args, cfg: Config) -> int:
     return 0 if ok else 1
 
 
-def cmd_verify_counterexample(args, cfg: Config) -> int:
+def cmd_verify_counterexample(args) -> int:
     from .completion import transfer_counterexample_check
-    p, k = _scalars(args, cfg.precision)
+    p, k = _scalars(args, args.precision)
     H = parse_group(args.H)
     report = transfer_counterexample_check(H, p, k)
-    return _finish_report(report, cfg)
+    return _finish_report(report, args.format)
 
 
-def cmd_verify_all(args, cfg: Config) -> int:
+def cmd_verify_all(args) -> int:
     from .verify import run_all
-    results = run_all(cfg.seed)
-    if cfg.format == "json":
+    results = run_all(args.seed)
+    if args.format == "json":
         _print_json({"criteria": [
             {"number": r.number, "name": r.name, "passed": r.passed,
              "elapsed": round(r.elapsed, 2), "details": r.details}
@@ -292,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="burnfuse",
         description="Burnside modules, fusion systems, and p-completion "
                     "of biset algebra for finite groups.")
-    parser.add_argument("--format", choices=("text", "json"), default=None)
+    parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--precision", type=int, default=None,
                         help="default p-adic precision k")
     parser.add_argument("--order-cap", type=int, default=None)
@@ -357,17 +344,16 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        overrides = read_config_file(args.config)
-        if args.precision is not None:
-            overrides["precision"] = args.precision
-        if args.order_cap is not None:
-            overrides["order_cap"] = args.order_cap
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        fmt = args.format or "text"
-        cfg = Config(format=fmt, **overrides)
-        with enumeration_cap(cfg.order_cap):
-            return args.func(args, cfg)
+        config = read_config_file(args.config)
+        for key, default in SETTINGS.items():
+            if getattr(args, key, None) is None:
+                setattr(args, key, config.get(key, default))
+        if args.precision < 1:
+            raise InputError("precision must be at least 1")
+        if args.order_cap < 2:
+            raise InputError("order_cap must cover the smallest examples")
+        with enumeration_cap(args.order_cap):
+            return args.func(args)
     except BurnfuseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

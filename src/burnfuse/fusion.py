@@ -16,8 +16,7 @@ from .errors import (ConvergenceError, FormulaMismatchError, FusionError,
                      NonUnitError, NotSemicharacteristicError,
                      ScalarMismatchError)
 from .groups import (GroupHom, PermGroup, Subgroup, all_subgroups, as_group,
-                     class_rep_and_conjugator, inclusion_hom,
-                     subgroups_up_to_conjugacy, sylow)
+                     inclusion_hom, subgroups_up_to_conjugacy, sylow)
 from .padic import PadicInt, check_scalars
 from .perms import gather
 
@@ -89,9 +88,11 @@ def _fusion_system(G: PermGroup, label: str, p: int) -> FusionSystem:
 
 def is_fusion_preserving(phi: GroupHom, F1: FusionSystem,
                          F2: FusionSystem) -> bool:
-    """Whether every morphism psi: P -> S1 of F1 has a companion
-    rho: phi(P) -> S2 in F2 with phi . psi = rho . phi on P. Runs on
-    indices: phi's image indices are aligned with S1's elements."""
+    """Whether the square commutes on every subgroup class P of S1: each
+    morphism psi: P -> S1 of F1 has a companion rho: phi(P) -> S2 in F2
+    with phi . psi = rho . phi on P. Both sides are compared as tuples of
+    S2 indices along P, and phi's image indices are aligned with S1's
+    elements."""
     S1, S2 = F1.sylow_group, F2.sylow_group
     if phi.domain.elements != S1.elements:
         raise FusionError("the map must be defined on the whole Sylow group")
@@ -99,16 +100,13 @@ def is_fusion_preserving(phi: GroupHom, F1: FusionSystem,
         raise FusionError("the map must land in the target Sylow group")
     f = phi.image_indices
     for P in subgroups_up_to_conjugacy(S1):
-        imgP = Subgroup.from_indices(S2, map(f.__getitem__, P.indices))
-        companions = {rho.image_indices
+        fP = gather(f, P.indices)
+        imgP = Subgroup.from_indices(S2, fP)
+        companions = {gather(dict(zip(imgP.indices, rho.image_indices)), fP)
                       for rho in F2.morphisms_to_sylow(imgP)}
-        for psi in F1.morphisms_to_sylow(P):
-            required: dict[int, int] = {}
-            for x, y in zip(P.indices, psi.image_indices):
-                if required.setdefault(f[x], f[y]) != f[y]:
-                    return False
-            if gather(required, imgP.indices) not in companions:
-                return False
+        if any(gather(f, psi.image_indices) not in companions
+               for psi in F1.morphisms_to_sylow(P)):
+            return False
     return True
 
 
@@ -241,7 +239,7 @@ def characteristic_idempotent(F: FusionSystem, k: int) -> StableElement:
     biset restricted to the Sylow subgroup."""
     p = F.prime
     X = restrict(identity_element(F.ambient), F.sylow, F.sylow).lift(p, k)
-    Y = power(X, p - 1) if p > 2 else X
+    Y = power(X, p - 1)
     omega = _fixed_point(lambda y: power(y, p), Y, k, F, "omega powering")
     if compose(omega, omega) != omega:
         raise FormulaMismatchError("stabilized power is not idempotent")
@@ -264,8 +262,9 @@ def stable_pair_classes(F1: FusionSystem, F2: FusionSystem) \
     """Partition of the ordinary basis classes over the Sylow pair into
     fusion-conjugacy classes: (K, phi) is identified with
     (a(K), b . phi . a^-1) for fusion morphisms a: K -> S1 and
-    b: phi(K) -> S2. Fusion morphisms compose and include the inverses, so
-    the one-step image of a pair is its whole class; each class is built
+    b: phi(K) -> S2, both sets asked of the fusion systems on K and on
+    phi(K) themselves. Fusion morphisms compose and include the inverses,
+    so the one-step image of a pair is its whole class; each class is built
     from its least member, and the classes come in the order of those."""
     S1, S2 = F1.sylow_group, F2.sylow_group
     seen: set[BisetClass] = set()
@@ -273,13 +272,11 @@ def stable_pair_classes(F1: FusionSystem, F2: FusionSystem) \
     for b in basis(S1, S2):
         if b in seen:
             continue
-        # the fusion maps beta on phi(K) are those on its class representative
-        # R after conjugating by g; beta_phis lists each beta . phi along K
+        # beta_phis lists each beta . phi along K, beta a fusion map on phi(K)
         phi = b.phi.image_indices
-        R, g = class_rep_and_conjugator(S2, set(phi))
-        to_R = gather(S2.conj[g], phi)
-        beta_phis = [gather(dict(zip(R.indices, rho.image_indices)), to_R)
-                     for rho in F2.morphisms_to_sylow(R)]
+        img = Subgroup.from_indices(S2, phi)
+        beta_phis = [gather(dict(zip(img.indices, rho.image_indices)), phi)
+                     for rho in F2.morphisms_to_sylow(img)]
         members = set()
         for alpha in F1.morphisms_to_sylow(b.K):
             for beta_phi in beta_phis:  # the graph of beta . phi . alpha^-1

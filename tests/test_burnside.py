@@ -597,6 +597,8 @@ def test_semichar_embed():
         for K in subgroups_up_to_conjugacy(G):
             a = burnside_ring_element(G, [(K, 1)])
             assert augment(semichar_embed(a)) == a
+    with pytest.raises(BisetError, match="expects an element over"):
+        semichar_embed(identity_element(S3))
 
 
 def _fixed_points(G, L, K):
@@ -770,6 +772,8 @@ def test_ideal_membership_kernel_flag():
                                       restrict_to_kernel=True)
     with pytest.raises(ScalarMismatchError):
         ideal_power_membership(identity_element(S3).lift(2, 3), 1)
+    with pytest.raises(ValueError, match="ideal power must be at least 1"):
+        ideal_power_membership(identity_element(S3), 0)
 
 
 def oracle_ideal_power_lattice(G, H, m, kernel_only):
@@ -879,6 +883,10 @@ def test_power():
     x = restrict(identity_element(S3), S, S)
     assert power(x, 1) == x
     assert power(x, 3) == compose(x, compose(x, x))
+    with pytest.raises(ValueError, match="exponent must be at least 1"):
+        power(x, 0)
+    with pytest.raises(BisetError, match="powers need a"):
+        power(single(basis(S3, C2)[0]), 2)
 
 
 def test_element_equality_min_precision():

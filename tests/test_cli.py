@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,7 @@ import pytest
 
 from burnfuse import verify
 from burnfuse.burnside import basis, single
-from burnfuse.cli import SPLITTING_EXPONENT_CAP, Config, read_config_file, run
+from burnfuse.cli import SETTINGS, SPLITTING_EXPONENT_CAP, read_config_file, run
 from burnfuse.completion import (splitting_idempotent_approx,
                                  verify_splitting_sum)
 from burnfuse.errors import InputError
@@ -293,22 +294,87 @@ def test_splitting_prints_nothing_past_the_digit_limit(capsys, fmt):
     assert "take a smaller --n" in err
 
 
-def test_config_validation():
-    with pytest.raises(InputError, match="precision"):
-        Config(precision=0)
-    with pytest.raises(InputError, match="order_cap"):
-        Config(order_cap=1)
+def test_config_validation(capsys):
+    code, out, err = invoke(capsys, "--precision", "0", "basis", "C2", "C2")
+    assert (code, out) == (2, "")
+    assert "precision" in err
+    code, out, err = invoke(capsys, "--order-cap", "1", "basis", "C2", "C2")
+    assert (code, out) == (2, "")
+    assert "order_cap" in err
+    # the smallest accepted values
+    code, out, _ = invoke(capsys, "--precision", "1", "--order-cap", "2",
+                          "idempotent", "C2", "--p", "2")
+    assert code == 0
+    assert "mod 2^1" in out
 
 
-def test_config_defaults_and_keywords():
-    cfg = Config()
-    assert (cfg.precision, cfg.order_cap, cfg.schedule_cap, cfg.seed,
-            cfg.format) == (8, ENUM_CAP, 8, DEFAULT_SEED, "text")
-    cfg = Config(format="json", seed=3, schedule_cap=0, order_cap=2,
-                 precision=1)
-    assert (cfg.precision, cfg.order_cap, cfg.schedule_cap, cfg.seed,
-            cfg.format) == (1, 2, 0, 3, "json")
+def test_config_defaults_and_keywords(capsys):
+    assert dict(SETTINGS) == {"precision": 8, "order_cap": ENUM_CAP,
+                              "schedule_cap": 8, "seed": DEFAULT_SEED}
     assert verify.DEFAULT_SEED == DEFAULT_SEED
+    with pytest.raises(TypeError):
+        SETTINGS["precision"] = 1
+    code, out, _ = invoke(capsys, "idempotent", "S3", "--p", "3")
+    assert code == 0
+    assert "mod 3^8" in out
+
+
+def test_config_file_lines_that_do_not_parse_exit_two(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    for text, message in (("precision 5\n", "bad config line"),
+                          ("precision = four\n", "needs an integer")):
+        (tmp_path / "burnfuse.toml").write_text(text, encoding="utf-8")
+        code, out, err = invoke(capsys, "basis", "C2", "C2")
+        assert (code, out) == (2, "")
+        assert message in err
+
+
+def test_flags_beat_the_config_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "burnfuse.toml").write_text(
+        "precision = 5\nseed = 5\n", encoding="utf-8")
+    code, out, _ = invoke(capsys, "--precision", "4", "idempotent", "S3",
+                          "--p", "3")
+    assert code == 0
+    assert "mod 3^4" in out and "mod 3^5" not in out
+    seeds = []
+    real = random.Random
+
+    def spy(seed):
+        seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(random, "Random", spy)
+    functor = ["verify", "functor", "S3", "S3", "S3", "--p", "2",
+               "--pairs", "3"]
+    assert invoke(capsys, *functor)[0] == 0
+    assert invoke(capsys, "--seed", str(DEFAULT_SEED), *functor)[0] == 0
+    assert seeds == [5, DEFAULT_SEED]
+
+
+def test_seed_flag_prints_what_the_default_prints(capsys):
+    functor = ["verify", "functor", "S3", "S3", "S3", "--p", "2",
+               "--pairs", "3"]
+    default = invoke(capsys, *functor)
+    assert default[0] == 0
+    assert invoke(capsys, "--seed", str(DEFAULT_SEED), *functor) == default
+
+
+def test_json_stable_element_and_functor_sample(capsys):
+    code, out, _ = invoke(capsys, "--format", "json", "idempotent", "S3",
+                          "--p", "3", "--k", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["leftFusion"] == data["rightFusion"] == {"group": "S3",
+                                                         "p": 3}
+    assert data["scalars"] == {"k": 2, "p": 3}
+    code, out, _ = invoke(capsys, "--format", "json", "verify", "functor",
+                          "S3", "S3", "S3", "--p", "2", "--pairs", "3")
+    assert code == 0
+    assert json.loads(out) == {"title": "functoriality sample",
+                               "groups": ["S3", "S3", "S3"], "p": 2, "k": 4,
+                               "passed": True}
 
 
 def test_invert_unit_command(capsys):

@@ -5,7 +5,7 @@ import pytest
 from burnfuse import fusion
 from burnfuse.burnside import (BurnsideElement, basis, canonical_class,
                                compose, identity_class, identity_element,
-                               restrict, restrict_along, single)
+                               restrict, restrict_along, single, zero)
 from burnfuse.completion import completion_unit_inverse
 from burnfuse.errors import (ConvergenceError, FormulaMismatchError,
                              FusionError, NonUnitError,
@@ -185,6 +185,16 @@ def test_is_fusion_preserving():
     assert is_fusion_preserving(cross, FC3, F3)
 
 
+def test_is_fusion_preserving_guards():
+    F3, F2 = fusion_system(S3, 3), fusion_system(S4, 2)
+    P = next(P for P in subgroups_up_to_conjugacy(F2.sylow_group)
+             if 1 < P.order < F2.sylow.order)
+    with pytest.raises(FusionError, match="whole Sylow group"):
+        is_fusion_preserving(inclusion_hom(P), F2, F2)
+    with pytest.raises(FusionError, match="target Sylow group"):
+        is_fusion_preserving(identity_hom_on(F3), F3, F2)
+
+
 @pytest.mark.parametrize("G,H,p", [(S3, S3, 3), (S3, C3, 3), (A4, A4, 2),
                                    (A4, S4, 2), (S4, S4, 2), (S4, D8, 2),
                                    (C6, S3, 2)],
@@ -243,6 +253,20 @@ def test_is_stable_examples():
     assert not is_stable(single(idc).lift(3, 4), F3, F3)
     both = x.lift(3, 4)
     assert is_stable(both, F3, F3)
+
+
+def test_is_stable_guards():
+    F3 = fusion_system(S3, 3)
+    with pytest.raises(FusionError, match="over the Sylow pair"):
+        is_stable(single(identity_class(S3)), F3, F3)
+    # at p = 5 and p = 7 both Sylow groups of S3 are trivial, hence equal
+    F5, F7 = fusion_system(S3, 5), fusion_system(S3, 7)
+    assert F5.sylow_group == F7.sylow_group
+    with pytest.raises(FusionError, match="different primes"):
+        is_stable(single(identity_class(F5.sylow_group)), F5, F7)
+    two_adic = single(identity_class(F3.sylow_group)).lift(2, 3)
+    with pytest.raises(ScalarMismatchError, match="differs from fusion prime"):
+        is_stable(two_adic, F3, F3)
 
 
 def test_restrictions_always_stable():
@@ -373,6 +397,9 @@ def test_stable_coordinates_precision():
     x = stabilize(single(identity_class(F.sylow_group)), F, F, 3)
     with pytest.raises(ScalarMismatchError):
         stable_coordinates(x, 4)
+    S = F.sylow_group
+    with pytest.raises(ScalarMismatchError, match="precision is required"):
+        stable_coordinates(StableElement(zero(S, S), F, F))
     coarse = stable_coordinates(x, 2)
     assert coarse == [(cls, PadicInt(3, 2, c.residue))
                       for cls, c in stable_coordinates(x)]
@@ -509,6 +536,19 @@ def test_stable_element_constructor_validates():
     assert one_sided
     with pytest.raises(FusionError):
         StableElement(one_sided[0], F1, F2)
+    # stable, but with integer scalars
+    with pytest.raises(ScalarMismatchError, match="p-adic scalars"):
+        StableElement(restrict(identity_element(S3), F3.sylow, F3.sylow),
+                      F3, F3)
+
+
+def test_stable_element_equality():
+    F3, FC3 = fusion_system(S3, 3), fusion_system(C3, 3)
+    w = characteristic_idempotent(F3, 4)
+    assert StableElement(w.underlying, F3, F3) == w
+    # the same underlying element over C3, but another fusion system
+    assert w != StableElement(w.underlying, FC3, FC3)
+    assert w != w.underlying
 
 
 @pytest.mark.parametrize("G,H,p", [(S4, S4, 2), (S3xC3, S3, 3)],
@@ -593,6 +633,12 @@ def test_is_unit_semichar():
     assert is_unit_semichar(h2)  # |S3 : C2| = 3 is odd
     pw = StableElement(3 * w.underlying, F3, F3)
     assert not is_unit_semichar(pw)
+    S = F3.sylow_group
+    assert not is_unit_semichar(StableElement(zero(S, S).lift(3, 4), F3, F3))
+    FC3 = fusion_system(C3, 3)
+    across = stabilize(single(identity_class(S)), F3, FC3, 2)
+    with pytest.raises(FusionError, match="equal fusion systems"):
+        is_unit_semichar(across)
 
 
 def test_is_unit_semichar_rejects_non_semichar():

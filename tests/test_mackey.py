@@ -22,7 +22,7 @@ from burnfuse.burnside import (BurnsideElement, ConcreteBiset,
                                _restrict_basis, basis, canonical_class,
                                compose, decompose, opposite, realize,
                                restrict_along, single)
-from burnfuse.errors import BisetError
+from burnfuse.errors import BisetError, SubgroupError
 from burnfuse.groups import (GroupHom, as_group, homomorphisms,
                              inclusion_hom, parse_group, sylow,
                              subgroups_up_to_conjugacy)
@@ -199,6 +199,16 @@ def test_restrict_rejects_non_injective_right_map():
     for b in basis(S3, S4)[:4]:
         with pytest.raises(BisetError, match=message):
             _restrict_basis(b, None, collapse)
+
+
+def test_restrict_along_rejects_maps_into_another_group():
+    S3, S4 = parse_group("S3"), parse_group("S4")
+    x = single(basis(S3, S3)[0])
+    into_s4 = inclusion_hom(S4.full_subgroup())
+    with pytest.raises(SubgroupError, match="^left map does not land"):
+        restrict_along(x, left_hom=into_s4)
+    with pytest.raises(SubgroupError, match="^right map does not land"):
+        restrict_along(x, right_hom=into_s4)
 
 
 def test_opposite_names_the_non_bifree_class():

@@ -111,6 +111,13 @@ MALFORMED = [
     # unparsable and repeated-point cycle strings
     s3_term(["(1 2"], [["(1 2", "()"]]),
     s3_term(["(1 2)(2 3)"], [["(1 2)(2 3)", "()"]]),
+    # fewer phi pairs than K generators
+    s3_term(["(1 2)", "(1 2 3)"], [["(1 2)", "(1 2)"]]),
+    # a phi domain generator outside K
+    s3_term(["(1 2)"], [["(1 2 3)", "()"]]),
+    # a phi image outside the target group
+    {"source": "S3", "target": "C3", "scalars": "int",
+     "terms": [{"K": ["(1 2)"], "phi": [["(1 2)", "(1 2)"]], "coeff": "1"}]},
 ]
 
 
