@@ -53,14 +53,11 @@ class BisetClass:
         return self.source.order * self.target.order // self.K.order
 
     def label(self) -> str:
-        gens = self.K.generators()
-        kpart = ",".join(cycle_string(g) for g in gens) or "()"
+        gens, images = _class_strings(self)
         if not gens:
-            ppart = "triv"
-        else:
-            ppart = ",".join(f"{cycle_string(g)}->{cycle_string(self.phi(g))}"
-                             for g in gens)
-        return f"[{kpart}; {ppart}]"
+            return "[(); triv]"
+        pairs = ",".join(f"{g}->{h}" for g, h in zip(gens, images))
+        return f"[{','.join(gens)}; {pairs}]"
 
     def __reduce__(self):  # a copy or an unpickled class is the interned one
         return _interned, (self.source, self.target, self.K,
@@ -68,6 +65,16 @@ class BisetClass:
 
     def __repr__(self):
         return f"BisetClass({self.label()})"
+
+
+@functools.lru_cache(maxsize=None)
+def _class_strings(b: BisetClass) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The cycle strings of K's generators, in `K.generators()` order, and
+    of their images under phi: the text of `label` and of the JSON form.
+    Keyed on the interned class, so it is built once per class."""
+    gens = b.K.generators()
+    return (tuple(map(cycle_string, gens)),
+            tuple(cycle_string(b.phi(g)) for g in gens))
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,16 +4,20 @@ elements.
 An element serializes as its group specs, a scalar descriptor, and a list of
 terms; each term carries the subgroup K by generator cycle-strings, the map
 phi by generator-image pairs, and the coefficient as a decimal string. The
-loader rebuilds and canonicalizes every term and rejects maps that are not
-homomorphisms, so round-trips are exact and order-independent.
+loader rebuilds and canonicalizes each distinct term, once per process, and
+rejects maps that are not homomorphisms, so round-trips are exact and
+order-independent.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import re
 from json.encoder import encode_basestring_ascii as _quote
 
-from .burnside import BisetClass, BurnsideElement, _canonical_pair
+from .burnside import (BisetClass, BurnsideElement, _canonical_pair,
+                       _class_strings)
 from .errors import GroupParseError, InputError
 from .groups import PermGroup, _propagate, generated_subgroup, parse_group
 from .padic import check_scalars
@@ -22,12 +26,11 @@ from .perms import cycle_string, parse_cycles
 
 def class_to_json(b: BisetClass) -> dict:
     """A basis class [K, phi]: K by its generators' cycle strings, phi by
-    each generator's image."""
-    gens = b.K.generators()
-    return {
-        "K": [cycle_string(g) for g in gens],
-        "phi": [[cycle_string(g), cycle_string(b.phi(g))] for g in gens],
-    }
+    each generator's image. The strings are the class's cached
+    `_class_strings`; the lists are new on every call, so a caller that
+    mutates them cannot reach the cache."""
+    gens, images = _class_strings(b)
+    return {"K": list(gens), "phi": [[g, h] for g, h in zip(gens, images)]}
 
 
 def element_to_json(x: BurnsideElement) -> dict:
@@ -43,14 +46,32 @@ def element_to_json(x: BurnsideElement) -> dict:
 
 def _term_from_json(term: dict, source: PermGroup,
                     target: PermGroup) -> BisetClass:
-    gen_strings = term.get("K", [])
+    """The class of one JSON term, validated once per distinct term: the
+    key is the groups, by value, and what the checks read of K and phi, as
+    tuples. A K or phi that is not iterable, or holds an unhashable value,
+    takes the same checks uncached, so it fails as it did before the
+    cache, with the same message."""
+    gen_strings, phi_pairs = term.get("K", []), term.get("phi", [])
+    try:
+        key = (tuple(gen_strings), tuple(map(tuple, phi_pairs)))
+        hash(key)
+    except TypeError:
+        return _term_class.__wrapped__(source, target, gen_strings, phi_pairs)
+    return _term_class(source, target, *key)
+
+
+@functools.lru_cache(maxsize=None)
+def _term_class(source: PermGroup, target: PermGroup, gen_strings: tuple,
+                phi_pairs: tuple) -> BisetClass:
+    """Build and check [K, phi] from its strings. Keyed on every input the
+    class depends on; an error is raised again on every call, because
+    lru_cache keeps no exceptions."""
     gens = [parse_cycles(s, source.degree) for s in gen_strings]
     for g in gens:
         if g not in source:
             raise InputError(f"generator {cycle_string(g)} is not in the "
                              f"source group {source.label}")
     K = generated_subgroup(source, tuple(map(source.index, gens)))
-    phi_pairs = term.get("phi", [])
     if len(phi_pairs) != len(gen_strings):
         raise InputError("phi must give exactly one image per K generator")
     images = {}
@@ -72,9 +93,16 @@ def _term_from_json(term: dict, source: PermGroup,
                            tuple(map(full.__getitem__, K.indices)))
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def _integer(value) -> int:
-    """An integer given in JSON as an int or a decimal string."""
-    if isinstance(value, str) or type(value) is int:
+    """An integer given in JSON as an int or a decimal string: ASCII digits
+    with an optional leading minus, so no sign, space, underscore or
+    non-ASCII digit that int() alone would take."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
         return int(value)
     raise InputError(f"expected an integer or a decimal string, got {value!r}")
 
@@ -157,7 +185,10 @@ def _key_text(key) -> str:
 
 def _json_text(o, indent: str) -> str:
     """The text of o, nested under the line prefix indent, as json.dumps
-    writes it with sort_keys=True, separators (",", ": ") and indent=1."""
+    writes it with sort_keys=True, separators (",", ": ") and indent=1.
+    A key, item or value whose type is exactly str, the common leaf, is
+    quoted inline; str subclasses and everything else take the general
+    path."""
     if isinstance(o, str):
         return _quote(o)
     if isinstance(o, dict):
@@ -165,14 +196,16 @@ def _json_text(o, indent: str) -> str:
             return "{}"
         inner = indent + " "
         return ("{\n" + inner + (",\n" + inner).join([
-            _quote(_key_text(k)) + ": " + _json_text(v, inner)
+            _quote(k if type(k) is str else _key_text(k)) + ": "
+            + (_quote(v) if type(v) is str else _json_text(v, inner))
             for k, v in sorted(o.items())]) + "\n" + indent + "}")
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
         inner = indent + " "
         return ("[\n" + inner + (",\n" + inner).join([
-            _json_text(v, inner) for v in o]) + "\n" + indent + "]")
+            _quote(v) if type(v) is str else _json_text(v, inner)
+            for v in o]) + "\n" + indent + "]")
     text = _scalar_text(o)
     if text is None:
         raise TypeError(f"Object of type {o.__class__.__name__} "
