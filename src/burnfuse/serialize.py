@@ -49,15 +49,9 @@ def _term_from_json(term: dict, source: PermGroup,
     """The class of one JSON term, validated once per distinct term: the
     key is the groups, by value, and what the checks read of K and phi, as
     tuples. A K or phi that is not iterable, or holds an unhashable value,
-    takes the same checks uncached, so it fails as it did before the
-    cache, with the same message."""
-    gen_strings, phi_pairs = term.get("K", []), term.get("phi", [])
-    try:
-        key = (tuple(gen_strings), tuple(map(tuple, phi_pairs)))
-        hash(key)
-    except TypeError:
-        return _term_class.__wrapped__(source, target, gen_strings, phi_pairs)
-    return _term_class(source, target, *key)
+    raises TypeError."""
+    return _term_class(source, target, tuple(term.get("K", [])),
+                       tuple(map(tuple, term.get("phi", []))))
 
 
 @functools.lru_cache(maxsize=None)
