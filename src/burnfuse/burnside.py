@@ -24,7 +24,8 @@ import functools
 import itertools
 import operator
 
-from .errors import BisetError, ScalarMismatchError, SubgroupError
+from .errors import (BisetError, CapExceededError, ScalarMismatchError,
+                     SubgroupError)
 from .groups import (GroupHom, PermGroup, Subgroup, _double_cosets,
                      _hom_images, as_group, class_rep_and_conjugator,
                      inclusion_hom, least_conjugates, normalizer,
@@ -157,15 +158,33 @@ def canonical_class(source: PermGroup, target: PermGroup, K: Subgroup,
     return _canonical_pair(source, target, K.indices, phi.image_indices)
 
 
+# The most classes a basis may have, and the most maps K -> H up to
+# conjugacy that `basis` collects for one subgroup K. Each class costs about
+# 1.5 KiB: C2^4 x C2^4 holds 136,177 classes in about 210 MiB, while
+# C2^5 x C2^5 has 71,299,041 and would need about 100 GiB.
+CLASS_CAP = 250_000
+
+
 @functools.lru_cache(maxsize=None)
 def basis(G: PermGroup, H: PermGroup) -> tuple[BisetClass, ...]:
     """The canonical basis of the Burnside module over (G, H), ordered by
-    descending |K| then canonical keys."""
+    descending |K| then canonical keys. Past CLASS_CAP classes, or maps
+    from one subgroup, it raises CapExceededError, and caches nothing."""
     # every H-orbit of maps meets the _hom_images lists, and _canonical_pair
     # minimizes over post-conjugation by H; sort keys are distinct
-    classes = {_canonical_pair(G, H, K.indices, images)
-               for K in subgroups_up_to_conjugacy(G)
-               for images in _hom_images(K, H, up_to_conjugacy=True)}
+    classes: set[BisetClass] = set()
+    for K in subgroups_up_to_conjugacy(G):
+        images = _hom_images(K, H, up_to_conjugacy=True, cap=CLASS_CAP)
+        if len(images) > CLASS_CAP:
+            raise CapExceededError(
+                f"more than {CLASS_CAP} maps from one subgroup over "
+                f"({G.label}, {H.label}), past the cap {CLASS_CAP}")
+        for image in images:
+            classes.add(_canonical_pair(G, H, K.indices, image))
+            if len(classes) > CLASS_CAP:
+                raise CapExceededError(
+                    f"more than {CLASS_CAP} classes over ({G.label}, "
+                    f"{H.label}), past the cap {CLASS_CAP}")
     return tuple(sorted(classes, key=lambda b: b.sort_key))
 
 
@@ -375,7 +394,13 @@ def cardinality(x: BurnsideElement):
 class ConcreteBiset:
     """An explicit (G,H)-biset on points {0..size-1} with full action tables:
     left[i][x] is the action of source.elements[i] and right[j][x] the action
-    of target.elements[j]."""
+    of target.elements[j].
+
+    The constructor stores every row as a tuple. `realize` stores the rows
+    of a biset on at most 256 points as bytes (`_row_type`), whose
+    `translate` composes two rows in C; indexing either row type gives int
+    points, and the checks of `validate` read both. Each table holds rows
+    of one type."""
 
     __slots__ = ("source", "target", "size", "left", "right")
 
@@ -387,6 +412,16 @@ class ConcreteBiset:
         self.left = tuple(map(tuple, left))
         self.right = tuple(map(tuple, right))
 
+    @classmethod
+    def _from_tables(cls, source: PermGroup, target: PermGroup, size: int,
+                     left: tuple, right: tuple) -> "ConcreteBiset":
+        """The biset with these tables as they are, rows of either type
+        included; nothing is converted or checked."""
+        self = cls.__new__(cls)
+        self.source, self.target, self.size = source, target, size
+        self.left, self.right = left, right
+        return self
+
     def validate(self) -> None:
         """Check the biset axioms; raises BisetError on failure.
 
@@ -396,35 +431,89 @@ class ConcreteBiset:
         point, which, given the action axioms, is what a free right action
         means. The right half of both checks runs once per distinct right
         table, through `_right_verdict`.
+
+        A bytes table is checked up front (`_check_bytes`): an entry past
+        the points, or a row of the wrong length, raises "action table
+        entry out of range". A tuple table raises that message from the
+        lookup that fails, unless a comparison made before it already
+        failed.
         """
         G, H, n = self.source, self.target, self.size
         left, right = self.left, self.right
         if len(left) != G.order or len(right) != H.order:
             raise BisetError("action table shape does not match group orders")
-        ident = tuple(range(n))
+        in_bytes = type(left[0]) is bytes
+        if (type(right[0]) is bytes) != in_bytes:
+            raise BisetError("action tables mix bytes and tuple rows")
+        # past 256 points the slice is short: no bytes row is the identity
+        ident = _BYTE_POINTS[:n] if in_bytes else tuple(range(n))
         if left[0] != ident:
             raise BisetError("left identity does not act trivially")
         if right[0] != ident:
             raise BisetError("right identity does not act trivially")
-        # an entry past the points, or a short row, fails a lookup in gather
         try:
-            for gi in G.generator_indices():
-                grow = left[gi]
-                for ai, prod in enumerate(G.mul[gi]):
-                    if left[prod] != gather(grow, left[ai]):
-                        raise BisetError("left table is not an action")
+            if in_bytes:
+                _check_bytes(left, n)
+            after_gens = [(gi, _after(left[gi]))
+                          for gi in G.generator_indices()]
+            for gi, after in after_gens:
+                if not _acts(left, after, G.mul[gi]):
+                    raise BisetError("left table is not an action")
             free = _right_verdict(H, right)
-            for gi in G.generator_indices():
-                grow = left[gi]
-                for hi in H.generator_indices():
-                    hrow = right[hi]
-                    if gather(grow, hrow) != gather(hrow, grow):
+            for hi in H.generator_indices():
+                hrow = right[hi]
+                after_h = _after(hrow)
+                for gi, after in after_gens:
+                    if after(hrow) != after_h(left[gi]):
                         raise BisetError(
                             "left and right actions do not commute")
         except IndexError:
             raise BisetError("action table entry out of range") from None
         if not free:
             raise BisetError("right action is not free")
+
+
+# the points a byte can name; the bytes identity row on n points is [:n]
+_BYTE_POINTS = bytes(range(256))
+
+
+def _row_type(n: int) -> type:
+    """The row type of the tables `realize` builds on n points: bytes while
+    a byte can name every point, and tuples past 256 points."""
+    return bytes if n <= 256 else tuple
+
+
+def _after(row):
+    """The map s -> row o s, that is x -> row[s[x]], on rows of row's type:
+    `translate` through row padded to 256 entries for bytes, `gather` for
+    tuples."""
+    if type(row) is bytes:
+        return operator.methodcaller("translate", row.ljust(256, b"\0"))
+    return functools.partial(gather, row)
+
+
+def _acts(rows, after, moved) -> bool:
+    """Whether rows[moved[a]] is row o rows[a] for every a, with after the
+    map row o . of `_after`. Bytes rows go through one `translate` of the
+    joined table; tuple rows are composed one at a time, in order, and the
+    first that differs decides before a later row is read."""
+    if type(rows[0]) is bytes:
+        return after(b"".join(rows)) == b"".join(gather(rows, moved))
+    return all(map(operator.eq, gather(rows, moved), map(after, rows)))
+
+
+def _check_bytes(rows, n: int) -> None:
+    """Raise IndexError unless every row of a bytes table has n entries, all
+    below n. `translate` reads an entry in [n, 256) from the zero padding
+    instead of failing a lookup, so bytes tables need this check, and one
+    join and one deletion check the whole table in C."""
+    try:
+        joined = b"".join(rows)
+    except TypeError:
+        raise BisetError("action tables mix bytes and tuple rows") from None
+    if (len(joined) != len(rows) * n
+            or joined.translate(None, _BYTE_POINTS[:n])):
+        raise IndexError("action table entry out of range")
 
 
 @functools.lru_cache(maxsize=None)
@@ -437,12 +526,12 @@ def _right_verdict(H: PermGroup, right: tuple) -> bool:
     are not in the key, and the verdict depends on neither: any generating
     set, checked against every row, is a complete action check.
     """
-    hmul = H.mul
+    if type(right[0]) is bytes:
+        _check_bytes(right, len(right[0]))
     for hi in H.generator_indices():
-        hrow = right[hi]
-        for ai in range(H.order):
-            if right[hmul[ai][hi]] != gather(hrow, right[ai]):
-                raise BisetError("right table is not an action")
+        # x.(a h) = (x.a).h: right[a h] is right[h] o right[a]
+        if not _acts(right, _after(right[hi]), [row[hi] for row in H.mul]):
+            raise BisetError("right table is not an action")
     return not any(any(map(operator.eq, row, right[0])) for row in right[1:])
 
 
@@ -474,11 +563,13 @@ def _cosets(G: PermGroup, K: Subgroup) -> tuple[tuple[int, ...], ...]:
 def _blocks(H: PermGroup, m: int) -> tuple[tuple, tuple]:
     """(blocks, right) for m blocks of |H| points, point (i, h) numbered
     i*|H| + h: blocks[i][t] lists the points (i, t h) for h in H, and right
-    is the right multiplication table (i, h).h0 = (i, h h0)."""
+    is the right multiplication table (i, h).h0 = (i, h h0). Rows are of
+    `_row_type` on the m |H| points."""
     n = H.order
-    blocks = tuple(tuple(tuple([i * n + v for v in row]) for row in H.mul)
+    row = _row_type(m * n)
+    blocks = tuple(tuple(row([i * n + v for v in hrow]) for hrow in H.mul)
                    for i in range(m))
-    right = tuple(tuple([base + v for base in range(0, m * n, n) for v in col])
+    right = tuple(row([base + v for base in range(0, m * n, n) for v in col])
                   for col in zip(*H.mul))
     return blocks, right
 
@@ -517,9 +608,10 @@ def realize(b: BisetClass) -> ConcreteBiset:
         left = points_of
     else:
         pick, from_x = operator.itemgetter(*minima), points_of.__getitem__
-        left = [tuple(itertools.chain.from_iterable(map(from_x, gm)))
-                for gm in map(pick, G.mul)]
-    return ConcreteBiset(G, H, size, left, right)
+        join = (b"".join if _row_type(size) is bytes
+                else lambda rows: tuple(itertools.chain.from_iterable(rows)))
+        left = [join(map(from_x, gm)) for gm in map(pick, G.mul)]
+    return ConcreteBiset._from_tables(G, H, size, tuple(left), right)
 
 
 def decompose(X: ConcreteBiset) -> BurnsideElement:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
+import math
 import re
 
 from .errors import (CapExceededError, GroupParseError, HomomorphismError,
@@ -789,7 +790,8 @@ def least_conjugates(H: PermGroup) -> tuple[tuple[int, ...],
     return tuple(least), tuple(reach)
 
 
-def _hom_images(K: Subgroup, H: PermGroup, up_to_conjugacy: bool = False):
+def _hom_images(K: Subgroup, H: PermGroup, up_to_conjugacy: bool = False,
+                cap: float = math.inf):
     """The homomorphisms K -> H as image-index tuples aligned with
     K.indices, in lexicographic order of the generator images.
 
@@ -805,7 +807,11 @@ def _hom_images(K: Subgroup, H: PermGroup, up_to_conjugacy: bool = False):
     image i in C. Every H-orbit of homomorphisms under post-conjugation
     still has a member here: conjugate phi so that phi(g_1) is least in
     its class, then by an element of C_H(phi(g_1)) so that phi(g_2) is
-    least in its orbit, and so on."""
+    least in its orbit, and so on.
+
+    With a cap, it stops as soon as it has found more than cap maps and
+    returns those cap + 1, so that a Hom set too large to hold is never
+    built; the caller refuses such a set."""
     gens = K.generator_indices()
     if not gens:
         return [(0,)]
@@ -821,6 +827,8 @@ def _hom_images(K: Subgroup, H: PermGroup, up_to_conjugacy: bool = False):
     def extend(i: int, rows) -> None:
         # rows: the conjugation rows of C, or None without up_to_conjugacy
         for h in candidates[i]:
+            if len(out) > cap:
+                return
             if rows is not None and any(row[h] < h for row in rows):
                 continue
             images.append(h)

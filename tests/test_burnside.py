@@ -8,8 +8,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from burnfuse import burnside
 from burnfuse.burnside import (BurnsideElement, ConcreteBiset, TRIVIAL,
-                               _blocks, _ideal_power_lattice,
+                               _blocks, _canonical_pair, _ideal_power_lattice,
                                _right_verdict, augment,
                                augmentation_ideal_generators, basis,
                                burnside_ring_class, burnside_ring_element,
@@ -19,7 +20,8 @@ from burnfuse.burnside import (BurnsideElement, ConcreteBiset, TRIVIAL,
                                kernel_basis_elements, opposite, power, realize,
                                restrict, ring_product, semichar_embed, single,
                                zero)
-from burnfuse.errors import BisetError, ScalarMismatchError
+from burnfuse.errors import (BisetError, CapExceededError,
+                             ScalarMismatchError)
 from burnfuse.groups import (GroupHom, Subgroup, as_group, homomorphisms,
                              parse_group, sylow, subgroups_up_to_conjugacy)
 from burnfuse.padic import PRECISION_CAP, PadicInt
@@ -172,7 +174,11 @@ _ROSTER_PAIRS = list(itertools.product(ROUND_TRIP_ROSTER, repeat=2))[::10]
 def test_realize_matches_closed_formula_oracle(G, H):
     for b in basis(G, H):
         X, Y = realize(b), oracle_realize(b)
-        assert (X.size, X.left, X.right) == (Y.size, Y.left, Y.right)
+        assert (X.size, tuple(map(tuple, X.left)), tuple(map(tuple, X.right))
+                ) == (Y.size, Y.left, Y.right)
+        # rows are bytes exactly when a byte can name every point
+        row = bytes if X.size <= 256 else tuple
+        assert {type(r) for r in X.left + X.right} == {row}
 
 
 def test_decompose_group_bisets():
@@ -234,7 +240,9 @@ def _c4_with_trivial_square():
     return rows
 
 
-@pytest.mark.parametrize("source,target,size,left,right,message", [
+# tables that break one biset axiom, each with the message it must raise
+_BAD_TABLES = pytest.mark.parametrize(
+    "source,target,size,left,right,message", [
     (C2, C2, 2, [_I2], [_I2, _S2],
      "action table shape does not match group orders"),
     (C2, C2, 2, [_I2, _S2], [_I2, _S2, _I2],
@@ -261,6 +269,8 @@ def _c4_with_trivial_square():
     (C2, C2, 2, [_I2, [1, 5]], [_I2, _S2], "action table entry out of range"),
     (C2, C2, 2, [_I2, _S2], [_I2, [1, 5]], "action table entry out of range"),
     (C2, C2, 2, [_I2, [1]], [_I2, _S2], "action table entry out of range"),
+    # in bytes, 2 would read 0 from translate's zero padding: an action
+    (C2, C2, 2, [_I2, _S2], [_I2, [2, 0]], "action table entry out of range"),
     # two faults: freeness is read after every action check
     (C2, C2, 4, [_I4, [1, 2, 3, 0]], [_I4, _I4], "left table is not an action"),
     # a 3-cycle fixing point 0
@@ -272,11 +282,27 @@ def _c4_with_trivial_square():
         "left-action", "right-action", "left-action-C4-square",
         "right-action-C4-square", "commute", "free-trivial", "free-C4",
         "left-entry-range", "right-entry-range", "left-row-short",
-        "left-action,not-free", "right-action,not-free", "commute,not-free"])
+        "right-entry-padding", "left-action,not-free",
+        "right-action,not-free", "commute,not-free"])
+
+
+@_BAD_TABLES
 def test_validate_rejects(source, target, size, left, right, message):
     # twice: a failing right check caches nothing, so the second call, which
     # may read a cached verdict, fails the same way
     X = ConcreteBiset(source, target, size, left, right)
+    for _ in range(2):
+        with pytest.raises(BisetError, match=f"^{message}$"):
+            X.validate()
+
+
+@_BAD_TABLES
+def test_validate_rejects_bytes_rows(source, target, size, left, right,
+                                     message):
+    # the same tables with rows as realize stores them on at most 256 points
+    X = ConcreteBiset._from_tables(source, target, size,
+                                   tuple(map(bytes, left)),
+                                   tuple(map(bytes, right)))
     for _ in range(2):
         with pytest.raises(BisetError, match=f"^{message}$"):
             X.validate()
@@ -295,21 +321,24 @@ def test_cached_right_table_still_checks_left_table():
     X = realize(b)
     assert decompose(X) == single(b)
     assert X.right == _blocks(S3, 4)[1]
-    ident = list(range(X.size))
+    # the bad left tables go on the realized biset, which keeps realize's
+    # bytes right table: a tuple copy of it would be another cache key
+    ident = bytes(range(X.size))
     g = C4.generator_indices()[0]
     bad_square = list(X.left)
     bad_square[C4.mul[g][g]] = ident
+    X.left = tuple(bad_square)
     with pytest.raises(BisetError, match="^left table is not an action$"):
-        ConcreteBiset(C4, S3, X.size, bad_square, X.right).validate()
+        X.validate()
     # C4 acting through C4 -> C2 by swapping points 0 and 1: an action, but
     # the swap does not commute with the right action
-    swap = [1, 0] + ident[2:]
-    left = [swap if p_mul(h, h) != C4.identity else ident
-            for h in C4.elements]
+    swap = bytes([1, 0]) + ident[2:]
+    X.left = tuple(swap if p_mul(h, h) != C4.identity else ident
+                   for h in C4.elements)
     hits = _right_verdict.cache_info().hits
     with pytest.raises(BisetError,
                        match="^left and right actions do not commute$"):
-        ConcreteBiset(C4, S3, X.size, left, X.right).validate()
+        X.validate()
     assert _right_verdict.cache_info().hits == hits + 1
 
 
@@ -341,6 +370,125 @@ def test_right_verdict_ignores_label_and_generators(relabeled_first):
     assert verdicts(second) == want
     # the two tables that have a verdict were read from the cache
     assert _right_verdict.cache_info().hits == 2
+
+
+C16 = parse_group("C16")
+
+
+def _c16_parity_rows(row, n):
+    """C16 on n points through C16 -> C2: the odd powers of its generator
+    act by row, the even ones trivially."""
+    g = C16.generator_indices()[0]
+    ident, rows, x = tuple(range(n)), [None] * 16, 0
+    for k in range(16):
+        rows[x] = row if k % 2 else ident
+        x = C16.mul[g][x]
+    return rows
+
+
+def _corrupted(X, kind):
+    """Copies of a biset X over (C16, H) with rows of type kind, each
+    breaking one biset axiom with entries that stay in range, and the
+    message each must raise."""
+    n, ident = X.size, tuple(range(X.size))
+    left = [tuple(r) for r in X.left]
+    g = X.source.generator_indices()[0]
+    bad_square = list(left)
+    bad_square[X.source.mul[g][g]] = ident
+    swap = (1, 0) + ident[2:]
+    cases = [
+        (bad_square, X.right, "left table is not an action"),
+        (_c16_parity_rows(swap, n), X.right,
+         "left and right actions do not commute"),
+        (left, [ident] * len(X.right), "right action is not free"),
+    ]
+    return [(ConcreteBiset._from_tables(
+        X.source, X.target, n, tuple(map(kind, lt)), tuple(map(kind, rt))),
+        message) for lt, rt, message in cases]
+
+
+@pytest.mark.parametrize("H,size,row", [
+    (C16, 256, bytes), (parse_group("C17"), 272, tuple)],
+    ids=["256-points-bytes", "272-points-tuples"])
+def test_realize_at_the_byte_boundary(H, size, row):
+    b = _canonical_pair(C16, H, (0,), (0,))
+    X, Y = realize(b), oracle_realize(b)
+    assert X.size == size
+    assert {type(r) for r in X.left + X.right} == {row}
+    assert (tuple(map(tuple, X.left)), tuple(map(tuple, X.right))) == \
+        (Y.left, Y.right)
+    assert decompose(X) == single(b)
+    # one corrupted table raises the same text under either row type
+    kinds = [bytes, tuple] if row is bytes else [tuple]
+    for kind in kinds:
+        for bad, message in _corrupted(X, kind):
+            with pytest.raises(BisetError, match=f"^{message}$"):
+                bad.validate()
+
+
+def test_row_length_faults_by_row_type():
+    # a bytes table is range-checked before any action check; a tuple table
+    # fails only the lookup that reads past a row
+    b = next(b for b in basis(S3, C2) if b.K.order == 1)
+    X = realize(b)
+    out_of_range = "action table entry out of range"
+    for i in range(1, S3.order):
+        for bad in (X.left[i][:-1], X.left[i] + b"\0"):
+            left = list(X.left)
+            left[i] = bad
+            in_bytes = ConcreteBiset._from_tables(S3, C2, X.size,
+                                                  tuple(left), X.right)
+            with pytest.raises(BisetError, match=f"^{out_of_range}$"):
+                in_bytes.validate()
+            in_tuples = ConcreteBiset(S3, C2, X.size, left, X.right)
+            short_generator = (len(bad) < X.size
+                               and i == S3.generator_indices()[0])
+            message = (out_of_range if short_generator
+                       else "left table is not an action")
+            with pytest.raises(BisetError, match=f"^{message}$"):
+                in_tuples.validate()
+    # a right row too long
+    for rows, message in ((bytes, out_of_range),
+                          (tuple, "right table is not an action")):
+        Y = ConcreteBiset._from_tables(C2, C2, 2, (rows(_I2), rows(_S2)),
+                                       (rows(_I2), rows([1, 0, 0])))
+        with pytest.raises(BisetError, match=f"^{message}$"):
+            Y.validate()
+
+
+@pytest.mark.parametrize("source,target,left,right,message", [
+    (C2, C2, (b"\0\1", b"\1\0"), ((0, 1), (1, 0)),
+     "action tables mix bytes and tuple rows"),
+    (C2, C2, (b"\0\1", (1, 0)), (b"\0\1", b"\1\0"),
+     "action tables mix bytes and tuple rows"),
+    # a byte cannot name point 256
+    (E, E, (bytes(257),), (bytes(257),),
+     "left identity does not act trivially"),
+], ids=["across-tables", "within-a-table", "past-256-points"])
+def test_row_types_that_no_biset_has(source, target, left, right, message):
+    X = ConcreteBiset._from_tables(source, target, len(left[0]), left, right)
+    with pytest.raises(BisetError, match=f"^{message}$"):
+        X.validate()
+
+
+@pytest.mark.parametrize("G,H,cap,message", [
+    # 67 classes over (C2^4, C3), no more than one map from each subgroup
+    ("C2xC2xC2xC2", "C3", 66,
+     r"more than 66 classes over \(C2xC2xC2xC2, C3\)"),
+    # 49 classes from the subgroups of order 1 and 2, then 256 maps
+    # C2xC2 -> C2^4
+    ("C2xC2", "C2xC2xC2xC2", 100,
+     r"more than 100 maps from one subgroup over \(C2xC2, C2xC2xC2xC2\)"),
+], ids=["classes", "maps"])
+def test_basis_past_the_class_cap_raises(monkeypatch, G, H, cap, message):
+    # pairs that no other test builds a basis for, so the cache is cold
+    G, H = parse_group(G), parse_group(H)
+    monkeypatch.setattr(burnside, "CLASS_CAP", cap)
+    with pytest.raises(CapExceededError, match=f"^{message}.*the cap {cap}$"):
+        basis(G, H)
+    # a refused basis is not cached
+    monkeypatch.undo()
+    assert len(basis(G, H)) > cap
 
 
 def _conjugate(rows, sigma, shift=0):

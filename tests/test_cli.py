@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from burnfuse import verify
+from burnfuse import burnside, verify
 from burnfuse.burnside import basis, single
 from burnfuse.cli import SETTINGS, SPLITTING_EXPONENT_CAP, read_config_file, run
 from burnfuse.completion import (splitting_idempotent_approx,
@@ -412,6 +412,14 @@ def test_order_cap_applies_to_one_command(capsys, first, second):
     assert "enumeration cap" in err
     # the library is back at the default cap
     assert len(basis(parse_group("C13"), parse_group("C1"))) == 2
+
+
+def test_basis_past_the_class_cap_exits_two(monkeypatch, capsys):
+    # (C4, C2xC2xC2) has 17 classes; no other test builds its basis
+    monkeypatch.setattr(burnside, "CLASS_CAP", 10)
+    code, out, err = invoke(capsys, "basis", "C4", "C2xC2xC2")
+    assert (code, out) == (2, "")
+    assert "past the cap 10" in err
 
 
 GOOD_TERM = {"K": ["(1 2)"], "phi": [["(1 2)", "(1 2)"]], "coeff": "1"}

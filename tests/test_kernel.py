@@ -267,6 +267,16 @@ def test_filtered_homs_meet_every_target_orbit(gs, hs):
         assert set(map(least, full)) == set(map(least, filtered))
 
 
+@pytest.mark.parametrize("up_to_conjugacy", [False, True])
+def test_capped_homs_stop_one_past_the_cap(up_to_conjugacy):
+    # a capped enumeration returns the first cap + 1 maps of the full list
+    K, H = parse_group("C2xC2").full_subgroup(), parse_group("D8")
+    full = _hom_images(K, H, up_to_conjugacy)
+    for cap in (0, 1, 5, len(full) - 1):
+        assert _hom_images(K, H, up_to_conjugacy, cap) == full[:cap + 1]
+    assert _hom_images(K, H, up_to_conjugacy, len(full)) == full
+
+
 def test_canonical_pair_on_conjugated_inputs():
     # decompose hands over subgroups that are not class representatives;
     # the graph of [K, phi] may also come in any order
