@@ -213,13 +213,17 @@ class BurnsideElement:
     """A finite integer or p-adic linear combination of BisetClass values
     over a fixed (source, target) pair: nonzero int coefficients, and the
     (p, k) of a p-adic element in prime and precision (None otherwise).
-    +, - and scaling follow the scalar rule of the module docstring."""
+    +, - and scaling follow the scalar rule of the module docstring.
+
+    The constructor takes the terms as a dict or as (class, coefficient)
+    pairs, in which the coefficients of a repeated class add up."""
 
     __slots__ = ("source", "target", "_terms", "prime", "precision")
 
-    def __init__(self, source: PermGroup, target: PermGroup, terms: dict):
+    def __init__(self, source: PermGroup, target: PermGroup, terms):
         scalars, ints = None, {}  # scalars: (p, k), or (None, None) for int
-        for b, c in terms.items():
+        repeated = False
+        for b, c in terms.items() if isinstance(terms, dict) else terms:
             if b.source != source or b.target != target:
                 raise BisetError(
                     f"term {b!r} does not live over ({source.label}, {target.label})")
@@ -236,9 +240,17 @@ class BurnsideElement:
                     "mixed integer and p-adic coefficients"
                     if (None, None) in (scalars, this)
                     else f"coefficients at {scalars} and {this} in one element")
-            scalars, ints[b] = this, int(c)  # a bool is stored as 0 or 1
-        self.source, self.target, self._terms = source, target, ints
-        self.prime, self.precision = scalars or (None, None)
+            scalars = this
+            if b in ints:
+                repeated = True
+                ints[b] += int(c)
+            else:
+                ints[b] = int(c)  # a bool is stored as 0 or 1
+        if repeated:  # a sum can vanish, or pass p^k
+            self._fill(source, target, ints, *(scalars or (None, None)))
+        else:
+            self.source, self.target, self._terms = source, target, ints
+            self.prime, self.precision = scalars or (None, None)
 
     @classmethod
     def _from_ints(cls, source: PermGroup, target: PermGroup, terms: dict,
@@ -248,6 +260,14 @@ class BurnsideElement:
         prime is given. The caller guarantees that the classes live over
         (source, target) and that (p, k) is valid; nothing is checked."""
         self = cls.__new__(cls)
+        self._fill(source, target, terms, prime, precision)
+        return self
+
+    def _fill(self, source: PermGroup, target: PermGroup, terms: dict,
+              prime: int | None, precision: int | None) -> None:
+        """Set the fields from int coefficients, reduced mod p^k when a
+        prime is given; zero terms are dropped, and zero is an integer
+        element."""
         self.source, self.target = source, target
         if prime is None:
             self._terms = {b: c for b, c in terms.items() if c}
@@ -256,7 +276,6 @@ class BurnsideElement:
             self._terms = {b: r for b, c in terms.items() if (r := c % mod)}
         self.prime, self.precision = ((prime, precision) if self._terms
                                       else (None, None))
-        return self
 
     def _scalar(self, c: int):
         return c if self.prime is None else PadicInt(self.prime, self.precision, c)
@@ -363,7 +382,9 @@ class BurnsideElement:
 
 
 def element(source: PermGroup, target: PermGroup, terms) -> BurnsideElement:
-    return BurnsideElement(source, target, dict(terms))
+    """The element with these (class, coefficient) pairs, or dict; the
+    coefficients of a repeated class add up."""
+    return BurnsideElement(source, target, terms)
 
 
 def zero(source: PermGroup, target: PermGroup) -> BurnsideElement:
@@ -654,7 +675,11 @@ def decompose(X: ConcreteBiset) -> BurnsideElement:
 def _compose_basis(b1: BisetClass, b2: BisetClass) -> tuple[tuple[BisetClass, int], ...]:
     """The Mackey formula: [K, phi] over (G,H) composed with [L, psi] over
     (H,M) is the sum, over representatives x of phi(K)\\H/L, of
-    [K_x, psi o c_{x^-1} o phi] with K_x = {k in K : x^-1 phi(k) x in L}."""
+    [K_x, psi o c_{x^-1} o phi] with K_x = {k in K : x^-1 phi(k) x in L}.
+
+    The terms come in the order the double cosets first meet each class,
+    which is deterministic; every caller folds them into a dict, and only
+    output sorts classes (by sort_key)."""
     G, H, M = b1.source, b1.target, b2.target
     K, phi_idx = b1.K, b1.phi.image_indices
     L = b2.K
@@ -670,7 +695,7 @@ def _compose_basis(b1: BisetClass, b2: BisetClass) -> tuple[tuple[BisetClass, in
                 images.append(img)
         b = _canonical_pair(G, M, tuple(members), tuple(images))
         terms[b] = terms.get(b, 0) + 1
-    return tuple(sorted(terms.items(), key=lambda kv: kv[0].sort_key))
+    return tuple(terms.items())
 
 
 def compose(x: BurnsideElement, y: BurnsideElement) -> BurnsideElement:
@@ -718,28 +743,39 @@ def _inverse_class(f: GroupHom, target: PermGroup) -> BisetClass:
 
 
 @functools.lru_cache(maxsize=None)
+def _left_class(a: GroupHom) -> BisetClass:
+    """The class [S, a] over (S, G) of a map a: S -> G, with S the domain
+    of a viewed as a group (`as_group`). Built once per map."""
+    S = as_group(a.domain)
+    return _canonical_pair(S, a.codomain, S.full_subgroup().indices,
+                           a.image_indices)
+
+
+@functools.lru_cache(maxsize=None)
+def _right_class(c: GroupHom) -> BisetClass:
+    """The class [c(T), c^-1] over (H, T) of an injective map c: T -> H,
+    with T the domain of c viewed as a group. Built once per map."""
+    return _inverse_class(c, as_group(c.domain))
+
+
+@functools.lru_cache(maxsize=None)
 def _restrict_basis(b: BisetClass, left_hom: GroupHom | None,
                     right_hom: GroupHom | None) -> tuple[tuple[BisetClass, int], ...]:
     """Restriction along a: S -> G and c: T -> H is the composition
     [S, a] o b o [c(T), c^-1], folded from the cached Mackey products of
-    `_compose_basis`."""
+    `_compose_basis`, in their order; multiplicities are positive."""
     if right_hom is not None and not right_hom.is_injective:
         raise BisetError("right restriction along a non-injective map "
                          "would break freeness")
-    terms = {b: 1}
-    if left_hom is not None:
-        src = as_group(left_hom.domain)
-        terms = dict(_compose_basis(_canonical_pair(
-            src, b.source, src.full_subgroup().indices,
-            left_hom.image_indices), b))
-    if right_hom is not None:
-        c = _inverse_class(right_hom, as_group(right_hom.domain))
-        out: dict[BisetClass, int] = {}
-        for b1, mult in terms.items():
-            _accumulate(out, mult, _compose_basis(b1, c))
-        terms = out
-    return tuple(sorted(((b1, m) for b1, m in terms.items() if m),
-                        key=lambda kv: kv[0].sort_key))
+    terms = (((b, 1),) if left_hom is None
+             else _compose_basis(_left_class(left_hom), b))
+    if right_hom is None:
+        return terms
+    c = _right_class(right_hom)
+    out: dict[BisetClass, int] = {}
+    for b1, mult in terms:
+        _accumulate(out, mult, _compose_basis(b1, c))
+    return tuple(out.items())
 
 
 def restrict_along(x: BurnsideElement, left_hom: GroupHom | None = None,
@@ -821,8 +857,10 @@ def burnside_ring_class(G: PermGroup, K: Subgroup) -> BisetClass:
 
 
 def burnside_ring_element(G: PermGroup, terms) -> BurnsideElement:
-    return BurnsideElement(G, TRIVIAL, {
-        burnside_ring_class(G, K): c for K, c in terms})
+    """The element sum c [G/K] of A(G) for the (K, c) pairs of terms; the
+    coefficients of conjugate subgroups add up."""
+    return BurnsideElement(G, TRIVIAL, [
+        (burnside_ring_class(G, K), c) for K, c in terms])
 
 
 def ring_product(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:

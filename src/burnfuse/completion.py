@@ -161,9 +161,11 @@ def splitting_idempotent_approx(G: PermGroup, p: int, n: int) -> BurnsideElement
         raise InputError("the iterate index must be nonnegative")
     check_scalars(p)
     S = sylow(G, p)
-    base = BurnsideElement(G, G, {
-        _canonical_pair(G, G, S.indices, S.indices): 1,
-        _canonical_pair(G, G, S.indices, (0,) * S.order): -1})
+    # for p not dividing |G|, S is trivial, the two classes are one, and
+    # the pairs sum to zero
+    base = BurnsideElement(G, G, [
+        (_canonical_pair(G, G, S.indices, S.indices), 1),
+        (_canonical_pair(G, G, S.indices, (0,) * S.order), -1)])
     return power(base, (p - 1) * p ** n)
 
 

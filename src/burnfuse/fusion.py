@@ -111,32 +111,42 @@ def is_fusion_preserving(phi: GroupHom, F1: FusionSystem,
 
 
 @functools.lru_cache(maxsize=None)
+def _orbit_representatives(F: FusionSystem, P: Subgroup) -> tuple[GroupHom, ...]:
+    """The fusion morphisms P -> S taken one per Inn(S)-orbit {c_s . phi},
+    the first of each orbit in `morphisms_to_sylow` order. The morphisms
+    on P are closed under these translates: c_s . c_g is c_(sg)."""
+    rows = F.sylow_group.conj
+    seen: set[tuple] = set()
+    out = []
+    for phi in F.morphisms_to_sylow(P):
+        if phi.image_indices not in seen:
+            out.append(phi)
+            seen.update(gather(row, phi.image_indices) for row in rows)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
 def _twists(F: FusionSystem, P: Subgroup) -> tuple[GroupHom, ...]:
     """The fusion morphisms phi: P -> S along which stability is checked,
-    sorted by image indices. A morphism is left out when either holds:
-    - it lies in the Inn(S)-orbit {c_s . psi} of a morphism already kept,
-      or of the inclusion: x -> s^-1 x is a biset isomorphism from the
-      restriction along c_s . psi to the one along psi;
-    - it is the restriction of a fusion morphism psi: R -> S with
-      P < R and |R:P| = p: restriction is functorial and Z-linear, so
+    sorted by image indices: one per Inn(S)-orbit (`_orbit_representatives`),
+    as x -> s^-1 x is a biset isomorphism from the restriction along
+    c_s . psi to the one along psi, leaving out the orbits of
+    - the inclusion;
+    - the restrictions of the fusion morphisms psi: R -> S with P < R and
+      |R:P| = p: restriction is functorial and Z-linear, so
       res_{psi|P} = res_{P->R} . res_psi agrees with res_{P->R} . res_incl
       once R is checked. In a p-group every proper subgroup has index p in
-      a larger one, so induction from S down covers every P."""
+      a larger one, so induction from S down covers every P.
+    Both sets left out are unions of orbits."""
     S = F.sylow_group
-    rows = S.conj
-    implied = {gather(row, P.indices) for row in rows}
+    implied = {gather(row, P.indices) for row in S.conj}
     for R in all_subgroups(S):
         if R.order == F.prime * P.order and R.mask & P.mask == P.mask:
             at = [i for i, x in enumerate(R.indices) if P.mask >> x & 1]
             implied.update(gather(psi.image_indices, at)
                            for psi in F.morphisms_to_sylow(R))
-    out = []
-    for phi in F.morphisms_to_sylow(P):
-        if phi.image_indices not in implied:
-            out.append(phi)
-            implied.update(gather(row, phi.image_indices)
-                           for row in rows)
-    return tuple(out)
+    return tuple(phi for phi in _orbit_representatives(F, P)
+                 if phi.image_indices not in implied)
 
 
 def is_stable(x: BurnsideElement, F1: FusionSystem, F2: FusionSystem) -> bool:
@@ -265,7 +275,11 @@ def stable_pair_classes(F1: FusionSystem, F2: FusionSystem) \
     b: phi(K) -> S2, both sets asked of the fusion systems on K and on
     phi(K) themselves. Fusion morphisms compose and include the inverses,
     so the one-step image of a pair is its whole class; each class is built
-    from its least member, and the classes come in the order of those."""
+    from its least member, and the classes come in the order of those.
+    Replacing a by c_s . a, or b by c_t . b, gives a pair conjugate to the
+    first under S1 x S2, which is the same class, so a runs over one
+    morphism per Inn(S1)-orbit and b over one per Inn(S2)-orbit
+    (`_orbit_representatives`)."""
     S1, S2 = F1.sylow_group, F2.sylow_group
     seen: set[BisetClass] = set()
     out = []
@@ -276,9 +290,9 @@ def stable_pair_classes(F1: FusionSystem, F2: FusionSystem) \
         phi = b.phi.image_indices
         img = Subgroup.from_indices(S2, phi)
         beta_phis = [gather(dict(zip(img.indices, rho.image_indices)), phi)
-                     for rho in F2.morphisms_to_sylow(img)]
+                     for rho in _orbit_representatives(F2, img)]
         members = set()
-        for alpha in F1.morphisms_to_sylow(b.K):
+        for alpha in _orbit_representatives(F1, b.K):
             for beta_phi in beta_phis:  # the graph of beta . phi . alpha^-1
                 graph = sorted(zip(alpha.image_indices, beta_phi))
                 members.add(_canonical_pair(S1, S2, *zip(*graph)))

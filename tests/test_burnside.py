@@ -22,8 +22,9 @@ from burnfuse.burnside import (BurnsideElement, ConcreteBiset, TRIVIAL,
                                zero)
 from burnfuse.errors import (BisetError, CapExceededError,
                              ScalarMismatchError)
-from burnfuse.groups import (GroupHom, Subgroup, as_group, homomorphisms,
-                             parse_group, sylow, subgroups_up_to_conjugacy)
+from burnfuse.groups import (GroupHom, Subgroup, all_subgroups, as_group,
+                             homomorphisms, parse_group, sylow,
+                             subgroups_up_to_conjugacy)
 from burnfuse.padic import PRECISION_CAP, PadicInt
 from burnfuse.perms import cycle_string, gather, p_inv, p_mul
 from burnfuse.serialize import element_from_json, element_to_json
@@ -1073,6 +1074,34 @@ def test_constructor_checks_coefficients():
     # zero coefficients are dropped before the kinds are compared
     x = element(S3, S3, {a: 0, b: PadicInt(2, 4, 17)})
     assert (x.prime, x.precision, x.coefficient(b)) == (2, 4, PadicInt(2, 4, 1))
+
+
+def test_repeated_classes_add_up():
+    # conjugate subgroups name one class of A(S3): both coefficients count
+    K1, K2 = [K for K in all_subgroups(S3) if K.order == 2][:2]
+    cls = burnside_ring_class(S3, K1)
+    assert burnside_ring_class(S3, K2) is cls
+    x = burnside_ring_element(S3, [(K1, 1), (K2, 1)])
+    assert x.coefficient(cls) == 2
+    assert str(x) == f"2 {cls.label()}"
+    assert burnside_ring_element(S3, [(K1, 3), (K2, -3)]).is_zero
+    a, b = basis(S3, S3)[:2]
+    assert element(S3, S3, [(a, 1), (b, 4), (a, 2)]) == \
+        element(S3, S3, {a: 3, b: 4})
+    # p-adic residues add up mod p^k, and a sum of zero is the integer zero
+    y = element(S3, S3, [(a, PadicInt(2, 4, 9)), (a, PadicInt(2, 4, 9))])
+    assert (y.prime, y.precision, y.coefficient(a)) == (2, 4, PadicInt(2, 4, 2))
+    z = element(S3, S3, [(a, PadicInt(2, 4, 15)), (a, PadicInt(2, 4, 1))])
+    assert z.is_zero and (z.prime, z.precision) == (None, None)
+    # the scalar rule still holds between the coefficients of one class
+    with pytest.raises(ScalarMismatchError,
+                       match="^mixed integer and p-adic coefficients$"):
+        element(S3, S3, [(a, 1), (a, PadicInt(2, 4, 1))])
+    with pytest.raises(ScalarMismatchError,
+                       match=r"^coefficients at \(2, 4\) and \(2, 5\) in one element$"):
+        element(S3, S3, [(a, PadicInt(2, 4, 1)), (a, PadicInt(2, 5, 1))])
+    with pytest.raises(ScalarMismatchError, match="^unsupported coefficient 1.5$"):
+        element(S3, S3, [(a, 1), (a, 1.5)])
     assert not element(S3, S3, {a: PadicInt(2, 4, 16)}).is_padic
     # a bool coefficient is stored as a plain int, so it prints and
     # serializes as one

@@ -294,6 +294,17 @@ def test_splitting_prints_nothing_past_the_digit_limit(capsys, fmt):
     assert "take a smaller --n" in err
 
 
+def test_splitting_prints_zero_for_p_prime_to_the_order(capsys):
+    for args in (["S3", "--p", "5", "--n", "0"], ["C3", "--p", "2", "--n", "1"]):
+        code, out, err = invoke(capsys, "splitting", *args)
+        assert (code, err) == (0, "")
+        assert out == f"element over ({args[0]}, {args[0]})\n0\n"
+        code, out, err = invoke(capsys, "--format", "json", "splitting", *args)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"source": args[0], "target": args[0],
+                                   "scalars": "int", "terms": []}
+
+
 def test_config_validation(capsys):
     code, out, err = invoke(capsys, "--precision", "0", "basis", "C2", "C2")
     assert (code, out) == (2, "")

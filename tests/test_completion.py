@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from burnfuse.burnside import (basis, burnside_ring_class,
                                burnside_ring_element, canonical_class,
                                cardinality, compose, identity_element,
-                               opposite, restrict, single)
+                               opposite, restrict, single, zero)
 from burnfuse.completion import (bezout_coefficients, complete,
                                  complete_functor_check,
                                  completion_defining_identity, completion_unit,
@@ -182,6 +182,14 @@ def test_splitting_idempotent_approx_examples():
     incl3 = canonical_class(S3, S3, T, dict(zip(T.elements, T.elements)))
     zero3 = canonical_class(S3, S3, T, {x_: S3.identity for x_ in T.elements})
     assert z == 32 * (single(incl3) - single(zero3))
+
+
+def test_splitting_idempotent_approx_is_zero_for_p_prime_to_the_order():
+    # S is trivial, so [S, i_S] = [S, 0] and the base is zero
+    for G, p, n in ((S3, 5, 0), (parse_group("C3"), 2, 1), (S3, 7, 2)):
+        x = splitting_idempotent_approx(G, p, n)
+        assert x.is_zero
+        assert x == zero(G, G)
 
 
 def test_verify_splitting_sum_c2():

@@ -29,6 +29,7 @@ A4 = parse_group("A4")
 C3 = parse_group("C3")
 C6 = parse_group("C6")
 D8 = parse_group("D8")
+Q8 = parse_group("Q8")
 A5 = parse_group("A5")
 S5 = parse_group("S5")
 S3xC3 = parse_group("S3xC3")
@@ -218,7 +219,8 @@ def test_is_fusion_preserving_oracle_sees_both_answers():
 
 
 PARTITION_CASES = [(S3, S3, 2), (S3, S3, 3), (S4, S4, 2), (S4, A4, 2),
-                   (A4, S4, 2), (D8, S4, 2), (C6, S3, 3), (S4, S3, 3)]
+                   (A4, S4, 2), (D8, S4, 2), (C6, S3, 3), (S4, S3, 3),
+                   (Q8, S4, 2), (S4, Q8, 2)]
 
 
 @pytest.mark.parametrize("G,H,p", PARTITION_CASES,

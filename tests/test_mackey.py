@@ -23,6 +23,7 @@ from burnfuse.burnside import (BurnsideElement, ConcreteBiset,
                                compose, decompose, opposite, realize,
                                restrict_along, single)
 from burnfuse.errors import BisetError, SubgroupError
+from burnfuse.fusion import _twists, fusion_system
 from burnfuse.groups import (GroupHom, as_group, homomorphisms,
                              inclusion_hom, parse_group, sylow,
                              subgroups_up_to_conjugacy)
@@ -168,12 +169,32 @@ def test_restrict_matches_sliced_actions(gs, hs):
 @pytest.mark.parametrize("p", [2, 3])
 def test_restrict_basis_matches_element_route(gs, p):
     # every basis class over (G, G), restricted to the Sylow pair (P, P)
-    # on the left, on the right and on both sides
+    # on the left, on the right and on both sides, and on the right along
+    # an injective map P -> G that is not the inclusion; then every basis
+    # class over the Sylow group S along each twist of `_twists`, so the
+    # per-map caches of the restricting classes see keys other than
+    # inclusions. Both sides are compared as dicts: cached products keep
+    # the Mackey order, and the element route sorts its terms.
     G = parse_group(gs)
-    incl = inclusion_hom(sylow(G, p))
+    P = sylow(G, p)
+    incl = inclusion_hom(P)
+    moved = next((f for f in homomorphisms(P, G)
+                  if f.is_injective and f != incl), None)
+    maps = [(incl, None), (None, incl), (incl, incl)]
+    if moved is not None:
+        maps += [(None, moved), (incl, moved)]
     for b in basis(G, G):
-        for a, c in ((incl, None), (None, incl), (incl, incl)):
-            assert _restrict_basis(b, a, c) == oracle_restrict_basis(b, a, c)
+        for a, c in maps:
+            assert dict(_restrict_basis(b, a, c)) == \
+                dict(oracle_restrict_basis(b, a, c))
+    F = fusion_system(G, p)
+    S = F.sylow_group
+    twists = [t for Q in subgroups_up_to_conjugacy(S) for t in _twists(F, Q)]
+    for b in basis(S, S):
+        for t in twists:
+            for a, c in ((t, None), (None, t), (t, t)):
+                assert dict(_restrict_basis(b, a, c)) == \
+                    dict(oracle_restrict_basis(b, a, c))
 
 
 @pytest.mark.parametrize("gs,hs", [("S3", "S4"), ("A4", "S4"), ("D8", "Q8"),
